@@ -43,19 +43,24 @@ RUNS = [
 ]
 
 
+def report_name(claim, mode, max_u, max_v):
+    """File name under reports/ of one RUNS entry (max_v None means max_u)."""
+    v = max_v if max_v is not None else max_u
+    return f"{claim.lower()}-{mode}-{max_u}-{v}.json"
+
+
 def run_all():
     docs = {}
     for claim, mode, max_u, max_v in RUNS:
         fn = falsify if mode == "falsify" else verify
         report = fn(claim, max_u=max_u, max_v=max_v)
         doc = report_doc(report)
-        v = max_v if max_v is not None else max_u
-        path = REPORTS / f"{claim.lower()}-{mode}-{max_u}-{v}.json"
+        path = REPORTS / report_name(claim, mode, max_u, max_v)
         write_json(path, doc)
         docs.setdefault(claim, []).append(doc)
-        tallies = doc["tallies"]
+        tallies, b = doc["tallies"], doc["bounds"]
         print(
-            f"{claim:12} {mode:7} ({max_u},{v})  {doc['instances']:>8} instances"
+            f"{claim:12} {mode:7} ({b['max_u']},{b['max_v']})  {doc['instances']:>8} instances"
             f"  fails={tallies['fails']:<6} -> {path.name}",
             file=sys.stderr,
         )
@@ -147,7 +152,7 @@ def status_markdown(docs_by_claim):
     for cid in REGISTRY:
         for doc in docs_by_claim[cid]:
             b = doc["bounds"]
-            name = f"{cid.lower()}-{doc['mode']}-{b['max_u']}-{b['max_v']}.json"
+            name = report_name(cid, doc["mode"], b["max_u"], b["max_v"])
             lines.append(
                 f"- `reports/{name}`: {doc['mode']} `{cid}`,"
                 f" {doc['instances']:,} instances, outcome {doc['outcome']}"

@@ -21,22 +21,12 @@ from .structures import (
     Universe,
     make_universe,
     partition_from_blocks,
-    partition_join,
-    partition_meet,
-    partition_to_relation,
-    refines,
-    relation_classify,
-    relation_to_partition,
-    relation_union_raw,
-    transitive_closure,
 )
 from .mappings import (
     DegreeRatio,
     SurjMap,
-    degree_eq,
     degree_table,
     fiber_condition,
-    image_subset,
     including_degree,
     make_map,
     relmap,
@@ -49,15 +39,9 @@ from .approx import (
     upper_approx,
 )
 from .enumeration import (
-    EnumCursor,
     bell,
-    count_check,
-    maps_iter,
-    partitions_iter,
     stirling2,
-    subsets_iter,
     surjection_count,
-    surjections_iter,
 )
 from .claims import (
     Claim,
@@ -124,37 +108,21 @@ __all__ = [
     "Classification",
     "make_universe",
     "partition_from_blocks",
-    "partition_to_relation",
-    "relation_to_partition",
-    "relation_classify",
-    "transitive_closure",
-    "refines",
-    "partition_meet",
-    "partition_join",
-    "relation_union_raw",
     "SurjMap",
     "DegreeRatio",
     "make_map",
     "including_degree",
-    "degree_eq",
     "degree_table",
     "fiber_condition",
-    "image_subset",
     "relmap",
     "lower_approx",
     "upper_approx",
     "approximations",
     "is_definable",
     "boundary",
-    "EnumCursor",
     "bell",
     "stirling2",
     "surjection_count",
-    "count_check",
-    "partitions_iter",
-    "subsets_iter",
-    "surjections_iter",
-    "maps_iter",
     "Claim",
     "Instance",
     "Verdict",

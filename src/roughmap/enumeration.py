@@ -1,144 +1,57 @@
-"""Exhaustive enumeration of partitions, subsets, and maps.
+"""Exhaustive enumeration of partitions and maps, and closed-form space sizes.
 
-Everything is generated in a fixed lexicographic order through explicit
-successor functions, so a position in any sweep is just the last item
-produced and can be serialized, shipped to a worker, or resumed.
+Every stream is a plain lazy generator in a fixed lexicographic order, so a
+sweep built from them visits instances in one canonical order.
 
 Partitions are restricted-growth strings: rgs[0] == 0 and each later entry
 is at most max(prefix) + 1.  Lex order on these strings is the canonical
-partition order used everywhere else.
+partition order used everywhere else.  Maps are image tables, tuples of
+codomain indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import factorial
-from typing import Iterator, Optional, Union
-
-from .errors import EmptyUniverseError, NoSurjectionError
-from .mappings import SurjMap
-from .structures import Partition, Subset, Universe
+from typing import Iterator, Optional
 
 
 # ---------------------------------------------------------------- partitions
 
-def first_rgs(n: int) -> tuple[int, ...]:
-    return (0,) * n
-
-
-def succ_rgs(rgs: tuple[int, ...], max_blocks: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """Next restricted-growth string in lex order, or None at the end.
+def iter_rgs(n: int, max_blocks: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of an n-element set as rgs tuples, lex order.
 
     With max_blocks set, strings never use more than that many values.
     """
-    n = len(rgs)
-    t = list(rgs)
-    prefix_max = [0] * n
-    m = -1
-    for i in range(n):
-        prefix_max[i] = m
-        if t[i] > m:
-            m = t[i]
-    for i in range(n - 1, 0, -1):
-        cap = prefix_max[i] + 1
-        if max_blocks is not None:
-            cap = min(cap, max_blocks - 1)
-        if t[i] < cap:
-            t[i] += 1
-            for j in range(i + 1, n):
-                t[j] = 0
-            return tuple(t)
-    return None
-
-
-def iter_rgs(n: int, max_blocks: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of an n-element set as rgs tuples, lex order."""
-    cur: Optional[tuple[int, ...]] = first_rgs(n)
-    while cur is not None:
-        yield cur
-        cur = succ_rgs(cur, max_blocks)
-
-
-def rgs_block_count(rgs: tuple[int, ...]) -> int:
-    return max(rgs) + 1
-
-
-# ------------------------------------------------------------------- subsets
-
-def iter_subset_masks(n: int) -> Iterator[int]:
-    """All subsets of {0..n-1} as masks, in increasing mask order."""
-    return iter(range(1 << n))
+    if n == 0:
+        yield ()
+        return
+    cap = n if max_blocks is None else max_blocks
+    # depth-first over prefixes, each kept with the number of values it
+    # uses; extensions are pushed in reverse so the least one pops first
+    stack = [((), 0)]
+    while stack:
+        prefix, used = stack.pop()
+        values = range(min(used + 1, cap))
+        if len(prefix) == n - 1:
+            for v in values:
+                yield prefix + (v,)
+        else:
+            for v in reversed(values):
+                stack.append((prefix + (v,), max(used, v + 1)))
 
 
 # ------------------------------------------------------- tables (total maps)
 
-def first_table(n: int, m: int) -> tuple[int, ...]:
-    return (0,) * n
-
-
-def succ_table(table: tuple[int, ...], m: int) -> Optional[tuple[int, ...]]:
-    """Next image table in lex order: a base-m counter."""
-    t = list(table)
-    for i in range(len(t) - 1, -1, -1):
-        if t[i] + 1 < m:
-            t[i] += 1
-            for j in range(i + 1, len(t)):
-                t[j] = 0
-            return tuple(t)
-    return None
-
-
 def iter_tables(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    cur: Optional[tuple[int, ...]] = first_table(n, m)
-    while cur is not None:
-        yield cur
-        cur = succ_table(cur, m)
-
-
-# ----------------------------------------------------------------- surjections
-
-def _fill_lex_least(t: list[int], start: int, m: int, used: set[int]) -> None:
-    # greedy: smallest value at each slot that leaves the rest coverable
-    missing = set(range(m)) - used
-    n = len(t)
-    for j in range(start, n):
-        rest = n - j - 1
-        for v in range(m):
-            if len(missing - {v}) <= rest:
-                t[j] = v
-                missing.discard(v)
-                break
-
-
-def first_surjection(n: int, m: int) -> Optional[tuple[int, ...]]:
-    if m > n or m < 1:
-        return None
-    t = [0] * n
-    _fill_lex_least(t, 0, m, set())
-    return tuple(t)
-
-
-def succ_surjection(table: tuple[int, ...], m: int) -> Optional[tuple[int, ...]]:
-    """Next surjective image table in lex order, or None."""
-    n = len(table)
-    t = list(table)
-    for i in range(n - 1, -1, -1):
-        used = set(t[:i])
-        for v in range(t[i] + 1, m):
-            if len(set(range(m)) - used - {v}) <= n - i - 1:
-                t[i] = v
-                _fill_lex_least(t, i + 1, m, used | {v})
-                return tuple(t)
-    return None
+    """All image tables n -> m in lex order: a base-m counter."""
+    return product(range(m), repeat=n)
 
 
 def iter_surjections(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All surjective tables n -> m, lex order on the table."""
-    cur = first_surjection(n, m)
-    while cur is not None:
-        yield cur
-        cur = succ_surjection(cur, m)
+    return (t for t in product(range(m), repeat=n) if len(set(t)) == m)
 
 
 # ------------------------------------------------- canonical representatives
@@ -157,16 +70,6 @@ def iter_canonical_surjections(n: int, m: int) -> Iterator[tuple[int, ...]]:
     for t in iter_rgs(n, max_blocks=m):
         if max(t) == m - 1:
             yield t
-
-
-def is_canonical_table(table: tuple[int, ...]) -> bool:
-    mx = -1
-    for v in table:
-        if v > mx + 1:
-            return False
-        if v > mx:
-            mx = v
-    return True
 
 
 # ------------------------------------------------------------------ counting
@@ -208,157 +111,3 @@ def subset_count(n: int) -> int:
 
 def canonical_table_count(n: int, m: int) -> int:
     return sum(stirling2(n, k) for k in range(1, min(n, m) + 1))
-
-
-def count_check(n: int, m: Optional[int] = None) -> dict[str, int]:
-    """Formula-based counts for cross-validation against the iterators."""
-    if n < 1:
-        raise EmptyUniverseError("counts need n >= 1")
-    out = {"bell": bell(n), "subsets": subset_count(n)}
-    if m is not None:
-        out["surjections"] = surjection_count(n, m)
-    return out
-
-
-# ------------------------------------------------- object-level streams
-
-def _as_universe(u: Union[int, Universe]) -> Universe:
-    return u if isinstance(u, Universe) else Universe(u)
-
-
-def partitions_iter(u: Union[int, Universe]) -> Iterator[Partition]:
-    """Every partition of the universe exactly once, rgs-lex order."""
-    u = _as_universe(u)
-    for rgs in iter_rgs(u.size):
-        yield Partition(u, rgs)
-
-
-def subsets_iter(u: Union[int, Universe]) -> Iterator[Subset]:
-    """All subsets in mask order, empty set first, full set last."""
-    u = _as_universe(u)
-    for mask in iter_subset_masks(u.size):
-        yield Subset(u, mask)
-
-
-def surjections_iter(
-    u: Union[int, Universe], v: Union[int, Universe], canonical: bool = False
-) -> Iterator[SurjMap]:
-    """All surjections u -> v, or one representative per codomain relabeling."""
-    u = _as_universe(u)
-    v = _as_universe(v)
-    if v.size > u.size:
-        raise NoSurjectionError(f"no surjection from {u.size} onto {v.size} elements")
-    tables = (
-        iter_canonical_surjections(u.size, v.size)
-        if canonical
-        else iter_surjections(u.size, v.size)
-    )
-    for t in tables:
-        yield SurjMap(u, v, t)
-
-
-def maps_iter(
-    u: Union[int, Universe], v: Union[int, Universe], canonical: bool = False
-) -> Iterator[SurjMap]:
-    """All total maps u -> v, surjective or not."""
-    u = _as_universe(u)
-    v = _as_universe(v)
-    tables = (
-        iter_canonical_tables(u.size, v.size) if canonical else iter_tables(u.size, v.size)
-    )
-    for t in tables:
-        yield SurjMap(u, v, t)
-
-
-# -------------------------------------------------------------- cursors
-
-@dataclass
-class EnumCursor:
-    """Resumable position in one of the streams above.
-
-    The position is just the next raw item (rgs tuple, mask, or table),
-    so a cursor serializes to a handful of small integers and resuming
-    reproduces the identical suffix of the stream.
-    """
-
-    kind: str  # partitions | subsets | surjections | maps
-    n: int
-    m: Optional[int] = None
-    canonical: bool = False
-    position: Optional[Union[int, tuple[int, ...]]] = None
-    started: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise EmptyUniverseError("cursor needs n >= 1")
-        if self.kind == "surjections" and self.m is not None and self.m > self.n:
-            raise NoSurjectionError(f"no surjection from {self.n} onto {self.m} elements")
-        if not self.started:
-            self.position = self._first()
-            self.started = True
-
-    def _first(self):
-        if self.kind == "partitions":
-            return first_rgs(self.n)
-        if self.kind == "subsets":
-            return 0
-        if self.kind == "maps":
-            return first_table(self.n, self.m)
-        if self.kind == "surjections":
-            if self.canonical:
-                t = first_rgs(self.n)
-                while t is not None and max(t) != self.m - 1:
-                    t = succ_rgs(t, self.m)
-                return t
-            return first_surjection(self.n, self.m)
-        raise ValueError(f"unknown cursor kind {self.kind!r}")
-
-    def _succ(self, item):
-        if self.kind == "partitions":
-            return succ_rgs(item)
-        if self.kind == "subsets":
-            nxt = item + 1
-            return nxt if nxt < (1 << self.n) else None
-        if self.kind == "maps":
-            return succ_rgs(item, self.m) if self.canonical else succ_table(item, self.m)
-        if self.canonical:
-            t = succ_rgs(item, self.m)
-            while t is not None and max(t) != self.m - 1:
-                t = succ_rgs(t, self.m)
-            return t
-        return succ_surjection(item, self.m)
-
-    def next(self):
-        """Return the next item and advance, or None when exhausted."""
-        item = self.position
-        if item is None:
-            return None
-        self.position = self._succ(item)
-        return item
-
-    def to_dict(self) -> dict:
-        pos = self.position
-        if isinstance(pos, tuple):
-            pos = list(pos)
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "canonical": self.canonical,
-            "position": pos,
-            "started": self.started,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnumCursor":
-        pos = d["position"]
-        if isinstance(pos, list):
-            pos = tuple(pos)
-        return cls(
-            kind=d["kind"],
-            n=d["n"],
-            m=d.get("m"),
-            canonical=d.get("canonical", False),
-            position=pos,
-            started=d.get("started", True),
-        )

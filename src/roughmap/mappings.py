@@ -69,10 +69,6 @@ def including_degree(e: Subset, f: Subset) -> DegreeRatio:
     return DegreeRatio((e.mask & f.mask).bit_count(), e.mask.bit_count())
 
 
-def degree_eq(a: DegreeRatio, b: DegreeRatio) -> bool:
-    return a == b
-
-
 class SurjMap:
     """Total map between universes given by an image table.
 
@@ -158,10 +154,6 @@ class SurjMap:
 def make_map(domain: Universe, codomain: Universe, table: Sequence[int]) -> SurjMap:
     """Total map from an image list; surjectivity is recorded, not required."""
     return SurjMap(domain, codomain, table)
-
-
-def image_subset(f: SurjMap, x: Subset) -> Subset:
-    return f.image_subset(x)
 
 
 def relmap(f: SurjMap, p: Partition) -> BinRelation:

@@ -188,6 +188,10 @@ def _run(
     workers: Optional[int],
     max_failures: int,
 ) -> SearchReport:
+    if max_u < 1 or max_v < 1:
+        raise ValueError("bounds must be at least 1")
+    if max_failures < 1:
+        raise ValueError("max_failures must be at least 1")
     start = time.perf_counter()
     workers = default_workers() if workers is None else max(1, workers)
     stop_on_fail = mode == "falsify"
@@ -259,8 +263,6 @@ def falsify(
     first_counterexample (and all tallies) are worker-count independent.
     """
     claim = get_claim(claim)
-    if max_u < 1 or max_v < 1:
-        raise ValueError("bounds must be at least 1")
     return _run(claim, max_u, max_v, "falsify", workers, max_failures)
 
 
@@ -276,6 +278,4 @@ def verify(
     claim = get_claim(claim)
     if max_v is None:
         max_v = max_u
-    if max_u < 1 or max_v < 1:
-        raise ValueError("bounds must be at least 1")
     return _run(claim, max_u, max_v, "verify", workers, max_failures)

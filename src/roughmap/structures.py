@@ -189,7 +189,8 @@ class BinRelation:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
-        return (self.rows[a] >> b) & 1 == 1
+        size = self.universe.size
+        return 0 <= a < size and 0 <= b < size and (self.rows[a] >> b) & 1 == 1
 
     def __eq__(self, other):
         return (
@@ -275,14 +276,6 @@ class Classification:
             f"Classification(reflexive={self.reflexive}, "
             f"symmetric={self.symmetric}, transitive={self.transitive})"
         )
-
-
-def relation_classify(rel: BinRelation) -> Classification:
-    return rel.classify()
-
-
-def transitive_closure(rel: BinRelation) -> BinRelation:
-    return rel.transitive_closure()
 
 
 class Partition:
@@ -400,27 +393,3 @@ class Partition:
 
 def partition_from_blocks(universe: Universe, blocks: Iterable[Iterable[int]]) -> Partition:
     return Partition.from_blocks(universe, blocks)
-
-
-def partition_to_relation(p: Partition) -> BinRelation:
-    return p.to_relation()
-
-
-def relation_to_partition(rel: BinRelation) -> Partition:
-    return rel.to_partition()
-
-
-def refines(p: Partition, q: Partition) -> bool:
-    return p.refines(q)
-
-
-def partition_meet(p: Partition, q: Partition) -> Partition:
-    return p.meet(q)
-
-
-def partition_join(p: Partition, q: Partition) -> Partition:
-    return p.join(q)
-
-
-def relation_union_raw(p: Partition, q: Partition) -> BinRelation:
-    return p.raw_union(q)

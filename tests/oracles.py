@@ -149,6 +149,11 @@ def orbit_minima(tables, m):
     return out
 
 
+def is_canonical_table(table):
+    """True when values first appear in the order 0, 1, 2, ..."""
+    return list(dict.fromkeys(table)) == list(range(len(set(table))))
+
+
 def relabel_orbit(table, m):
     """Every relabeling of one table (set of tuples)."""
     return {tuple(p[v] for v in table) for p in permutations(range(m))}

@@ -11,15 +11,9 @@ from roughmap import (
     boundary,
     degree_table,
     fiber_condition,
-    image_subset,
     including_degree,
     is_definable,
-    partition_join,
-    partition_meet,
-    refines,
-    relation_to_partition,
     relmap,
-    transitive_closure,
 )
 
 import strategies as own
@@ -114,7 +108,7 @@ def test_approximations_are_unions_of_blocks(px):
 def test_partition_relation_round_trip(rgs):
     u = Universe(len(rgs))
     p = Partition(u, rgs)
-    assert relation_to_partition(p.to_relation()).rgs == rgs
+    assert p.to_relation().to_partition().rgs == rgs
 
 
 @given(rgs_tuples(), st.data())
@@ -122,17 +116,17 @@ def test_meet_join_are_lattice_bounds(rgs, data):
     u = Universe(len(rgs))
     p = Partition(u, rgs)
     q = data.draw(own.partitions(u))
-    m = partition_meet(p, q)
-    j = partition_join(p, q)
-    assert refines(m, p) and refines(m, q)
-    assert refines(p, j) and refines(q, j)
+    m = p.meet(q)
+    j = p.join(q)
+    assert m.refines(p) and m.refines(q)
+    assert p.refines(j) and q.refines(j)
     # meet is the pairwise intersection of the relations
     assert set(m.to_relation().pairs()) == set(p.to_relation().pairs()) & set(
         q.to_relation().pairs()
     )
     # join is the transitive closure of the union
     union = p.to_relation() | q.to_relation()
-    assert relation_to_partition(transitive_closure(union)).rgs == j.rgs
+    assert union.transitive_closure().to_partition().rgs == j.rgs
 
 
 @given(rgs_tuples(), st.data())
@@ -140,7 +134,7 @@ def test_refines_matches_pair_inclusion(rgs, data):
     u = Universe(len(rgs))
     p = Partition(u, rgs)
     q = data.draw(own.partitions(u))
-    assert refines(p, q) == (p.to_relation() <= q.to_relation())
+    assert p.refines(q) == (p.to_relation() <= q.to_relation())
 
 
 @given(st.data())
@@ -160,17 +154,17 @@ def test_image_subset_is_monotone_and_contracting(fp, data):
     f, _ = fp
     x = data.draw(subsets(f.domain))
     y = data.draw(subsets(f.domain))
-    fx = image_subset(f, x)
+    fx = f.image_subset(x)
     assert len(fx) <= len(x)
     if x <= y:
-        assert fx <= image_subset(f, y)
+        assert fx <= f.image_subset(y)
 
 
 @given(setups(surjective=False))
 def test_transitive_closure_is_idempotent(fp):
     f, p = fp
     r = relmap(f, p)
-    closed = transitive_closure(r)
+    closed = r.transitive_closure()
     assert closed.classify().transitive
-    assert transitive_closure(closed) == closed
+    assert closed.transitive_closure() == closed
     assert r <= closed

@@ -141,3 +141,11 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 4
     monkeypatch.setenv("ROUGHMAP_WORKERS", "junk")
     assert default_workers() == 1
+
+
+@pytest.mark.parametrize("run", [falsify, verify])
+def test_failure_cap_below_one_is_rejected(run):
+    # a zero cap would sweep on past the first failure and report none
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            run("T41-1", 5, 3, max_failures=cap)

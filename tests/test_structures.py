@@ -13,13 +13,6 @@ from roughmap import (
     Universe,
     make_universe,
     partition_from_blocks,
-    partition_join,
-    partition_meet,
-    partition_to_relation,
-    refines,
-    relation_to_partition,
-    relation_union_raw,
-    transitive_closure,
 )
 
 import oracles
@@ -82,6 +75,10 @@ def test_relation_pairs_round_trip():
     assert set(r.pairs()) == pairs
     assert r.pair_count == 3
     assert (0, 1) in r and (1, 0) not in r
+    # pairs outside the universe are never members, as for Subset
+    ident = BinRelation.identity(u)
+    for pair in [(-1, 2), (0, -1), (3, 0), (0, 3)]:
+        assert pair not in ident
 
 
 def test_relation_classify_against_oracle():
@@ -105,7 +102,7 @@ def test_relation_classify_against_oracle():
 def test_transitive_closure_against_oracle():
     u = Universe(5)
     pairs = {(0, 1), (1, 2), (3, 4), (4, 3)}
-    closed = transitive_closure(BinRelation.from_pairs(u, pairs))
+    closed = BinRelation.from_pairs(u, pairs).transitive_closure()
     assert set(closed.pairs()) == oracles.naive_closure(pairs)
 
 
@@ -151,27 +148,25 @@ def test_partition_rejects_non_canonical_rgs():
 def test_partition_relation_round_trip():
     u = Universe(4)
     p = partition_from_blocks(u, [[0, 2], [1], [3]])
-    r = partition_to_relation(p)
+    r = p.to_relation()
     assert r.classify().equivalence
-    assert relation_to_partition(r).rgs == p.rgs
+    assert r.to_partition().rgs == p.rgs
 
 
 def test_relation_to_partition_reports_first_failed_axiom():
     u = Universe(3)
     r = BinRelation.from_pairs(u, {(0, 1)})
     with pytest.raises(NotEquivalenceError) as e:
-        relation_to_partition(r)
+        r.to_partition()
     assert e.value.condition == "reflexivity"
 
     refl = {(i, i) for i in range(3)}
     with pytest.raises(NotEquivalenceError) as e:
-        relation_to_partition(BinRelation.from_pairs(u, refl | {(0, 1)}))
+        BinRelation.from_pairs(u, refl | {(0, 1)}).to_partition()
     assert e.value.condition == "symmetry"
 
     with pytest.raises(NotEquivalenceError) as e:
-        relation_to_partition(
-            BinRelation.from_pairs(u, refl | {(0, 1), (1, 0), (1, 2), (2, 1)})
-        )
+        BinRelation.from_pairs(u, refl | {(0, 1), (1, 0), (1, 2), (2, 1)}).to_partition()
     assert e.value.condition == "transitivity"
 
 
@@ -179,30 +174,30 @@ def test_meet_join_refines_against_oracle():
     u = Universe(5)
     p = partition_from_blocks(u, [[0, 1], [2, 3], [4]])
     q = partition_from_blocks(u, [[0], [1, 2], [3, 4]])
-    m = partition_meet(p, q)
-    j = partition_join(p, q)
+    m = p.meet(q)
+    j = p.join(q)
     bp = oracles.blocks_of_rgs(p.rgs)
     bq = oracles.blocks_of_rgs(q.rgs)
     assert oracles.blocks_of_rgs(m.rgs) == oracles.naive_meet(bp, bq)
     assert oracles.blocks_of_rgs(j.rgs) == oracles.naive_join(bp, bq)
-    assert refines(m, p) and refines(m, q)
-    assert refines(p, j) and refines(q, j)
-    assert not refines(p, q)
-    assert refines(p, p)
+    assert m.refines(p) and m.refines(q)
+    assert p.refines(j) and q.refines(j)
+    assert not p.refines(q)
+    assert p.refines(p)
 
 
 def test_identity_and_single_block():
     u = Universe(4)
     assert Partition.identity(u).rgs == (0, 1, 2, 3)
     assert Partition.single_block(u).rgs == (0, 0, 0, 0)
-    assert refines(Partition.identity(u), Partition.single_block(u))
+    assert Partition.identity(u).refines(Partition.single_block(u))
 
 
 def test_raw_union_need_not_be_equivalence():
     u = Universe(4)
     p = partition_from_blocks(u, [[0, 1], [2], [3]])
     q = partition_from_blocks(u, [[0], [1, 2], [3]])
-    raw = relation_union_raw(p, q)
+    raw = p.raw_union(q)
     assert not raw.classify().transitive
     with pytest.raises(NotEquivalenceError):
         raw.to_partition()
