@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Union
 
 from . import kernels
+from .enumeration import iter_rgs
 from .errors import BadInstanceError
 from .mappings import SurjMap
 from .structures import Partition, Subset
@@ -196,17 +198,147 @@ def check_shape(claim: Claim, inst: Instance) -> None:
         raise BadInstanceError(f"{claim.id} needs a bijective map")
 
 
+# ------------------------------------------------------------------- tables
+#
+# An evaluator needs approximations of masks over a partition, lattice
+# operations on pairs of partitions, images of masks and the image relation
+# f(R).  The first two depend on the universe size alone and are shared by
+# every map of that size; the last two are kept per map, in GroupContext.
+# Tables are built lazily, on first use; above _TABLE_MAX_N elements the
+# per-size answers are computed by the kernels on every call instead.
+
+# at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
+# (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
+_TABLE_MAX_N = 7
+_TODO = object()  # a pair-row slot not filled yet
+
+
+class _Computed:
+    """A table too large to store: entry x is computed when it is read."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, x):
+        return self.entry(x)
+
+
+class _DirectTables:
+    """Per-size answers computed by the kernels on every call."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.kern = kernels.select(n)
+
+    def approx(self, rgs):
+        """(lower, upper) approximations over rgs, each indexed by subset mask."""
+        blocks = self.kern.block_masks(rgs)
+        lub = self.kern.lower_upper_masks
+        return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
+
+    def meet(self, rgs1, rgs2):
+        return self.kern.meet_rgs(rgs1, rgs2)
+
+    def join(self, rgs1, rgs2):
+        return self.kern.join_rgs(rgs1, rgs2)
+
+    def refines(self, rgs1, rgs2) -> bool:
+        return self.kern.refines_rgs(rgs1, rgs2)
+
+    def union(self, rgs1, rgs2):
+        """rgs of R1 ∪ R2 when that union is an equivalence, else None."""
+        kern = self.kern
+        union = kern.rows_or(kern.partition_rows(rgs1), kern.partition_rows(rgs2))
+        if kern.classify_rows(union) != kernels.EQUIVALENCE:
+            return None
+        return kern.rows_to_rgs(union)
+
+
+class _SizeTables:
+    """The answers of _DirectTables, stored as they are first asked for.
+
+    Partitions are kept in lex order with an rgs -> index dict.  Each
+    partition gets its approximation rows (2**n masks each), and each
+    operation on pairs one row per first partition, with a slot per second
+    partition: at most B(n)**2 slots per operation.  Partitions in a slot are
+    the tuples of `parts`, so no rgs is stored twice.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.direct = _DirectTables(n)
+        self.parts = list(iter_rgs(n))
+        self.index = {rgs: i for i, rgs in enumerate(self.parts)}
+        count = len(self.parts)
+        self._approx = [None] * count
+        self._meet = [None] * count
+        self._join = [None] * count
+        self._refines = [None] * count
+        self._union = [None] * count
+
+    def approx(self, rgs):
+        i = self.index[rgs]
+        hit = self._approx[i]
+        if hit is None:
+            kern = self.direct.kern
+            blocks = kern.block_masks(rgs)
+            rows = [kern.lower_upper_masks(blocks, x) for x in range(1 << self.n)]
+            hit = self._approx[i] = tuple(zip(*rows))
+        return hit
+
+    def _pair(self, rows, compute, rgs1, rgs2):
+        """Slot (rgs1, rgs2) of one operation's rows, filled by compute."""
+        index = self.index
+        i = index[rgs1]
+        row = rows[i]
+        if row is None:
+            row = rows[i] = [_TODO] * len(self.parts)
+        j = index[rgs2]
+        hit = row[j]
+        if hit is _TODO:
+            hit = compute(rgs1, rgs2)
+            if type(hit) is tuple:  # an rgs: keep the listed tuple instead
+                hit = self.parts[index[hit]]
+            row[j] = hit
+        return hit
+
+    def meet(self, rgs1, rgs2):
+        return self._pair(self._meet, self.direct.meet, rgs1, rgs2)
+
+    def join(self, rgs1, rgs2):
+        return self._pair(self._join, self.direct.join, rgs1, rgs2)
+
+    def refines(self, rgs1, rgs2) -> bool:
+        return self._pair(self._refines, self.direct.refines, rgs1, rgs2)
+
+    def union(self, rgs1, rgs2):
+        return self._pair(self._union, self.direct.union, rgs1, rgs2)
+
+
+@lru_cache(maxsize=_TABLE_MAX_N)
+def _stored_tables(n: int) -> _SizeTables:
+    return _SizeTables(n)
+
+
+def _size_tables(n: int):
+    """Approximation and partition-pair tables for universes of size n."""
+    return _stored_tables(n) if n <= _TABLE_MAX_N else _DirectTables(n)
+
+
 class GroupContext:
     """Shared per-(n, m, table) computations for one batch of instances.
 
-    Image relations, their classifications, and block masks depend only on
-    the map and one partition, so a search group iterating many partition
-    and subset combinations caches them here.
+    Image relations and their classifications, the fiber condition and the
+    approximation rows on U and V depend only on the map and one partition,
+    and the image of a mask only on the map, so a search group iterating
+    many partition and subset combinations keeps them here.
     """
 
     __slots__ = (
         "n", "m", "table", "kern", "fibers", "surjective", "bijective",
-        "_relmap", "_vblocks", "_ublocks", "_urows",
+        "sizes", "images", "_relmap", "_fiber_ok", "_approx",
     )
 
     def __init__(self, n: int, m: int, table: tuple[int, ...]):
@@ -217,14 +349,28 @@ class GroupContext:
         self.fibers = self.kern.fiber_masks(self.table, m)
         self.surjective = all(f != 0 for f in self.fibers)
         self.bijective = n == m and self.surjective
+        self.sizes = _size_tables(n)
+        self.images = self._image_table()
         self._relmap: dict = {}
-        self._vblocks: dict = {}
-        self._ublocks: dict = {}
-        self._urows: dict = {}
+        self._fiber_ok: dict = {}
+        self._approx: dict = {}
 
     @classmethod
     def for_map(cls, f: SurjMap) -> "GroupContext":
         return cls(f.domain.size, f.codomain.size, f.table)
+
+    def _image_table(self):
+        """images[x] is f(x) for every mask x of U."""
+        table = self.table
+        if self.n > _TABLE_MAX_N:
+            image_mask = self.kern.image_mask
+            return _Computed(lambda x: image_mask(table, x))
+        # the image of x adds the image of x's lowest element to that of the rest
+        images = [0] * (1 << self.n)
+        for x in range(1, 1 << self.n):
+            low = x & -x
+            images[x] = images[x ^ low] | (1 << table[low.bit_length() - 1])
+        return images
 
     def relmap(self, rgs) -> tuple[tuple[int, ...], int]:
         """(rows, classification flags) of the image relation of rgs."""
@@ -234,31 +380,30 @@ class GroupContext:
             self._relmap[rgs] = hit
         return hit
 
-    def vblocks(self, rgs) -> Optional[tuple[int, ...]]:
-        """Block masks of the image relation, or None when not an equivalence."""
-        hit = self._vblocks.get(rgs, False)
-        if hit is False:
+    def fiber_ok(self, rgs) -> bool:
+        """True when every fiber of f lies inside one block of rgs."""
+        hit = self._fiber_ok.get(rgs)
+        if hit is None:
+            hit = self.kern.fiber_condition(rgs, self.table, self.fibers)
+            self._fiber_ok[rgs] = hit
+        return hit
+
+    def approx(self, rgs):
+        """(lo_U, hi_U, lo_V, hi_V) for the partition rgs, or None when f(R)
+        is not an equivalence.
+
+        lo_U[x], hi_U[x] are the approximations of a mask x of U over R;
+        lo_V[y], hi_V[y] those of a mask y of V over f(R).
+        """
+        hit = self._approx.get(rgs, _TODO)
+        if hit is _TODO:
             rows, flags = self.relmap(rgs)
             if flags == kernels.EQUIVALENCE:
-                hit = self.kern.block_masks(self.kern.rows_to_rgs(rows))
+                vrgs = self.kern.rows_to_rgs(rows)
+                hit = self.sizes.approx(rgs) + _size_tables(self.m).approx(vrgs)
             else:
                 hit = None
-            self._vblocks[rgs] = hit
-        return hit
-
-    def ublocks(self, rgs) -> tuple[int, ...]:
-        hit = self._ublocks.get(rgs)
-        if hit is None:
-            hit = self.kern.block_masks(rgs)
-            self._ublocks[rgs] = hit
-        return hit
-
-    def urows(self, rgs) -> tuple[int, ...]:
-        """The partition itself as relation rows over U."""
-        hit = self._urows.get(rgs)
-        if hit is None:
-            hit = self.kern.partition_rows(rgs)
-            self._urows[rgs] = hit
+            self._approx[rgs] = hit
         return hit
 
 
@@ -390,18 +535,18 @@ def _not_equivalence(rows) -> dict:
 # --------------------------------------------------------------- evaluators
 #
 # Each evaluator takes (ctx, rgs1, rgs2, xmask) and returns a Verdict.
-# rgs2/xmask are None when the claim shape does not use them.
+# rgs2/xmask are None when the claim shape does not use them.  Verdicts
+# without a witness are shared constants; a witness is built only on failure.
 
 _HOLDS = Verdict(Outcome.HOLDS)
 _VACUOUS = Verdict(Outcome.VACUOUS)
+_ILL_UNION = Verdict(Outcome.ILL_TYPED, reason="union-not-equivalence")
+_ILL_DIFFERENCE = Verdict(Outcome.ILL_TYPED, reason="difference-not-reflexive")
+_ILL_RELMAP = Verdict(Outcome.ILL_TYPED, reason="relmap-not-equivalence")
 
 
 def _fails(witness: dict) -> Verdict:
     return Verdict(Outcome.FAILS, witness=witness)
-
-
-def _ill(reason: str) -> Verdict:
-    return Verdict(Outcome.ILL_TYPED, reason=reason)
 
 
 def _eval_t31(ctx, rgs1, rgs2, xmask):
@@ -432,7 +577,7 @@ def _eval_t31_refl(ctx, rgs1, rgs2, xmask):
 
 
 def _eval_l311_fwd(ctx, rgs1, rgs2, xmask):
-    if not ctx.kern.refines_rgs(rgs1, rgs2):
+    if not ctx.sizes.refines(rgs1, rgs2):
         return _VACUOUS
     left, _ = ctx.relmap(rgs1)
     right, _ = ctx.relmap(rgs2)
@@ -446,16 +591,14 @@ def _eval_l311_bwd(ctx, rgs1, rgs2, xmask):
     right, _ = ctx.relmap(rgs2)
     if not ctx.kern.rows_subset(left, right):
         return _VACUOUS
-    if ctx.kern.refines_rgs(rgs1, rgs2):
+    if ctx.sizes.refines(rgs1, rgs2):
         return _HOLDS
-    return _fails(
-        _rel_not_included("domain", "R1", ctx.urows(rgs1), "R2", ctx.urows(rgs2))
-    )
+    rows = ctx.kern.partition_rows
+    return _fails(_rel_not_included("domain", "R1", rows(rgs1), "R2", rows(rgs2)))
 
 
 def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
-    meet = ctx.kern.meet_rgs(rgs1, rgs2)
-    left, _ = ctx.relmap(meet)
+    left, _ = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
     right = ctx.kern.rows_and(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
     if ctx.kern.rows_subset(left, right):
         return _HOLDS
@@ -464,17 +607,10 @@ def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
     )
 
 
-def _fiber_cond_both(ctx, rgs1, rgs2) -> bool:
-    return ctx.kern.fiber_condition(rgs1, ctx.table, ctx.fibers) and ctx.kern.fiber_condition(
-        rgs2, ctx.table, ctx.fibers
-    )
-
-
 def _eval_l312_eq(ctx, rgs1, rgs2, xmask):
-    if not _fiber_cond_both(ctx, rgs1, rgs2):
+    if not (ctx.fiber_ok(rgs1) and ctx.fiber_ok(rgs2)):
         return _VACUOUS
-    meet = ctx.kern.meet_rgs(rgs1, rgs2)
-    left, _ = ctx.relmap(meet)
+    left, _ = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
     right = ctx.kern.rows_and(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
     if left == right:
         return _HOLDS
@@ -483,19 +619,11 @@ def _eval_l312_eq(ctx, rgs1, rgs2, xmask):
     )
 
 
-def _union_rgs(ctx, rgs1, rgs2):
-    """rgs of R1 ∪ R2 when that union is an equivalence, else None."""
-    union = ctx.kern.rows_or(ctx.urows(rgs1), ctx.urows(rgs2))
-    if ctx.kern.classify_rows(union) != kernels.EQUIVALENCE:
-        return None
-    return ctx.kern.rows_to_rgs(union)
-
-
 def _eval_l313_inc(ctx, rgs1, rgs2, xmask):
-    u = _union_rgs(ctx, rgs1, rgs2)
-    if u is None:
-        return _ill("union-not-equivalence")
-    left, _ = ctx.relmap(u)
+    union = ctx.sizes.union(rgs1, rgs2)
+    if union is None:
+        return _ILL_UNION
+    left, _ = ctx.relmap(union)
     right = ctx.kern.rows_or(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
     if ctx.kern.rows_subset(right, left):
         return _HOLDS
@@ -505,12 +633,12 @@ def _eval_l313_inc(ctx, rgs1, rgs2, xmask):
 
 
 def _eval_l313_eq(ctx, rgs1, rgs2, xmask):
-    u = _union_rgs(ctx, rgs1, rgs2)
-    if u is None:
-        return _ill("union-not-equivalence")
-    if not _fiber_cond_both(ctx, rgs1, rgs2):
+    union = ctx.sizes.union(rgs1, rgs2)
+    if union is None:
+        return _ILL_UNION
+    if not (ctx.fiber_ok(rgs1) and ctx.fiber_ok(rgs2)):
         return _VACUOUS
-    left, _ = ctx.relmap(u)
+    left, _ = ctx.relmap(union)
     right = ctx.kern.rows_or(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
     if left == right:
         return _HOLDS
@@ -520,8 +648,7 @@ def _eval_l313_eq(ctx, rgs1, rgs2, xmask):
 
 
 def _eval_l313_join(ctx, rgs1, rgs2, xmask):
-    join = ctx.kern.join_rgs(rgs1, rgs2)
-    left, _ = ctx.relmap(join)
+    left, _ = ctx.relmap(ctx.sizes.join(rgs1, rgs2))
     right = ctx.kern.rows_or(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
     if ctx.kern.rows_subset(right, left):
         return _HOLDS
@@ -533,88 +660,87 @@ def _eval_l313_join(ctx, rgs1, rgs2, xmask):
 def _eval_l32(ctx, rgs1, rgs2, xmask):
     # R1 and R2 are reflexive, so R1 - R2 always loses the whole diagonal
     # and can never be an equivalence; f(R1 - R2) is not formable.
-    return _ill("difference-not-reflexive")
-
-
-def _approx_parts(ctx, rgs1, xmask):
-    ublocks = ctx.ublocks(rgs1)
-    lo_u, hi_u = ctx.kern.lower_upper_masks(ublocks, xmask)
-    fx = ctx.kern.image_mask(ctx.table, xmask)
-    return lo_u, hi_u, fx
+    return _ILL_DIFFERENCE
 
 
 def _eval_t41_1(ctx, rgs1, rgs2, xmask):
-    vblocks = ctx.vblocks(rgs1)
-    if vblocks is None:
-        return _ill("relmap-not-equivalence")
-    lo_u, _, fx = _approx_parts(ctx, rgs1, xmask)
-    f_lo = ctx.kern.image_mask(ctx.table, lo_u)
-    lo_v, _ = ctx.kern.lower_upper_masks(vblocks, fx)
-    if not (f_lo & ~lo_v):
+    tables = ctx.approx(rgs1)
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, _, lo_v, _ = tables
+    images = ctx.images
+    f_lo = images[lo_u[xmask]]
+    lo_fx = lo_v[images[xmask]]
+    if not (f_lo & ~lo_fx):
         return _HOLDS
-    return _fails(_set_not_included("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_v))
+    return _fails(_set_not_included("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
 
 
 def _eval_t41_2(ctx, rgs1, rgs2, xmask):
-    vblocks = ctx.vblocks(rgs1)
-    if vblocks is None:
-        return _ill("relmap-not-equivalence")
-    _, hi_u, fx = _approx_parts(ctx, rgs1, xmask)
-    f_hi = ctx.kern.image_mask(ctx.table, hi_u)
-    _, hi_v = ctx.kern.lower_upper_masks(vblocks, fx)
-    if not (hi_v & ~f_hi):
+    tables = ctx.approx(rgs1)
+    if tables is None:
+        return _ILL_RELMAP
+    _, hi_u, _, hi_v = tables
+    images = ctx.images
+    f_hi = images[hi_u[xmask]]
+    hi_fx = hi_v[images[xmask]]
+    if not (hi_fx & ~f_hi):
         return _HOLDS
-    return _fails(_set_not_included("apr̄_f(R) f(X)", hi_v, "f(apr̄_R X)", f_hi))
+    return _fails(_set_not_included("apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi))
 
 
 def _eval_t42_1(ctx, rgs1, rgs2, xmask):
-    vblocks = ctx.vblocks(rgs1)
-    if vblocks is None:
-        return _ill("relmap-not-equivalence")
-    lo_u, _, fx = _approx_parts(ctx, rgs1, xmask)
-    f_lo = ctx.kern.image_mask(ctx.table, lo_u)
-    lo_v, _ = ctx.kern.lower_upper_masks(vblocks, fx)
-    if f_lo == lo_v:
+    tables = ctx.approx(rgs1)
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, _, lo_v, _ = tables
+    images = ctx.images
+    f_lo = images[lo_u[xmask]]
+    lo_fx = lo_v[images[xmask]]
+    if f_lo == lo_fx:
         return _HOLDS
-    return _fails(_set_not_equal("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_v))
+    return _fails(_set_not_equal("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
 
 
 def _eval_t42_2(ctx, rgs1, rgs2, xmask):
-    vblocks = ctx.vblocks(rgs1)
-    if vblocks is None:
-        return _ill("relmap-not-equivalence")
-    _, hi_u, fx = _approx_parts(ctx, rgs1, xmask)
-    f_hi = ctx.kern.image_mask(ctx.table, hi_u)
-    _, hi_v = ctx.kern.lower_upper_masks(vblocks, fx)
-    if f_hi == hi_v:
+    tables = ctx.approx(rgs1)
+    if tables is None:
+        return _ILL_RELMAP
+    _, hi_u, _, hi_v = tables
+    images = ctx.images
+    f_hi = images[hi_u[xmask]]
+    hi_fx = hi_v[images[xmask]]
+    if f_hi == hi_fx:
         return _HOLDS
-    return _fails(_set_not_equal("f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_v))
+    return _fails(_set_not_equal("f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx))
 
 
 def _eval_t43_1(ctx, rgs1, rgs2, xmask):
-    vblocks = ctx.vblocks(rgs1)
-    if vblocks is None:
-        return _ill("relmap-not-equivalence")
-    lo_u, hi_u, fx = _approx_parts(ctx, rgs1, xmask)
-    if not (lo_u == xmask and hi_u == xmask):
+    tables = ctx.approx(rgs1)
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, hi_u, lo_v, _ = tables
+    if not (lo_u[xmask] == xmask and hi_u[xmask] == xmask):
         return _VACUOUS
-    lo_v, _ = ctx.kern.lower_upper_masks(vblocks, fx)
-    if lo_v == fx:
+    fx = ctx.images[xmask]
+    lo_fx = lo_v[fx]
+    if lo_fx == fx:
         return _HOLDS
-    return _fails(_set_not_equal("apr_f(R) f(X)", lo_v, "f(X)", fx))
+    return _fails(_set_not_equal("apr_f(R) f(X)", lo_fx, "f(X)", fx))
 
 
 def _eval_t43_2(ctx, rgs1, rgs2, xmask):
-    vblocks = ctx.vblocks(rgs1)
-    if vblocks is None:
-        return _ill("relmap-not-equivalence")
-    lo_u, hi_u, fx = _approx_parts(ctx, rgs1, xmask)
-    if not (lo_u == xmask and hi_u == xmask):
+    tables = ctx.approx(rgs1)
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, hi_u, _, hi_v = tables
+    if not (lo_u[xmask] == xmask and hi_u[xmask] == xmask):
         return _VACUOUS
-    _, hi_v = ctx.kern.lower_upper_masks(vblocks, fx)
-    if hi_v == fx:
+    fx = ctx.images[xmask]
+    hi_fx = hi_v[fx]
+    if hi_fx == fx:
         return _HOLDS
-    return _fails(_set_not_equal("apr̄_f(R) f(X)", hi_v, "f(X)", fx))
+    return _fails(_set_not_equal("apr̄_f(R) f(X)", hi_fx, "f(X)", fx))
 
 
 _EVALUATORS = {

@@ -378,6 +378,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RoughmapError as e:
         print(f"roughmap: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("roughmap: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ from .structures import Partition, Subset, Universe
 
 DEFAULT_MAX_FAILURES = 20
 
+_HOLDS = Outcome.HOLDS
+_VACUOUS = Outcome.VACUOUS
+_ILL_TYPED = Outcome.ILL_TYPED
+
 
 @dataclass(frozen=True)
 class RawInstance:
@@ -144,14 +148,6 @@ def _group_instances(claim: Claim, n: int) -> Iterator[tuple]:
             yield rgs1, None, None
 
 
-_OUTCOME_SLOT = {
-    Outcome.HOLDS: "holds",
-    Outcome.FAILS: "fails",
-    Outcome.ILL_TYPED: "ill_typed",
-    Outcome.VACUOUS: "vacuous",
-}
-
-
 def _run_group(args: tuple) -> tuple[Tally, list[tuple[RawInstance, dict]], Optional[str]]:
     """Evaluate every instance of one (claim, n, m, table) group.
 
@@ -162,22 +158,28 @@ def _run_group(args: tuple) -> tuple[Tally, list[tuple[RawInstance, dict]], Opti
     claim_id, n, m, table, stop_on_fail, max_failures = args
     claim = get_claim(claim_id)
     ctx = GroupContext(n, m, table)
-    tally = Tally()
+    holds = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: Optional[str] = None
     for rgs1, rgs2, xmask in _group_instances(claim, n):
         verdict = evaluate_raw(claim_id, ctx, rgs1, rgs2, xmask)
-        slot = _OUTCOME_SLOT[verdict.outcome]
-        setattr(tally, slot, getattr(tally, slot) + 1)
-        if verdict.outcome is Outcome.ILL_TYPED and reason is None:
-            reason = verdict.reason
-        if verdict.outcome is Outcome.FAILS:
+        outcome = verdict.outcome
+        if outcome is _HOLDS:
+            holds += 1
+        elif outcome is _VACUOUS:
+            vacuous += 1
+        elif outcome is _ILL_TYPED:
+            ill_typed += 1
+            if reason is None:
+                reason = verdict.reason
+        else:
+            failed += 1
             if len(fails) < max_failures:
                 parts = (rgs1,) if rgs2 is None else (rgs1, rgs2)
                 fails.append((RawInstance(n, m, table, parts, xmask), verdict.witness))
             if stop_on_fail:
                 break
-    return tally, fails, reason
+    return Tally(holds, failed, ill_typed, vacuous), fails, reason
 
 
 def _run(
@@ -194,6 +196,9 @@ def _run(
         raise ValueError("max_failures must be at least 1")
     start = time.perf_counter()
     workers = default_workers() if workers is None else max(1, workers)
+    # a process pool forks all its workers at once; more than one per CPU
+    # only adds processes
+    workers = min(workers, os.cpu_count() or 1)
     stop_on_fail = mode == "falsify"
     canonical = mode == "falsify"
     group_args = (

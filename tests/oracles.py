@@ -157,3 +157,15 @@ def is_canonical_table(table):
 def relabel_orbit(table, m):
     """Every relabeling of one table (set of tuples)."""
     return {tuple(p[v] for v in table) for p in permutations(range(m))}
+
+
+def naive_union(blocks1, blocks2, n):
+    """Blocks of R1 ∪ R2 when that union is an equivalence, else None.
+
+    The union is reflexive and symmetric; it is transitive exactly when
+    every element related to a relates to nothing a does not relate to.
+    """
+    related = {a: block_of(blocks1, a) | block_of(blocks2, a) for a in range(n)}
+    if any(not related[b] <= related[a] for a in range(n) for b in related[a]):
+        return None
+    return frozenset(frozenset(s) for s in related.values())

@@ -206,3 +206,16 @@ def test_eval_clean_report_has_nothing_to_check(tmp_path, capsys):
 def test_no_command_shows_usage(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    from roughmap import cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify", interrupted)
+    code, out, err = run(capsys, "verify", "T31", "--max-u", "3")
+    assert code == 130
+    assert err == "roughmap: interrupted\n"
+    assert "Traceback" not in out + err

@@ -149,3 +149,13 @@ def test_failure_cap_below_one_is_rejected(run):
     for cap in (0, -1):
         with pytest.raises(ValueError):
             run("T41-1", 5, 3, max_failures=cap)
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    # a pool forks every worker on its first submit, so the count is
+    # lowered before the pool is made
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    report = verify("T31", max_u=3, workers=3)
+    assert report.workers == 1
+    monkeypatch.setenv("ROUGHMAP_WORKERS", "3")
+    assert verify("T31", max_u=3).workers == 1
