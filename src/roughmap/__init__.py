@@ -81,6 +81,7 @@ from .errors import (
     ParseError,
     RoughmapError,
     ValidationError,
+    WorkerCrashError,
 )
 
 __all__ = [
@@ -101,6 +102,7 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "IoError",
+    "WorkerCrashError",
     "Universe",
     "Subset",
     "BinRelation",

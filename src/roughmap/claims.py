@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Union
 
 from . import kernels
@@ -29,6 +30,14 @@ from .enumeration import iter_rgs
 from .errors import BadInstanceError
 from .mappings import SurjMap
 from .structures import Partition, Subset
+from .witnesses import (
+    not_equivalence,
+    pairs,
+    relation_not_equal,
+    relation_not_included,
+    subset_not_equal,
+    subset_not_included,
+)
 
 
 class Outcome(Enum):
@@ -206,11 +215,22 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # every map of that size; the last two are kept per map, in GroupContext.
 # Tables are built lazily, on first use; above _TABLE_MAX_N elements the
 # per-size answers are computed by the kernels on every call instead.
+#
+# f(R) is the union over R's blocks B of a contribution that depends only on
+# B and the map: the pairs (v, w) of values whose fibers B meets and cuts in
+# equal fractions |F_v ∩ B|/|F_v| = |F_w ∩ B|/|F_w|.  A relation on V is one
+# packed int, pair (v, w) at bit v*m + w, so f(R) is an OR of contributions.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
 # (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
 _TABLE_MAX_N = 7
 _TODO = object()  # a pair-row slot not filled yet
+
+# process-wide memos, shared by every group: block contributions keyed by
+# the fiber sizes, then by the per-fiber counts packed into one int; and
+# relations on V keyed by m, then by the packed relation
+_CONTRIBUTIONS: dict = {}
+_RELATIONS: dict = {}
 
 
 class _Computed:
@@ -225,12 +245,63 @@ class _Computed:
         return self.entry(x)
 
 
+class _Cached(dict):
+    """A table too large to build whole: entry x is stored on first read."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __missing__(self, x):
+        hit = self[x] = self.entry(x)
+        return hit
+
+
+def _contribution(sizes, counts) -> int:
+    """Packed pairs a block adds to f(R), from the fiber sizes |F_v| and the
+    counts |F_v ∩ B| of the block."""
+    m = len(sizes)
+    classes: dict = {}  # equal fractions -> mask of their values
+    for v, c in enumerate(counts):
+        if c:
+            g = gcd(c, sizes[v])
+            key = (c // g, sizes[v] // g)
+            classes[key] = classes.get(key, 0) | 1 << v
+    out = 0
+    for values in classes.values():
+        for v in range(m):
+            if (values >> v) & 1:
+                out |= values << v * m
+    return out
+
+
+def _rows(packed: int, m: int) -> tuple[int, ...]:
+    """The rows of a packed relation on a universe of size m."""
+    full = (1 << m) - 1
+    return tuple((packed >> v * m) & full for v in range(m))
+
+
+class _Relation:
+    """A relation on V: packed, as rows, its classification flags and, when
+    it is an equivalence, its rgs."""
+
+    __slots__ = ("packed", "rows", "flags", "rgs")
+
+    def __init__(self, kern, m: int, packed: int):
+        self.packed = packed
+        self.rows = _rows(packed, m)
+        self.flags = kern.classify_rows(self.rows)
+        self.rgs = kern.rows_to_rgs(self.rows) if self.flags == kernels.EQUIVALENCE else None
+
+
 class _DirectTables:
     """Per-size answers computed by the kernels on every call."""
 
     def __init__(self, n: int):
         self.n = n
         self.kern = kernels.select(n)
+        self.blocks = _Computed(self.kern.block_masks)
 
     def approx(self, rgs):
         """(lower, upper) approximations over rgs, each indexed by subset mask."""
@@ -259,11 +330,12 @@ class _DirectTables:
 class _SizeTables:
     """The answers of _DirectTables, stored as they are first asked for.
 
-    Partitions are kept in lex order with an rgs -> index dict.  Each
-    partition gets its approximation rows (2**n masks each), and each
-    operation on pairs one row per first partition, with a slot per second
-    partition: at most B(n)**2 slots per operation.  Partitions in a slot are
-    the tuples of `parts`, so no rgs is stored twice.
+    Partitions are kept in lex order with an rgs -> index dict and an
+    rgs -> block masks dict.  Each partition gets its approximation rows
+    (2**n masks each), and each operation on pairs one row per first
+    partition, with a slot per second partition: at most B(n)**2 slots per
+    operation.  Partitions in a slot are the tuples of `parts`, so no rgs is
+    stored twice.
     """
 
     def __init__(self, n: int):
@@ -271,6 +343,7 @@ class _SizeTables:
         self.direct = _DirectTables(n)
         self.parts = list(iter_rgs(n))
         self.index = {rgs: i for i, rgs in enumerate(self.parts)}
+        self.blocks = {rgs: self.direct.kern.block_masks(rgs) for rgs in self.parts}
         count = len(self.parts)
         self._approx = [None] * count
         self._meet = [None] * count
@@ -282,9 +355,9 @@ class _SizeTables:
         i = self.index[rgs]
         hit = self._approx[i]
         if hit is None:
-            kern = self.direct.kern
-            blocks = kern.block_masks(rgs)
-            rows = [kern.lower_upper_masks(blocks, x) for x in range(1 << self.n)]
+            lub = self.direct.kern.lower_upper_masks
+            blocks = self.blocks[rgs]
+            rows = [lub(blocks, x) for x in range(1 << self.n)]
             hit = self._approx[i] = tuple(zip(*rows))
         return hit
 
@@ -330,54 +403,89 @@ def _size_tables(n: int):
 class GroupContext:
     """Shared per-(n, m, table) computations for one batch of instances.
 
-    Image relations and their classifications, the fiber condition and the
-    approximation rows on U and V depend only on the map and one partition,
-    and the image of a mask only on the map, so a search group iterating
-    many partition and subset combinations keeps them here.
+    The image and the block contribution to f(R) of every mask of U depend
+    only on the map; the fiber condition and the approximation rows on U and
+    V only on the map and one partition.  So a search group iterating many
+    partition and subset combinations keeps them here.
     """
 
     __slots__ = (
         "n", "m", "table", "kern", "fibers", "surjective", "bijective",
-        "sizes", "images", "_relmap", "_fiber_ok", "_approx",
+        "sizes", "images", "contributions", "_relations", "_relmap", "_fiber_ok",
+        "_approx",
     )
 
     def __init__(self, n: int, m: int, table: tuple[int, ...]):
         self.n = n
         self.m = m
-        self.table = tuple(table)
+        self.table = table = tuple(table)
         self.kern = kernels.select(n, m)
-        self.fibers = self.kern.fiber_masks(self.table, m)
+        self.fibers = self.kern.fiber_masks(table, m)
         self.surjective = all(f != 0 for f in self.fibers)
         self.bijective = n == m and self.surjective
         self.sizes = _size_tables(n)
-        self.images = self._image_table()
+        self._relations = _RELATIONS.setdefault(m, {})
         self._relmap: dict = {}
         self._fiber_ok: dict = {}
         self._approx: dict = {}
+        if n <= _TABLE_MAX_N:
+            self._fill_tables()
+        else:
+            fibers, image_mask = self.fibers, self.kern.image_mask
+            sizes = [f.bit_count() for f in fibers]
+            self.images = _Computed(lambda x: image_mask(table, x))
+            self.contributions = _Cached(
+                lambda block: _contribution(sizes, [(f & block).bit_count() for f in fibers])
+            )
 
     @classmethod
     def for_map(cls, f: SurjMap) -> "GroupContext":
         return cls(f.domain.size, f.codomain.size, f.table)
 
-    def _image_table(self):
-        """images[x] is f(x) for every mask x of U."""
-        table = self.table
-        if self.n > _TABLE_MAX_N:
-            image_mask = self.kern.image_mask
-            return _Computed(lambda x: image_mask(table, x))
-        # the image of x adds the image of x's lowest element to that of the rest
-        images = [0] * (1 << self.n)
-        for x in range(1, 1 << self.n):
-            low = x & -x
-            images[x] = images[x ^ low] | (1 << table[low.bit_length() - 1])
-        return images
+    def _fill_tables(self) -> None:
+        """images[x] = f(x) and contributions[x] for every mask x of U.
 
-    def relmap(self, rgs) -> tuple[tuple[int, ...], int]:
-        """(rows, classification flags) of the image relation of rgs."""
+        Each mask adds its lowest element to the rest: one more value in the
+        image, one more element counted in that value's fiber.  The counts
+        |F_v ∩ x| ride in one int, n.bit_length() bits per fiber.
+        """
+        table, n = self.table, self.n
+        sizes = tuple(f.bit_count() for f in self.fibers)
+        memo = _CONTRIBUTIONS.setdefault(sizes, {})
+        width = n.bit_length()
+        full = (1 << width) - 1
+        images = [0] * (1 << n)
+        counts = [0] * (1 << n)
+        contributions = [0] * (1 << n)
+        for x in range(1, 1 << n):
+            low = x & -x
+            v = table[low.bit_length() - 1]
+            images[x] = images[x ^ low] | 1 << v
+            c = counts[x] = counts[x ^ low] + (1 << v * width)
+            hit = memo.get(c)
+            if hit is None:
+                hit = memo[c] = _contribution(sizes, [(c >> i * width) & full for i in range(len(sizes))])
+            contributions[x] = hit
+        self.images = images
+        self.contributions = contributions
+
+    def image_relation(self, rgs) -> _Relation:
+        """The image relation f(R) of the partition rgs."""
+        packed = 0
+        contributions = self.contributions
+        for block in self.sizes.blocks[rgs]:
+            packed |= contributions[block]
+        hit = self._relations.get(packed)
+        if hit is None:
+            hit = self._relations[packed] = _Relation(self.kern, self.m, packed)
+        return hit
+
+    def relmap(self, rgs) -> _Relation:
+        """image_relation(rgs), kept for the pair claims, which read each
+        partition's image once per second partition."""
         hit = self._relmap.get(rgs)
         if hit is None:
-            hit = self.kern.relmap_classified(rgs, self.table, self.fibers)
-            self._relmap[rgs] = hit
+            hit = self._relmap[rgs] = self.image_relation(rgs)
         return hit
 
     def fiber_ok(self, rgs) -> bool:
@@ -397,139 +505,10 @@ class GroupContext:
         """
         hit = self._approx.get(rgs, _TODO)
         if hit is _TODO:
-            rows, flags = self.relmap(rgs)
-            if flags == kernels.EQUIVALENCE:
-                vrgs = self.kern.rows_to_rgs(rows)
-                hit = self.sizes.approx(rgs) + _size_tables(self.m).approx(vrgs)
-            else:
-                hit = None
+            vrgs = self.image_relation(rgs).rgs
+            hit = None if vrgs is None else self.sizes.approx(rgs) + _size_tables(self.m).approx(vrgs)
             self._approx[rgs] = hit
         return hit
-
-
-# ---------------------------------------------------------------- witnesses
-
-def _pairs(rows) -> list[list[int]]:
-    out = []
-    for a, row in enumerate(rows):
-        b = 0
-        while row:
-            if row & 1:
-                out.append([a, b])
-            row >>= 1
-            b += 1
-    return out
-
-
-def _elts(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _first_extra_pair(left, right) -> list[int]:
-    # first pair of left missing from right, row-major order
-    for a, (lr, rr) in enumerate(zip(left, right)):
-        extra = lr & ~rr
-        if extra:
-            return [a, (extra & -extra).bit_length() - 1]
-    raise AssertionError("no extra pair")
-
-
-def _rel_not_included(space, left_name, left, right_name, right) -> dict:
-    return {
-        "kind": "relation-not-included",
-        "space": space,
-        "pair": _first_extra_pair(left, right),
-        "left_name": left_name,
-        "right_name": right_name,
-        "left": _pairs(left),
-        "right": _pairs(right),
-    }
-
-
-def _rel_not_equal(space, left_name, left, right_name, right) -> dict:
-    if any(lr & ~rr for lr, rr in zip(left, right)):
-        pair, side = _first_extra_pair(left, right), "left-only"
-    else:
-        pair, side = _first_extra_pair(right, left), "right-only"
-    return {
-        "kind": "relation-not-equal",
-        "space": space,
-        "pair": pair,
-        "side": side,
-        "left_name": left_name,
-        "right_name": right_name,
-        "left": _pairs(left),
-        "right": _pairs(right),
-    }
-
-
-def _set_not_included(left_name, left, right_name, right) -> dict:
-    extra = left & ~right
-    return {
-        "kind": "subset-not-included",
-        "space": "codomain",
-        "element": (extra & -extra).bit_length() - 1,
-        "left_name": left_name,
-        "right_name": right_name,
-        "left": _elts(left),
-        "right": _elts(right),
-    }
-
-
-def _set_not_equal(left_name, left, right_name, right) -> dict:
-    diff = left ^ right
-    e = (diff & -diff).bit_length() - 1
-    return {
-        "kind": "subset-not-equal",
-        "space": "codomain",
-        "element": e,
-        "side": "left-only" if (left >> e) & 1 else "right-only",
-        "left_name": left_name,
-        "right_name": right_name,
-        "left": _elts(left),
-        "right": _elts(right),
-    }
-
-
-def _not_equivalence(rows) -> dict:
-    m = len(rows)
-    for v in range(m):
-        if not (rows[v] >> v) & 1:
-            return {
-                "kind": "not-equivalence",
-                "condition": "reflexivity",
-                "items": [v],
-                "relation": _pairs(rows),
-            }
-    for a in range(m):
-        for b in range(m):
-            if (rows[a] >> b) & 1 and not (rows[b] >> a) & 1:
-                return {
-                    "kind": "not-equivalence",
-                    "condition": "symmetry",
-                    "items": [a, b],
-                    "relation": _pairs(rows),
-                }
-    for a in range(m):
-        for b in range(m):
-            if (rows[a] >> b) & 1:
-                missing = rows[b] & ~rows[a]
-                if missing:
-                    c = (missing & -missing).bit_length() - 1
-                    return {
-                        "kind": "not-equivalence",
-                        "condition": "transitivity",
-                        "items": [a, b, c],
-                        "relation": _pairs(rows),
-                    }
-    raise AssertionError("relation is an equivalence")
 
 
 # --------------------------------------------------------------- evaluators
@@ -550,15 +529,16 @@ def _fails(witness: dict) -> Verdict:
 
 
 def _eval_t31(ctx, rgs1, rgs2, xmask):
-    rows, flags = ctx.relmap(rgs1)
-    if flags == kernels.EQUIVALENCE:
+    rel = ctx.image_relation(rgs1)
+    if rel.flags == kernels.EQUIVALENCE:
         return _HOLDS
-    return _fails(_not_equivalence(rows))
+    return _fails(not_equivalence(rel.rows))
 
 
 def _eval_t31_refl(ctx, rgs1, rgs2, xmask):
-    rows, flags = ctx.relmap(rgs1)
-    reflexive = bool(flags & kernels.REFLEXIVE)
+    rel = ctx.image_relation(rgs1)
+    rows = rel.rows
+    reflexive = bool(rel.flags & kernels.REFLEXIVE)
     if reflexive == ctx.surjective:
         return _HOLDS
     if ctx.surjective:
@@ -571,51 +551,52 @@ def _eval_t31_refl(ctx, rgs1, rgs2, xmask):
             "surjective": ctx.surjective,
             "reflexive": reflexive,
             "element": v,
-            "relation": _pairs(rows),
+            "relation": pairs(rows),
         }
     )
 
 
+# The pair claims compare packed relations on V; rows are unpacked only for
+# a witness.
+
 def _eval_l311_fwd(ctx, rgs1, rgs2, xmask):
     if not ctx.sizes.refines(rgs1, rgs2):
         return _VACUOUS
-    left, _ = ctx.relmap(rgs1)
-    right, _ = ctx.relmap(rgs2)
-    if ctx.kern.rows_subset(left, right):
+    left = ctx.relmap(rgs1)
+    right = ctx.relmap(rgs2)
+    if not left.packed & ~right.packed:
         return _HOLDS
-    return _fails(_rel_not_included("codomain", "f(R1)", left, "f(R2)", right))
+    return _fails(relation_not_included("codomain", "f(R1)", left.rows, "f(R2)", right.rows))
 
 
 def _eval_l311_bwd(ctx, rgs1, rgs2, xmask):
-    left, _ = ctx.relmap(rgs1)
-    right, _ = ctx.relmap(rgs2)
-    if not ctx.kern.rows_subset(left, right):
+    if ctx.relmap(rgs1).packed & ~ctx.relmap(rgs2).packed:
         return _VACUOUS
     if ctx.sizes.refines(rgs1, rgs2):
         return _HOLDS
     rows = ctx.kern.partition_rows
-    return _fails(_rel_not_included("domain", "R1", rows(rgs1), "R2", rows(rgs2)))
+    return _fails(relation_not_included("domain", "R1", rows(rgs1), "R2", rows(rgs2)))
 
 
 def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
-    left, _ = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
-    right = ctx.kern.rows_and(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
-    if ctx.kern.rows_subset(left, right):
+    left = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
+    right = ctx.relmap(rgs1).packed & ctx.relmap(rgs2).packed
+    if not left.packed & ~right:
         return _HOLDS
     return _fails(
-        _rel_not_included("codomain", "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
+        relation_not_included("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", _rows(right, ctx.m))
     )
 
 
 def _eval_l312_eq(ctx, rgs1, rgs2, xmask):
     if not (ctx.fiber_ok(rgs1) and ctx.fiber_ok(rgs2)):
         return _VACUOUS
-    left, _ = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
-    right = ctx.kern.rows_and(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
-    if left == right:
+    left = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
+    right = ctx.relmap(rgs1).packed & ctx.relmap(rgs2).packed
+    if left.packed == right:
         return _HOLDS
     return _fails(
-        _rel_not_equal("codomain", "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
+        relation_not_equal("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", _rows(right, ctx.m))
     )
 
 
@@ -623,12 +604,12 @@ def _eval_l313_inc(ctx, rgs1, rgs2, xmask):
     union = ctx.sizes.union(rgs1, rgs2)
     if union is None:
         return _ILL_UNION
-    left, _ = ctx.relmap(union)
-    right = ctx.kern.rows_or(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
-    if ctx.kern.rows_subset(right, left):
+    left = ctx.relmap(union)
+    right = ctx.relmap(rgs1).packed | ctx.relmap(rgs2).packed
+    if not right & ~left.packed:
         return _HOLDS
     return _fails(
-        _rel_not_included("codomain", "f(R1) ∪ f(R2)", right, "f(R1 ∪ R2)", left)
+        relation_not_included("codomain", "f(R1) ∪ f(R2)", _rows(right, ctx.m), "f(R1 ∪ R2)", left.rows)
     )
 
 
@@ -638,22 +619,22 @@ def _eval_l313_eq(ctx, rgs1, rgs2, xmask):
         return _ILL_UNION
     if not (ctx.fiber_ok(rgs1) and ctx.fiber_ok(rgs2)):
         return _VACUOUS
-    left, _ = ctx.relmap(union)
-    right = ctx.kern.rows_or(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
-    if left == right:
+    left = ctx.relmap(union)
+    right = ctx.relmap(rgs1).packed | ctx.relmap(rgs2).packed
+    if left.packed == right:
         return _HOLDS
     return _fails(
-        _rel_not_equal("codomain", "f(R1 ∪ R2)", left, "f(R1) ∪ f(R2)", right)
+        relation_not_equal("codomain", "f(R1 ∪ R2)", left.rows, "f(R1) ∪ f(R2)", _rows(right, ctx.m))
     )
 
 
 def _eval_l313_join(ctx, rgs1, rgs2, xmask):
-    left, _ = ctx.relmap(ctx.sizes.join(rgs1, rgs2))
-    right = ctx.kern.rows_or(ctx.relmap(rgs1)[0], ctx.relmap(rgs2)[0])
-    if ctx.kern.rows_subset(right, left):
+    left = ctx.relmap(ctx.sizes.join(rgs1, rgs2))
+    right = ctx.relmap(rgs1).packed | ctx.relmap(rgs2).packed
+    if not right & ~left.packed:
         return _HOLDS
     return _fails(
-        _rel_not_included("codomain", "f(R1) ∪ f(R2)", right, "f(R1 ∨ R2)", left)
+        relation_not_included("codomain", "f(R1) ∪ f(R2)", _rows(right, ctx.m), "f(R1 ∨ R2)", left.rows)
     )
 
 
@@ -673,7 +654,7 @@ def _eval_t41_1(ctx, rgs1, rgs2, xmask):
     lo_fx = lo_v[images[xmask]]
     if not (f_lo & ~lo_fx):
         return _HOLDS
-    return _fails(_set_not_included("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
+    return _fails(subset_not_included("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
 
 
 def _eval_t41_2(ctx, rgs1, rgs2, xmask):
@@ -686,7 +667,7 @@ def _eval_t41_2(ctx, rgs1, rgs2, xmask):
     hi_fx = hi_v[images[xmask]]
     if not (hi_fx & ~f_hi):
         return _HOLDS
-    return _fails(_set_not_included("apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi))
+    return _fails(subset_not_included("apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi))
 
 
 def _eval_t42_1(ctx, rgs1, rgs2, xmask):
@@ -699,7 +680,7 @@ def _eval_t42_1(ctx, rgs1, rgs2, xmask):
     lo_fx = lo_v[images[xmask]]
     if f_lo == lo_fx:
         return _HOLDS
-    return _fails(_set_not_equal("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
+    return _fails(subset_not_equal("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
 
 
 def _eval_t42_2(ctx, rgs1, rgs2, xmask):
@@ -712,7 +693,7 @@ def _eval_t42_2(ctx, rgs1, rgs2, xmask):
     hi_fx = hi_v[images[xmask]]
     if f_hi == hi_fx:
         return _HOLDS
-    return _fails(_set_not_equal("f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx))
+    return _fails(subset_not_equal("f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx))
 
 
 def _eval_t43_1(ctx, rgs1, rgs2, xmask):
@@ -726,7 +707,7 @@ def _eval_t43_1(ctx, rgs1, rgs2, xmask):
     lo_fx = lo_v[fx]
     if lo_fx == fx:
         return _HOLDS
-    return _fails(_set_not_equal("apr_f(R) f(X)", lo_fx, "f(X)", fx))
+    return _fails(subset_not_equal("apr_f(R) f(X)", lo_fx, "f(X)", fx))
 
 
 def _eval_t43_2(ctx, rgs1, rgs2, xmask):
@@ -740,7 +721,7 @@ def _eval_t43_2(ctx, rgs1, rgs2, xmask):
     hi_fx = hi_v[fx]
     if hi_fx == fx:
         return _HOLDS
-    return _fails(_set_not_equal("apr̄_f(R) f(X)", hi_fx, "f(X)", fx))
+    return _fails(subset_not_equal("apr̄_f(R) f(X)", hi_fx, "f(X)", fx))
 
 
 _EVALUATORS = {

@@ -3,7 +3,9 @@
 Exit codes: 0 for the command's expected outcome (replay matches, falsify
 finds a counterexample, verify finds none), 1 for a surprising outcome,
 2 for usage and input errors, 3 when falsify exhausts its bounds on a
-claim whose status is open (nothing found here, but nothing was promised).
+claim whose status is open (nothing found here, but nothing was promised),
+4 when a search worker process died (the sweep has no result), 130 when
+interrupted.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ from .docio import (
     REPORT_SCHEMA,
 )
 from .enumeration import bell, subset_count, surjection_count
-from .errors import BadInstanceError, IoError, ParseError, RoughmapError, ValidationError
+from .errors import (
+    BadInstanceError,
+    IoError,
+    ParseError,
+    RoughmapError,
+    ValidationError,
+    WorkerCrashError,
+)
 from .mappings import degree_table, relmap
 from .replay import replay_examples
 from .search import SearchReport, falsify, verify
@@ -372,6 +381,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except WorkerCrashError as e:
+        print(f"roughmap: {e}", file=sys.stderr)
+        return 4
     except IoError as e:
         print(f"roughmap: {e}", file=sys.stderr)
         return 2

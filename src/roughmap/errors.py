@@ -63,3 +63,7 @@ class ValidationError(RoughmapError):
 
 class IoError(RoughmapError):
     """Report or instance destination could not be written."""
+
+
+class WorkerCrashError(RoughmapError):
+    """A search worker process died before returning its group's results."""

@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 
 from .claims import Claim, GroupContext, Instance, Outcome, get_claim, evaluate_raw
 from .enumeration import iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
+from .errors import WorkerCrashError
 from .mappings import SurjMap
 from .structures import Partition, Subset, Universe
 
@@ -230,26 +231,30 @@ def _run(
     else:
         from collections import deque
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # bounded window of in-flight groups, merged strictly in submission
         # order; on early stop the unstarted tail is cancelled and at most
         # `workers` running groups are discarded
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            exhausted = False
-            while True:
-                while not exhausted and len(pending) < workers * 4:
-                    args = next(group_args, None)
-                    if args is None:
-                        exhausted = True
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                pending: deque = deque()
+                exhausted = False
+                while True:
+                    while not exhausted and len(pending) < workers * 4:
+                        args = next(group_args, None)
+                        if args is None:
+                            exhausted = True
+                            break
+                        pending.append(pool.submit(_run_group, args))
+                    if not pending:
                         break
-                    pending.append(pool.submit(_run_group, args))
-                if not pending:
-                    break
-                if merge(pending.popleft().result()):
-                    for fut in pending:
-                        fut.cancel()
-                    break
+                    if merge(pending.popleft().result()):
+                        for fut in pending:
+                            fut.cancel()
+                        break
+        except BrokenProcessPool:
+            raise WorkerCrashError("a search worker process died") from None
 
     report.elapsed_s = time.perf_counter() - start
     return report

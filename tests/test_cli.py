@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -218,4 +219,20 @@ def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "T31", "--max-u", "3")
     assert code == 130
     assert err == "roughmap: interrupted\n"
+    assert "Traceback" not in out + err
+
+
+def _die(args):
+    os._exit(1)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_worker_crash_exits_4_without_traceback(capsys, monkeypatch):
+    from roughmap import search
+
+    # forked pool workers inherit the patched module
+    monkeypatch.setattr(search, "_run_group", _die)
+    code, out, err = run(capsys, "verify", "T31", "--max-u", "3", "--workers", "2")
+    assert code == 4
+    assert err == "roughmap: a search worker process died\n"
     assert "Traceback" not in out + err

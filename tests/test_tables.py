@@ -3,26 +3,44 @@ evaluation against evaluation from scratch.
 
 Per-size tables (approximations, partition pairs) are compared in both
 forms: stored, as used up to claims._TABLE_MAX_N elements, and computed on
-every call, as used above it.
+every call, as used above it.  So is the image relation f(R), which is
+built from per-block contributions in a table up to that size and block by
+block above it.
 """
 
+import json
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from roughmap import REGISTRY, Outcome, evaluate, verify
-from roughmap import claims
-from roughmap.claims import GroupContext
+from roughmap import (
+    REGISTRY,
+    Outcome,
+    Partition,
+    SurjMap,
+    Subset,
+    Universe,
+    approximations,
+    evaluate,
+    relmap,
+    report_doc,
+    verify,
+)
+from roughmap import _kernels_py, claims
+from roughmap.claims import GroupContext, Instance
 from roughmap.enumeration import iter_rgs
 from roughmap.search import RawInstance, Tally, _group_instances, _run_group
 
 from oracles import (
     blocks_of_rgs,
+    naive_classify,
     naive_join,
     naive_lower_upper,
     naive_meet,
     naive_refines,
+    naive_relmap,
     naive_union,
 )
 
@@ -131,3 +149,113 @@ def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     assert direct.tally == stored.tally
     assert direct.failures == stored.failures
     assert direct.ill_typed_reason == stored.ill_typed_reason
+
+
+def _pair_set(rows):
+    return {(a, b) for a, row in enumerate(rows) for b in range(len(rows)) if (row >> b) & 1}
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "direct"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_image_relation_matches_oracle(stored, n, monkeypatch):
+    if not stored:
+        monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+    parts = list(iter_rgs(n))
+    for m in range(1, 4):
+        for table in product(range(m), repeat=n):
+            ctx = GroupContext(n, m, table)
+            for rgs in parts:
+                rel = ctx.relmap(rgs)
+                assert ctx.image_relation(rgs) is rel
+                pairs = naive_relmap(table, m, blocks_of_rgs(rgs))
+                assert _pair_set(rel.rows) == pairs, (table, rgs)
+                assert rel.packed == sum(1 << a * m + b for a, b in pairs)
+                refl, sym, trans = naive_classify(pairs, m)
+                assert rel.flags == refl * 1 + sym * 2 + trans * 4, (table, rgs)
+                approx = ctx.approx(rgs)
+                if not (refl and sym and trans):
+                    assert rel.rgs is None and approx is None
+                    continue
+                assert rel.rgs == _kernels_py.rows_to_rgs(rel.rows)
+                _, _, lo_v, hi_v = approx
+                vblocks = blocks_of_rgs(rel.rgs)
+                for y in range(1 << m):
+                    want_lo, want_hi = naive_lower_upper(vblocks, _elements(y, m))
+                    assert (lo_v[y], hi_v[y]) == (_mask(want_lo), _mask(want_hi))
+
+
+def _random_rgs(rng, n):
+    k = rng.choice((2, 3, 4, n))  # mostly few blocks, which cut fibers unevenly
+    labels = [rng.randrange(k) for _ in range(n)]
+    first = {}
+    return tuple(first.setdefault(b, len(first)) for b in labels)
+
+
+# tables above _TABLE_MAX_N: a constant map (one fiber holding all of U),
+# maps with uneven fibers and maps with even fibers
+LARGE_MAPS = [
+    (9, 1, (0,) * 9),
+    (9, 3, (0, 0, 0, 0, 0, 0, 1, 1, 2)),
+    (9, 3, (0, 0, 0, 1, 1, 1, 2, 2, 2)),
+    (10, 4, (3, 0, 1, 0, 2, 0, 1, 0, 3, 0)),
+    (10, 2, (0, 1) * 5),
+    (10, 1, (0,) * 10),
+]
+
+
+@pytest.mark.parametrize("n, m, table", LARGE_MAPS)
+def test_large_universes_agree_with_the_reference_relmap(n, m, table):
+    assert n > claims._TABLE_MAX_N
+    rng = random.Random(n * 100 + m)
+    u, v = Universe(n), Universe(m)
+    f = SurjMap(u, v, table)
+    # under (0, 0, 0, 1, 1, 1, 2, 2, 2) this f(R) relates 1 to 0 and 0 to 2
+    # but not 1 to 2
+    intransitive = (0, 1, 2, 0, 3, 3, 1, 4, 4, 5)[:n]
+    parts = [tuple([0] * n), tuple(range(n)), intransitive]
+    parts += [_random_rgs(rng, n) for _ in range(40)]
+    parts = [Partition(u, rgs) for rgs in parts]
+    for p1 in parts:
+        fr = relmap(f, p1)
+        is_eq = fr.classify().equivalence
+        assert GroupContext(n, m, table).relmap(p1.rgs).rows == fr.rows
+        want = Outcome.HOLDS if is_eq else Outcome.FAILS
+        assert evaluate("T31", Instance(f, (p1,))).outcome is want
+
+        p2 = parts[rng.randrange(len(parts))]
+        holds = relmap(f, p1.meet(p2)) <= (fr & relmap(f, p2))
+        want = Outcome.HOLDS if holds else Outcome.FAILS
+        assert evaluate("L31-2-inc", Instance(f, (p1, p2))).outcome is want
+
+        x = Subset(u, rng.randrange(1 << n))
+        verdict = evaluate("T41-1", Instance(f, (p1,), x))
+        if not is_eq:
+            assert verdict.outcome is Outcome.ILL_TYPED
+            continue
+        lo_v, _ = approximations(fr.to_partition(), f.image_subset(x))
+        holds = f.image_subset(approximations(p1, x)[0]) <= lo_v
+        assert verdict.outcome is (Outcome.HOLDS if holds else Outcome.FAILS)
+
+
+def _settled_t31():
+    doc = json.loads(json.dumps(report_doc(verify("T31", 5, 3, workers=1))))
+    del doc["wall_time_s"]
+    return doc
+
+
+def _clear_memos():
+    claims._CONTRIBUTIONS.clear()
+    claims._RELATIONS.clear()
+    claims._stored_tables.cache_clear()
+
+
+def test_process_wide_memos_do_not_depend_on_earlier_sweeps():
+    _clear_memos()
+    fresh = _settled_t31()
+    _clear_memos()
+    verify("L31-3-join", 4, 3, workers=1)
+    verify("T41-1", 4, 3, workers=1)
+    # maps that miss values, so fiber sizes T31 never sees come first
+    verify("T31-refl", 4, 3, workers=1)
+    assert claims._CONTRIBUTIONS and claims._RELATIONS
+    assert _settled_t31() == fresh
