@@ -5,7 +5,7 @@ never typed in by hand. Rerun after any change to the engine:
 
     python3 scripts/generate_claim_status.py
 
-Takes about a minute with the compiled backend.
+Takes about 2-3 seconds (2-vCPU Xeon, Python 3.11).
 """
 
 import json

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import __version__, kernels
+from . import __version__
 from .approx import approximations
 from .claims import Claim, evaluate, get_claim, list_claims
 from .docio import (
@@ -44,6 +44,17 @@ from .replay import replay_examples
 from .search import SearchReport, falsify, verify
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for bounds and worker counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="roughmap",
@@ -53,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--version",
         action="version",
-        version=f"roughmap {__version__} (kernels: {kernels.BACKEND})",
+        version=f"roughmap {__version__}",
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -73,17 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fa = sub.add_parser("falsify", help="search for the first counterexample to a claim")
     fa.add_argument("claim")
-    fa.add_argument("--max-u", type=int, required=True, metavar="N")
-    fa.add_argument("--max-v", type=int, required=True, metavar="M")
+    fa.add_argument("--max-u", type=_at_least_one, required=True, metavar="N")
+    fa.add_argument("--max-v", type=_at_least_one, required=True, metavar="M")
     fa.add_argument("--json", dest="json_path", metavar="FILE")
-    fa.add_argument("--workers", type=int, default=None, metavar="K")
+    fa.add_argument("--workers", type=_at_least_one, default=None, metavar="K")
 
     ve = sub.add_parser("verify", help="sweep the whole bounded space for a claim")
     ve.add_argument("claim")
-    ve.add_argument("--max-u", type=int, required=True, metavar="N")
-    ve.add_argument("--max-v", type=int, default=None, metavar="M")
+    ve.add_argument("--max-u", type=_at_least_one, required=True, metavar="N")
+    ve.add_argument("--max-v", type=_at_least_one, default=None, metavar="M")
     ve.add_argument("--json", dest="json_path", metavar="FILE")
-    ve.add_argument("--workers", type=int, default=None, metavar="K")
+    ve.add_argument("--workers", type=_at_least_one, default=None, metavar="K")
 
     sub.add_parser("list-claims", help="print the claim registry")
 
@@ -204,9 +215,6 @@ def _cmd_falsify(args) -> int:
     claim = _resolve_claim(args.claim)
     if claim is None:
         return 2
-    if args.max_u < 1 or args.max_v < 1:
-        print("falsify: bounds must be at least 1", file=sys.stderr)
-        return 2
     report = falsify(claim, args.max_u, args.max_v, workers=args.workers)
     _print_search_head(report, claim)
     if report.found:
@@ -232,9 +240,6 @@ def _cmd_verify(args) -> int:
     if claim is None:
         return 2
     max_v = args.max_v if args.max_v is not None else args.max_u
-    if args.max_u < 1 or max_v < 1:
-        print("verify: bounds must be at least 1", file=sys.stderr)
-        return 2
     report = verify(claim, args.max_u, max_v, workers=args.workers)
     _print_search_head(report, claim)
     if report.found:

@@ -1,44 +1,255 @@
-"""Backend selection for the bitmask kernels.
+"""Bitmask kernels for partitions, relations and maps on small universes.
 
-The compiled Cython backend (`roughmap._ckernels`) is used when it was
-built and the operands fit in machine words; otherwise the pure-Python
-reference (`roughmap._kernels_py`) takes over.  Set ROUGHMAP_PURE_PYTHON=1
-to force the pure backend regardless.
+Conventions:
+
+* elements of a universe of size n are 0..n-1;
+* a subset of the universe is an int whose bit i is element i;
+* a partition is a restricted-growth string `rgs` (tuple of ints,
+  rgs[0] == 0 and rgs[i] <= 1 + max(rgs[:i])), block ids 0..nblocks-1;
+* a binary relation over a size-m universe is a tuple `rows` of m ints,
+  bit j of rows[i] meaning the pair (i, j);
+* a map U -> V is a tuple `table` of images, plus its precomputed
+  `fibers` (tuple of m preimage masks).
+
+Python ints are unbounded, so every kernel works for any n.
 """
 
-import os
+import sys
 
-from . import _kernels_py
+# name of the kernel implementation, recorded in benchmark results
+BACKEND = "python"
 
-REFLEXIVE = _kernels_py.REFLEXIVE
-SYMMETRIC = _kernels_py.SYMMETRIC
-TRANSITIVE = _kernels_py.TRANSITIVE
-EQUIVALENCE = _kernels_py.EQUIVALENCE
+REFLEXIVE = 1
+SYMMETRIC = 2
+TRANSITIVE = 4
+EQUIVALENCE = REFLEXIVE | SYMMETRIC | TRANSITIVE
 
-# compiled backend masks are 64-bit words
-MASK_BITS = 64
 
-if os.environ.get("ROUGHMAP_PURE_PYTHON"):
-    _ckernels = None
-else:
-    try:
-        from . import _ckernels
-    except ImportError:
-        _ckernels = None
+def fiber_masks(table, m):
+    """Preimage mask of every codomain element, as a length-m tuple."""
+    fibers = [0] * m
+    for i, v in enumerate(table):
+        fibers[v] |= 1 << i
+    return tuple(fibers)
 
-BACKEND = "c" if _ckernels is not None else "python"
+
+def block_masks(rgs):
+    """Mask of every block of a partition, indexed by block id."""
+    nblocks = max(rgs) + 1
+    blocks = [0] * nblocks
+    for i, b in enumerate(rgs):
+        blocks[b] |= 1 << i
+    return tuple(blocks)
+
+
+def partition_rows(rgs):
+    """The equivalence relation of a partition: rows[i] is the block of i."""
+    blocks = block_masks(rgs)
+    return tuple(blocks[b] for b in rgs)
+
+
+def rows_to_rgs(rows):
+    """Canonical rgs of an equivalence relation given as rows.
+
+    Assumes `rows` already is an equivalence; block ids are assigned in
+    order of each block's least element.
+    """
+    n = len(rows)
+    rgs = [-1] * n
+    nxt = 0
+    for i in range(n):
+        if rgs[i] < 0:
+            row = rows[i]
+            j = 0
+            while row:
+                if row & 1:
+                    rgs[j] = nxt
+                row >>= 1
+                j += 1
+            nxt += 1
+    return tuple(rgs)
+
+
+def classify_rows(rows):
+    """Reflexive/symmetric/transitive flags of a relation, as an int."""
+    m = len(rows)
+    flags = REFLEXIVE | SYMMETRIC | TRANSITIVE
+    for i in range(m):
+        if not (rows[i] >> i) & 1:
+            flags &= ~REFLEXIVE
+            break
+    for i in range(m):
+        ri = rows[i]
+        for j in range(i + 1, m):
+            if ((ri >> j) & 1) != ((rows[j] >> i) & 1):
+                flags &= ~SYMMETRIC
+                break
+        else:
+            continue
+        break
+    for i in range(m):
+        ri = rows[i]
+        row = ri
+        j = 0
+        while row:
+            if (row & 1) and rows[j] & ~ri:
+                flags &= ~TRANSITIVE
+                break
+            row >>= 1
+            j += 1
+        else:
+            continue
+        break
+    return flags
+
+
+def closure_rows(rows):
+    """Transitive closure (Warshall over bit rows)."""
+    out = list(rows)
+    m = len(out)
+    for k in range(m):
+        rk = out[k]
+        bit = 1 << k
+        for i in range(m):
+            if out[i] & bit:
+                out[i] |= rk
+    return tuple(out)
+
+
+def relmap_rows(rgs, table, fibers):
+    """Image relation on V of the partition `rgs` under the map `table`.
+
+    A pair (table[x], table[y]) is included when x and y share a block
+    and the two elements cut equal fractions of their fibers out of that
+    block: |fiber(x) & block| * |fiber(y)| == |fiber(y) & block| * |fiber(x)|.
+    Exact integer cross-multiplication, no rationals materialized.
+    """
+    n = len(rgs)
+    m = len(fibers)
+    blocks = block_masks(rgs)
+    num = [0] * n
+    den = [0] * n
+    for x in range(n):
+        f = fibers[table[x]]
+        num[x] = (blocks[rgs[x]] & f).bit_count()
+        den[x] = f.bit_count()
+    rows = [0] * m
+    for x in range(n):
+        rx, nx, dx = rgs[x], num[x], den[x]
+        vx = table[x]
+        for y in range(n):
+            if rgs[y] == rx and nx * den[y] == num[y] * dx:
+                rows[vx] |= 1 << table[y]
+    return tuple(rows)
+
+
+def degree_pairs(rgs, table, fibers):
+    """Per-element degree of its block within its fiber, as (num, den) pairs."""
+    blocks = block_masks(rgs)
+    out = []
+    for x in range(len(rgs)):
+        f = fibers[table[x]]
+        out.append(((blocks[rgs[x]] & f).bit_count(), f.bit_count()))
+    return tuple(out)
+
+
+def meet_rgs(rgs1, rgs2):
+    """Common refinement: blocks are the nonempty pairwise intersections."""
+    seen = {}
+    out = []
+    for a, b in zip(rgs1, rgs2):
+        key = (a, b)
+        if key not in seen:
+            seen[key] = len(seen)
+        out.append(seen[key])
+    return tuple(out)
+
+
+def join_rgs(rgs1, rgs2):
+    """Finest common coarsening: union-find over both block structures."""
+    n = len(rgs1)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first1 = {}
+    first2 = {}
+    for i in range(n):
+        for first, b in ((first1, rgs1[i]), (first2, rgs2[i])):
+            if b in first:
+                ra, rb = find(first[b]), find(i)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                first[b] = i
+    seen = {}
+    out = []
+    for i in range(n):
+        r = find(i)
+        if r not in seen:
+            seen[r] = len(seen)
+        out.append(seen[r])
+    return tuple(out)
+
+
+def refines_rgs(rgs1, rgs2):
+    """True when every block of rgs1 sits inside one block of rgs2."""
+    image = {}
+    for a, b in zip(rgs1, rgs2):
+        if image.setdefault(a, b) != b:
+            return False
+    return True
+
+
+def fiber_condition(rgs, table, fibers):
+    """True when every fiber is contained in its element's block."""
+    blocks = block_masks(rgs)
+    for x in range(len(rgs)):
+        if fibers[table[x]] & ~blocks[rgs[x]]:
+            return False
+    return True
+
+
+def lower_upper_masks(blocks, xmask):
+    """Lower and upper approximations of a subset over explicit block masks."""
+    lo = 0
+    up = 0
+    for b in blocks:
+        if not (b & ~xmask):
+            lo |= b
+        if b & xmask:
+            up |= b
+    return lo, up
+
+
+def image_mask(table, xmask):
+    """Forward image of a subset mask under a map table."""
+    out = 0
+    i = 0
+    while xmask:
+        if xmask & 1:
+            out |= 1 << table[i]
+        xmask >>= 1
+        i += 1
+    return out
+
+
+def rows_or(r1, r2):
+    return tuple(a | b for a, b in zip(r1, r2))
 
 
 def select(n: int, m: int | None = None):
-    """Kernel module to use for a universe of size n (codomain size m)."""
-    if _ckernels is None or n > MASK_BITS or (m is not None and m > MASK_BITS):
-        return _kernels_py
-    return _ckernels
+    """The kernel module for a universe of size n (codomain size m).
+
+    Returns this module.  The engine reaches every kernel through this
+    call, so the per-layer benchmark trace (`perfbench/tracing.py`) can
+    wrap it to count and time kernel calls.
+    """
+    return _this
 
 
-def backends() -> dict:
-    """Importable backends keyed by name (for benchmarks and tests)."""
-    out = {"python": _kernels_py}
-    if _ckernels is not None:
-        out["c"] = _ckernels
-    return out
+_this = sys.modules[__name__]

@@ -195,8 +195,11 @@ def _run(
         raise ValueError("bounds must be at least 1")
     if max_failures < 1:
         raise ValueError("max_failures must be at least 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     start = time.perf_counter()
-    workers = default_workers() if workers is None else max(1, workers)
+    if workers is None:
+        workers = default_workers()
     # a process pool forks all its workers at once; more than one per CPU
     # only adds processes
     workers = min(workers, os.cpu_count() or 1)

@@ -36,7 +36,6 @@ from roughmap.enumeration import (
     stirling2,
     surjection_count,
 )
-from roughmap.kernels import select
 from roughmap.replay import replay_examples
 
 import oracles

@@ -83,6 +83,11 @@ def test_verify_exit_codes(capsys):
     # failures on an open claim are reported as a finding
     code, out, _ = run(capsys, "verify", "L31-3-join", "--max-u", "4", "--max-v", "2")
     assert code == 1
+    # bounds and worker counts below one are usage errors
+    for flag in ("--max-u", "--max-v", "--workers"):
+        code, _, err = run(capsys, "verify", "T31", "--max-u", "3", flag, "-3")
+        assert code == 2
+        assert "must be at least 1" in err
 
 
 def test_unknown_claim_prints_registry(capsys):

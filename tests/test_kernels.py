@@ -1,108 +1,18 @@
-"""Differential tests: the compiled backend must agree with the reference
-on every operation, including the 64-bit boundary."""
+"""The kernel module's entry points.  The kernels themselves are checked
+against the naive oracles in tests/oracles.py through the structures,
+mappings, approximations and claim tables that call them."""
 
-import random
-
-import pytest
-
-from roughmap import _kernels_py as py
 from roughmap import kernels
-
-ck = kernels.backends().get("c")
-
-needs_c = pytest.mark.skipif(ck is None, reason="compiled backend not built")
-
-
-def random_rgs(rng, n):
-    rgs = [0]
-    for _ in range(n - 1):
-        rgs.append(rng.randint(0, max(rgs) + 1))
-    return tuple(rgs)
-
-
-def random_case(rng, max_n=8):
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, n)
-    rgs1 = random_rgs(rng, n)
-    rgs2 = random_rgs(rng, n)
-    table = tuple(rng.randrange(m) for _ in range(n))
-    rows = tuple(rng.randrange(1 << m) for _ in range(m))
-    rows2 = tuple(rng.randrange(1 << m) for _ in range(m))
-    xmask = rng.randrange(1 << n)
-    return n, m, rgs1, rgs2, table, rows, rows2, xmask
-
-
-@needs_c
-def test_backends_agree_on_random_inputs():
-    rng = random.Random(20240811)
-    for _ in range(3000):
-        n, m, rgs1, rgs2, table, rows, rows2, xmask = random_case(rng)
-        fibers = py.fiber_masks(table, m)
-        assert ck.fiber_masks(table, m) == fibers
-        assert ck.block_masks(rgs1) == py.block_masks(rgs1)
-        prows = py.partition_rows(rgs1)
-        assert ck.partition_rows(rgs1) == prows
-        assert ck.rows_to_rgs(prows) == py.rows_to_rgs(prows) == rgs1
-        assert ck.classify_rows(rows) == py.classify_rows(rows)
-        assert ck.closure_rows(rows) == py.closure_rows(rows)
-        assert ck.relmap_rows(rgs1, table, fibers) == py.relmap_rows(rgs1, table, fibers)
-        assert ck.relmap_classified(rgs1, table, fibers) == py.relmap_classified(
-            rgs1, table, fibers
-        )
-        assert ck.degree_pairs(rgs1, table, fibers) == py.degree_pairs(rgs1, table, fibers)
-        assert ck.meet_rgs(rgs1, rgs2) == py.meet_rgs(rgs1, rgs2)
-        assert ck.join_rgs(rgs1, rgs2) == py.join_rgs(rgs1, rgs2)
-        assert ck.refines_rgs(rgs1, rgs2) == py.refines_rgs(rgs1, rgs2)
-        assert ck.fiber_condition(rgs1, table, fibers) == py.fiber_condition(
-            rgs1, table, fibers
-        )
-        blocks = py.block_masks(rgs1)
-        assert ck.lower_upper_masks(blocks, xmask) == py.lower_upper_masks(blocks, xmask)
-        assert ck.lower_upper_rows(prows, xmask) == py.lower_upper_rows(prows, xmask)
-        assert ck.image_mask(table, xmask) == py.image_mask(table, xmask)
-        assert ck.rows_subset(rows, rows2) == py.rows_subset(rows, rows2)
-        assert ck.rows_or(rows, rows2) == py.rows_or(rows, rows2)
-        assert ck.rows_and(rows, rows2) == py.rows_and(rows, rows2)
-        assert ck.rows_diff(rows, rows2) == py.rows_diff(rows, rows2)
-        assert ck.rows_pair_count(rows) == py.rows_pair_count(rows)
-
-
-@needs_c
-def test_backends_agree_at_word_boundary():
-    # n = 64 exercises the top mask bit
-    n = 64
-    rgs = tuple(min(i // 9, 7) for i in range(n))
-    assert rgs[0] == 0
-    table = tuple(i % 5 for i in range(n))
-    fibers = py.fiber_masks(table, 5)
-    full = (1 << 64) - 1
-    assert ck.relmap_rows(rgs, table, fibers) == py.relmap_rows(rgs, table, fibers)
-    blocks = py.block_masks(rgs)
-    assert ck.lower_upper_masks(blocks, full) == py.lower_upper_masks(blocks, full)
-    assert ck.image_mask(table, full) == py.image_mask(table, full)
-    assert ck.rows_pair_count(py.partition_rows(rgs)) == py.rows_pair_count(
-        py.partition_rows(rgs)
-    )
-
-
-@needs_c
-def test_compiled_backend_refuses_oversize():
-    with pytest.raises(OverflowError):
-        ck.block_masks(tuple([0] * 65))
 
 
 def test_select_routes_by_size():
-    small = kernels.select(10)
-    big = kernels.select(65)
-    assert big is py
-    if ck is not None:
-        assert small is ck
-        assert kernels.select(10, 65) is py
+    # one module for every size; select() is the seam the per-layer
+    # benchmark trace wraps
+    for args in ((10,), (65,), (10, 65), (6, 4)):
+        assert kernels.select(*args) is kernels
+    assert kernels.BACKEND == "python"
 
 
 def test_flag_constants_agree():
-    assert (py.REFLEXIVE, py.SYMMETRIC, py.TRANSITIVE, py.EQUIVALENCE) == (1, 2, 4, 7)
-    if ck is not None:
-        assert ck.REFLEXIVE == py.REFLEXIVE
-        assert ck.EQUIVALENCE == py.EQUIVALENCE
-        assert ck.BACKEND_NAME == "c" and py.BACKEND_NAME == "python"
+    flags = (kernels.REFLEXIVE, kernels.SYMMETRIC, kernels.TRANSITIVE, kernels.EQUIVALENCE)
+    assert flags == (1, 2, 4, 7)

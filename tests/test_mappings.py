@@ -103,6 +103,10 @@ def test_relmap_matches_set_oracle_exhaustively():
             v = Universe(m)
             for table in iter_surjections(n, m):
                 f = SurjMap(u, v, table)
+                for mask in range(1 << n):
+                    x = Subset(u, mask)
+                    want = {table[i] for i in x.elements()}
+                    assert set(f.image_subset(x).elements()) == want, (table, mask)
                 for p in parts:
                     got = set(relmap(f, p).pairs())
                     want = oracles.naive_relmap(

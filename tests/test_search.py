@@ -145,10 +145,11 @@ def test_default_workers_env(monkeypatch):
 
 @pytest.mark.parametrize("run", [falsify, verify])
 def test_failure_cap_below_one_is_rejected(run):
-    # a zero cap would sweep on past the first failure and report none
-    for cap in (0, -1):
+    # a zero cap would sweep on past the first failure and report none;
+    # a worker count below one is an error, not a request for one worker
+    for bad in ({"max_failures": 0}, {"max_failures": -1}, {"workers": 0}, {"workers": -3}):
         with pytest.raises(ValueError):
-            run("T41-1", 5, 3, max_failures=cap)
+            run("T41-1", 5, 3, **bad)
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):

@@ -28,7 +28,7 @@ from roughmap import (
     report_doc,
     verify,
 )
-from roughmap import _kernels_py, claims
+from roughmap import claims, kernels
 from roughmap.claims import GroupContext, Instance
 from roughmap.enumeration import iter_rgs
 from roughmap.search import RawInstance, Tally, _group_instances, _run_group
@@ -176,7 +176,7 @@ def test_image_relation_matches_oracle(stored, n, monkeypatch):
                 if not (refl and sym and trans):
                     assert rel.rgs is None and approx is None
                     continue
-                assert rel.rgs == _kernels_py.rows_to_rgs(rel.rows)
+                assert rel.rgs == kernels.rows_to_rgs(rel.rows)
                 _, _, lo_v, hi_v = approx
                 vblocks = blocks_of_rgs(rel.rgs)
                 for y in range(1 << m):
