@@ -66,4 +66,4 @@ class IoError(RoughmapError):
 
 
 class WorkerCrashError(RoughmapError):
-    """A search worker process died before returning its group's results."""
+    """A search worker process died before returning its task's results."""

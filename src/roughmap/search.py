@@ -3,9 +3,12 @@
 Instances are enumerated in one canonical order: increasing |U|, then |V|,
 then the map table, then the partition encodings, then the subset mask.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
-space.  Work is sharded by (claim, |U|, |V|, map) groups; workers process
-whole groups and results are merged in group order, so the first
-counterexample and every tally are independent of the worker count.
+space.  Work is sharded by (claim, |U|, |V|, map) groups.  On more than one
+worker, runs of consecutive groups are packed into tasks of about
+TASK_INSTANCES instances and handed to one process pool that lives as long
+as this process and serves every call with the same worker count; task
+results are merged in submission order, so the first counterexample, the
+failure list and every tally are independent of the worker count.
 
 falsify enumerates one map per codomain-relabeling orbit (relabeling V
 commutes with every claim); verify enumerates all maps.
@@ -20,12 +23,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .claims import Claim, GroupContext, Instance, Outcome, get_claim, evaluate_raw
-from .enumeration import iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
+from .enumeration import bell, iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
 from .errors import WorkerCrashError
 from .mappings import SurjMap
 from .structures import Partition, Subset, Universe
 
 DEFAULT_MAX_FAILURES = 20
+# closed-form instances per pool task: pickling and IPC are paid per task,
+# and 5,000-50,000 run alike on two workers
+TASK_INSTANCES = 20_000
 
 _HOLDS = Outcome.HOLDS
 _VACUOUS = Outcome.VACUOUS
@@ -183,6 +189,89 @@ def _run_group(args: tuple) -> tuple[Tally, list[tuple[RawInstance, dict]], Opti
     return Tally(holds, failed, ill_typed, vacuous), fails, reason
 
 
+def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
+    """Evaluate a run of consecutive groups of one claim, in order: a pool
+    task, or on one worker the whole sweep.
+
+    Returns (groups done, tally, failures capped at max_failures, first
+    ill-typed reason).  In stop-on-fail mode the task ends with its first
+    group that fails, and everything after it is left uncounted.
+    """
+    claim_id, groups, stop_on_fail, max_failures = args
+    total = Tally()
+    fails: list[tuple[RawInstance, dict]] = []
+    reason: Optional[str] = None
+    done = 0
+    for n, m, table in groups:
+        tally, group_fails, group_reason = _run_group((claim_id, n, m, table, stop_on_fail, max_failures))
+        done += 1
+        total.add(tally)
+        if reason is None:
+            reason = group_reason
+        fails.extend(group_fails[: max_failures - len(fails)])
+        if group_fails and stop_on_fail:
+            break
+    return done, total, fails, reason
+
+
+def _group_size(claim: Claim, n: int) -> int:
+    """Closed-form instance count of one group on n elements."""
+    if claim.partitions == 2:
+        return bell(n) ** 2
+    if claim.needs_subset:
+        return bell(n) << n
+    return bell(n)
+
+
+def _tasks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]]) -> Iterator[list[tuple[int, int, tuple[int, ...]]]]:
+    """Consecutive groups packed until their instance count reaches TASK_INSTANCES."""
+    batch: list[tuple[int, int, tuple[int, ...]]] = []
+    instances = 0
+    for group in groups:
+        batch.append(group)
+        instances += _group_size(claim, group[0])
+        if instances >= TASK_INSTANCES:
+            yield batch
+            batch, instances = [], 0
+    if batch:
+        yield batch
+
+
+# this process's search pool as (workers, pid, executor, exit hook); a
+# forked child sees its parent's entry under another pid and starts its own
+_pool: Optional[tuple] = None
+
+
+def _get_pool(workers: int):
+    global _pool
+    if _pool is not None and _pool[:2] == (workers, os.getpid()):
+        return _pool[2]
+    _drop_pool()
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+
+    # workers ignore Ctrl-C: the parent stops the sweep and drops the pool,
+    # and an idle pool must outlive a Ctrl-C at an interactive prompt
+    executor = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    # shut the pool down at exit while the interpreter is whole: from
+    # atexit in the main process, and at the end of a multiprocessing child,
+    # which would otherwise wait forever on the pool's workers; priority 20
+    # runs before the pool's own queues close theirs (priority 10)
+    hook = Finalize(None, _drop_pool, exitpriority=20)
+    _pool = (workers, os.getpid(), executor, hook)
+    return executor
+
+
+def _drop_pool() -> None:
+    """Shut down this process's search pool, if it has one."""
+    global _pool
+    held, _pool = _pool, None
+    if held is not None and held[1] == os.getpid():
+        held[3].cancel()
+        held[2].shutdown(wait=True, cancel_futures=True)
+
+
 def _run(
     claim: Claim,
     max_u: int,
@@ -205,16 +294,12 @@ def _run(
     workers = min(workers, os.cpu_count() or 1)
     stop_on_fail = mode == "falsify"
     canonical = mode == "falsify"
-    group_args = (
-        (claim.id, n, m, table, stop_on_fail, max_failures)
-        for n, m, table in _groups(claim, max_u, max_v, canonical)
-    )
+    groups = _groups(claim, max_u, max_v, canonical)
 
     report = SearchReport(claim.id, mode, max_u, max_v, Tally(), workers=workers)
 
-    def merge(result) -> bool:
-        tally, fails, reason = result
-        report.groups += 1
+    def merge(done: int, tally: Tally, fails: list, reason: Optional[str]) -> bool:
+        report.groups += done
         report.tally.add(tally)
         if reason is not None and report.ill_typed_reason is None:
             report.ill_typed_reason = reason
@@ -228,36 +313,36 @@ def _run(
         return False
 
     if workers == 1:
-        for args in group_args:
-            if merge(_run_group(args)):
-                break
+        merge(*_run_task((claim.id, groups, stop_on_fail, max_failures)))
     else:
         from collections import deque
-        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # bounded window of in-flight groups, merged strictly in submission
-        # order; on early stop the unstarted tail is cancelled and at most
-        # `workers` running groups are discarded
+        # bounded window of in-flight tasks, merged strictly in submission
+        # order; on early stop the unstarted tail is cancelled and the
+        # results of running tasks are never read
+        pool = _get_pool(workers)
+        tasks = _tasks(claim, groups)
+        pending: deque = deque()
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending: deque = deque()
-                exhausted = False
-                while True:
-                    while not exhausted and len(pending) < workers * 4:
-                        args = next(group_args, None)
-                        if args is None:
-                            exhausted = True
-                            break
-                        pending.append(pool.submit(_run_group, args))
-                    if not pending:
+            while True:
+                while len(pending) < workers * 2:
+                    batch = next(tasks, None)
+                    if batch is None:
                         break
-                    if merge(pending.popleft().result()):
-                        for fut in pending:
-                            fut.cancel()
-                        break
+                    pending.append(pool.submit(_run_task, (claim.id, batch, stop_on_fail, max_failures)))
+                if not pending:
+                    break
+                if merge(*pending.popleft().result()):
+                    for fut in pending:
+                        fut.cancel()
+                    break
         except BrokenProcessPool:
+            _drop_pool()
             raise WorkerCrashError("a search worker process died") from None
+        except BaseException:
+            _drop_pool()
+            raise
 
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -235,9 +235,16 @@ def _die(args):
 def test_worker_crash_exits_4_without_traceback(capsys, monkeypatch):
     from roughmap import search
 
-    # forked pool workers inherit the patched module
+    # pool workers see the module as it was when their pool started, so a
+    # pool left by an earlier test must go before the patch
+    search._drop_pool()
     monkeypatch.setattr(search, "_run_group", _die)
     code, out, err = run(capsys, "verify", "T31", "--max-u", "3", "--workers", "2")
     assert code == 4
     assert err == "roughmap: a search worker process died\n"
     assert "Traceback" not in out + err
+    # the crashed pool was dropped: the next sweep gets a new one
+    monkeypatch.undo()
+    code, out, err = run(capsys, "verify", "T31", "--max-u", "3", "--workers", "2")
+    assert code == 0
+    assert err == ""

@@ -1,8 +1,12 @@
+import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
-from roughmap import Outcome, REGISTRY, evaluate, falsify, verify
+from roughmap import Outcome, REGISTRY, evaluate, falsify, get_claim, search, verify
+from roughmap.docio import report_doc
 from roughmap.enumeration import (
     bell,
     iter_canonical_surjections,
@@ -89,10 +93,22 @@ def test_verify_clean_claim_has_zero_failures():
     assert report.tally.holds == report.instances
 
 
-@pytest.mark.parametrize("cid", ["T41-1", "L31-2-inc", "T31-refl"])
+# T31 at (6, 3) packs into two pool tasks, and its first failing group sits
+# in the middle of the first one
+FALSIFY_BOUNDS = {"T31": (6, 3)}
+
+
+@pytest.mark.parametrize("cid", ["T41-1", "L31-2-inc", "T31-refl", "T31"])
 def test_worker_count_does_not_change_results(cid):
-    reports = [falsify(cid, max_u=5, max_v=3, workers=w) for w in (1, 2, 8)]
+    max_u, max_v = FALSIFY_BOUNDS.get(cid, (5, 3))
+    reports = [falsify(cid, max_u, max_v, workers=w) for w in (1, 2, 8)]
     first = reports[0]
+    if first.found:
+        # the groups after the failing one in its task must go uncounted
+        claim = get_claim(cid)
+        tasks = search._tasks(claim, search._groups(claim, max_u, max_v, True))
+        ends = list(itertools.accumulate(len(batch) for batch in tasks))
+        assert first.groups not in ends
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.first_counterexample == first.first_counterexample
@@ -106,6 +122,15 @@ def test_verify_worker_count_does_not_change_failures():
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.failures == first.failures
+    # 852 groups in several pool tasks, and 2,160 failures against a cap of 20
+    docs = []
+    for w in (1, 2):
+        doc = report_doc(verify("T31", 6, 3, workers=w))
+        for key in ("wall_time_s", "workers", "tool"):
+            del doc[key]
+        docs.append(doc)
+    assert docs[0]["groups"] == 852 and docs[0]["tallies"]["fails"] == 2160
+    assert docs[1] == docs[0]
 
 
 def test_falsify_scans_canonical_maps_only():
@@ -160,3 +185,43 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert report.workers == 1
     monkeypatch.setenv("ROUGHMAP_WORKERS", "3")
     assert verify("T31", max_u=3).workers == 1
+
+
+def _falsify_in_child(conn):
+    report = falsify("T31", 6, 3, workers=2)
+    conn.send((report.tally, report.groups, report.first_counterexample, report.witness))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_forked_child_starts_its_own_pool():
+    import multiprocessing
+
+    expected = falsify("T31", 6, 3, workers=1)
+    falsify("T31", 6, 3, workers=2)  # the parent now holds a pool
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_falsify_in_child, args=(sender,))
+    child.start()
+    try:
+        # on the parent's executor the child would wait forever
+        assert receiver.poll(60)
+        got = receiver.recv()
+        # the child shuts its own pool down on exit
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert got == (expected.tally, expected.groups, expected.first_counterexample, expected.witness)
+
+
+def test_import_leaves_pool_modules_unloaded():
+    # the pool's modules cost more to import than roughmap itself
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    code = (
+        "import roughmap, sys; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
