@@ -16,9 +16,8 @@ from .structures import Partition, Subset
 def _lower_upper(p: Partition, x: Subset) -> tuple[int, int]:
     if p.universe is not x.universe:
         raise MixedUniverseError("subset and partition live on different universes")
-    k = kernels.select(p.universe.size)
     masks = tuple(b.mask for b in p.blocks())
-    return k.lower_upper_masks(masks, x.mask)
+    return kernels.lower_upper_masks(masks, x.mask)
 
 
 def lower_approx(p: Partition, x: Subset) -> Subset:

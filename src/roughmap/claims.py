@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
 from typing import Optional, Union
 
 from . import kernels
+from .kernels import contribution, fiber_counts, unpack_rows
 from .enumeration import iter_rgs
 from .errors import BadInstanceError
 from .mappings import SurjMap
@@ -215,11 +215,7 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # every map of that size; the last two are kept per map, in GroupContext.
 # Tables are built lazily, on first use; above _TABLE_MAX_N elements the
 # per-size answers are computed by the kernels on every call instead.
-#
-# f(R) is the union over R's blocks B of a contribution that depends only on
-# B and the map: the pairs (v, w) of values whose fibers B meets and cuts in
-# equal fractions |F_v ∩ B|/|F_v| = |F_w ∩ B|/|F_w|.  A relation on V is one
-# packed int, pair (v, w) at bit v*m + w, so f(R) is an OR of contributions.
+# f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
 # (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
@@ -258,30 +254,6 @@ class _Cached(dict):
         return hit
 
 
-def _contribution(sizes, counts) -> int:
-    """Packed pairs a block adds to f(R), from the fiber sizes |F_v| and the
-    counts |F_v ∩ B| of the block."""
-    m = len(sizes)
-    classes: dict = {}  # equal fractions -> mask of their values
-    for v, c in enumerate(counts):
-        if c:
-            g = gcd(c, sizes[v])
-            key = (c // g, sizes[v] // g)
-            classes[key] = classes.get(key, 0) | 1 << v
-    out = 0
-    for values in classes.values():
-        for v in range(m):
-            if (values >> v) & 1:
-                out |= values << v * m
-    return out
-
-
-def _rows(packed: int, m: int) -> tuple[int, ...]:
-    """The rows of a packed relation on a universe of size m."""
-    full = (1 << m) - 1
-    return tuple((packed >> v * m) & full for v in range(m))
-
-
 class _Relation:
     """A relation on V: packed, as rows, its classification flags and, when
     it is an equivalence, its rgs."""
@@ -290,7 +262,7 @@ class _Relation:
 
     def __init__(self, kern, m: int, packed: int):
         self.packed = packed
-        self.rows = _rows(packed, m)
+        self.rows = unpack_rows(packed, m)
         self.flags = kern.classify_rows(self.rows)
         self.rgs = kern.rows_to_rgs(self.rows) if self.flags == kernels.EQUIVALENCE else None
 
@@ -321,7 +293,7 @@ class _DirectTables:
     def union(self, rgs1, rgs2):
         """rgs of R1 ∪ R2 when that union is an equivalence, else None."""
         kern = self.kern
-        union = kern.rows_or(kern.partition_rows(rgs1), kern.partition_rows(rgs2))
+        union = tuple(a | b for a, b in zip(kern.partition_rows(rgs1), kern.partition_rows(rgs2)))
         if kern.classify_rows(union) != kernels.EQUIVALENCE:
             return None
         return kern.rows_to_rgs(union)
@@ -435,7 +407,7 @@ class GroupContext:
             sizes = [f.bit_count() for f in fibers]
             self.images = _Computed(lambda x: image_mask(table, x))
             self.contributions = _Cached(
-                lambda block: _contribution(sizes, [(f & block).bit_count() for f in fibers])
+                lambda block: contribution(sizes, fiber_counts(fibers, block))
             )
 
     @classmethod
@@ -464,7 +436,7 @@ class GroupContext:
             c = counts[x] = counts[x ^ low] + (1 << v * width)
             hit = memo.get(c)
             if hit is None:
-                hit = memo[c] = _contribution(sizes, [(c >> i * width) & full for i in range(len(sizes))])
+                hit = memo[c] = contribution(sizes, [(c >> i * width) & full for i in range(len(sizes))])
             contributions[x] = hit
         self.images = images
         self.contributions = contributions
@@ -584,7 +556,7 @@ def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
     if not left.packed & ~right:
         return _HOLDS
     return _fails(
-        relation_not_included("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", _rows(right, ctx.m))
+        relation_not_included("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", unpack_rows(right, ctx.m))
     )
 
 
@@ -596,7 +568,7 @@ def _eval_l312_eq(ctx, rgs1, rgs2, xmask):
     if left.packed == right:
         return _HOLDS
     return _fails(
-        relation_not_equal("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", _rows(right, ctx.m))
+        relation_not_equal("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", unpack_rows(right, ctx.m))
     )
 
 
@@ -609,7 +581,7 @@ def _eval_l313_inc(ctx, rgs1, rgs2, xmask):
     if not right & ~left.packed:
         return _HOLDS
     return _fails(
-        relation_not_included("codomain", "f(R1) ∪ f(R2)", _rows(right, ctx.m), "f(R1 ∪ R2)", left.rows)
+        relation_not_included("codomain", "f(R1) ∪ f(R2)", unpack_rows(right, ctx.m), "f(R1 ∪ R2)", left.rows)
     )
 
 
@@ -624,7 +596,7 @@ def _eval_l313_eq(ctx, rgs1, rgs2, xmask):
     if left.packed == right:
         return _HOLDS
     return _fails(
-        relation_not_equal("codomain", "f(R1 ∪ R2)", left.rows, "f(R1) ∪ f(R2)", _rows(right, ctx.m))
+        relation_not_equal("codomain", "f(R1 ∪ R2)", left.rows, "f(R1) ∪ f(R2)", unpack_rows(right, ctx.m))
     )
 
 
@@ -634,7 +606,7 @@ def _eval_l313_join(ctx, rgs1, rgs2, xmask):
     if not right & ~left.packed:
         return _HOLDS
     return _fails(
-        relation_not_included("codomain", "f(R1) ∪ f(R2)", _rows(right, ctx.m), "f(R1 ∨ R2)", left.rows)
+        relation_not_included("codomain", "f(R1) ∪ f(R2)", unpack_rows(right, ctx.m), "f(R1 ∨ R2)", left.rows)
     )
 
 

@@ -100,9 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     co = sub.add_parser("count", help="closed-form sizes of the search spaces")
     g = co.add_mutually_exclusive_group(required=True)
-    g.add_argument("--partitions", type=int, metavar="N")
-    g.add_argument("--surjections", type=int, nargs=2, metavar=("N", "M"))
-    g.add_argument("--subsets", type=int, metavar="N")
+    g.add_argument("--partitions", type=_at_least_one, metavar="N")
+    g.add_argument("--surjections", type=_at_least_one, nargs=2, metavar=("N", "M"))
+    g.add_argument("--subsets", type=_at_least_one, metavar="N")
     return p
 
 
@@ -159,23 +159,14 @@ def _cmd_list_claims(args) -> int:
 def _cmd_count(args) -> int:
     if args.partitions is not None:
         n = args.partitions
-        if n < 1:
-            print("count: n must be at least 1", file=sys.stderr)
-            return 2
         print(f"partitions of {n}: {bell(n)}")
     elif args.surjections is not None:
         n, m = args.surjections
-        if n < 1 or m < 1:
-            print("count: n and m must be at least 1", file=sys.stderr)
-            return 2
         count = surjection_count(n, m)
         note = " (no surjections onto a larger codomain)" if m > n else ""
         print(f"surjections {n} -> {m}: {count}{note}")
     else:
         n = args.subsets
-        if n < 1:
-            print("count: n must be at least 1", file=sys.stderr)
-            return 2
         print(f"subsets of {n}: {subset_count(n)}")
     return 0
 

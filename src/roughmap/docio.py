@@ -57,44 +57,19 @@ def render_witness(witness: dict, u: Universe, v: Universe) -> str:
     """Human-readable account of a Fails witness, using instance labels."""
     kind = witness["kind"]
     labels = (u if witness.get("space") == "domain" else v).label
-    if kind == "relation-not-included":
-        a, b = witness["pair"]
-        lines = [
-            f"pair ({labels(a)}, {labels(b)}) is in {witness['left_name']} "
-            f"but not in {witness['right_name']}",
-            f"  {witness['left_name']} = {render_pairs(witness['left'], labels)}",
-            f"  {witness['right_name']} = {render_pairs(witness['right'], labels)}",
-        ]
-        return "\n".join(lines)
-    if kind == "relation-not-equal":
-        a, b = witness["pair"]
+    if kind in ("relation-not-included", "relation-not-equal", "subset-not-included", "subset-not-equal"):
+        if kind.startswith("relation"):
+            a, b = witness["pair"]
+            item, render = f"pair ({labels(a)}, {labels(b)})", render_pairs
+        else:
+            item, render = f"element {labels(witness['element'])}", render_elements
         holder, misser = witness["left_name"], witness["right_name"]
-        if witness["side"] == "right-only":
+        if witness.get("side") == "right-only":
             holder, misser = misser, holder
         lines = [
-            f"pair ({labels(a)}, {labels(b)}) is in {holder} but not in {misser}",
-            f"  {witness['left_name']} = {render_pairs(witness['left'], labels)}",
-            f"  {witness['right_name']} = {render_pairs(witness['right'], labels)}",
-        ]
-        return "\n".join(lines)
-    if kind == "subset-not-included":
-        e = witness["element"]
-        lines = [
-            f"element {labels(e)} is in {witness['left_name']} "
-            f"but not in {witness['right_name']}",
-            f"  {witness['left_name']} = {render_elements(witness['left'], labels)}",
-            f"  {witness['right_name']} = {render_elements(witness['right'], labels)}",
-        ]
-        return "\n".join(lines)
-    if kind == "subset-not-equal":
-        e = witness["element"]
-        holder, misser = witness["left_name"], witness["right_name"]
-        if witness["side"] == "right-only":
-            holder, misser = misser, holder
-        lines = [
-            f"element {labels(e)} is in {holder} but not in {misser}",
-            f"  {witness['left_name']} = {render_elements(witness['left'], labels)}",
-            f"  {witness['right_name']} = {render_elements(witness['right'], labels)}",
+            f"{item} is in {holder} but not in {misser}",
+            f"  {witness['left_name']} = {render(witness['left'], labels)}",
+            f"  {witness['right_name']} = {render(witness['right'], labels)}",
         ]
         return "\n".join(lines)
     if kind == "not-equivalence":
@@ -210,8 +185,7 @@ def _parse_partitions(doc_parts, u: Universe) -> tuple[tuple[str, ...], tuple[Pa
     if isinstance(doc_parts, dict):
         named = list(doc_parts.items())
     elif isinstance(doc_parts, list):
-        default = ["R"] if len(doc_parts) == 1 else [f"R{i + 1}" for i in range(len(doc_parts))]
-        named = list(zip(default, doc_parts))
+        named = list(zip(_partition_names(len(doc_parts)), doc_parts))
     else:
         raise ValidationError("partitions", "must be an object or a list")
     if not 1 <= len(named) <= 2:
@@ -273,6 +247,11 @@ def default_labels_u(n: int) -> list[str]:
     return [str(i + 1) for i in range(n)]
 
 
+def _partition_names(count: int) -> list[str]:
+    """R for a single partition, else R1, R2, ..."""
+    return ["R"] if count == 1 else [f"R{i + 1}" for i in range(count)]
+
+
 def default_labels_v(m: int) -> list[str]:
     # a..z, then aa, ab, ... spreadsheet style
     out = []
@@ -296,9 +275,7 @@ def emit_instance_doc(
     lab_u = list(u.labels) if u.labels else default_labels_u(u.size)
     lab_v = list(v.labels) if v.labels else default_labels_v(v.size)
     if partition_names is None:
-        partition_names = (
-            ["R"] if len(inst.partitions) == 1 else [f"R{i + 1}" for i in range(len(inst.partitions))]
-        )
+        partition_names = _partition_names(len(inst.partitions))
     doc: dict = {"schema": INSTANCE_SCHEMA}
     if claim_id:
         doc["claim"] = claim_id
@@ -331,9 +308,7 @@ def render_instance_text(inst: Instance, partition_names: Optional[Sequence[str]
     """Short per-line description of an instance, for report bodies."""
     u, v = inst.f.domain, inst.f.codomain
     if partition_names is None:
-        partition_names = (
-            ["R"] if len(inst.partitions) == 1 else [f"R{i + 1}" for i in range(len(inst.partitions))]
-        )
+        partition_names = _partition_names(len(inst.partitions))
     lines = [
         f"U = {render_elements(range(u.size), u.label)}, "
         f"V = {render_elements(range(v.size), v.label)}",

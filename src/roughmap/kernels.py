@@ -7,7 +7,8 @@ Conventions:
 * a partition is a restricted-growth string `rgs` (tuple of ints,
   rgs[0] == 0 and rgs[i] <= 1 + max(rgs[:i])), block ids 0..nblocks-1;
 * a binary relation over a size-m universe is a tuple `rows` of m ints,
-  bit j of rows[i] meaning the pair (i, j);
+  bit j of rows[i] meaning the pair (i, j), or one `packed` int with the
+  pair (v, w) at bit v*m + w;
 * a map U -> V is a tuple `table` of images, plus its precomputed
   `fibers` (tuple of m preimage masks).
 
@@ -15,6 +16,7 @@ Python ints are unbounded, so every kernel works for any n.
 """
 
 import sys
+from math import gcd
 
 # name of the kernel implementation, recorded in benchmark results
 BACKEND = "python"
@@ -116,41 +118,39 @@ def closure_rows(rows):
     return tuple(out)
 
 
-def relmap_rows(rgs, table, fibers):
-    """Image relation on V of the partition `rgs` under the map `table`.
+def fiber_counts(fibers, block):
+    """|F_v ∩ B| of a block mask B for every fiber F_v."""
+    return [(f & block).bit_count() for f in fibers]
 
-    A pair (table[x], table[y]) is included when x and y share a block
-    and the two elements cut equal fractions of their fibers out of that
-    block: |fiber(x) & block| * |fiber(y)| == |fiber(y) & block| * |fiber(x)|.
-    Exact integer cross-multiplication, no rationals materialized.
+
+def contribution(sizes, counts) -> int:
+    """Packed pairs a block B adds to f(R), from the fiber sizes |F_v| and
+    the counts |F_v ∩ B|.
+
+    f(R) is the union over R's blocks B of a contribution that depends only
+    on B and the map: the pairs (v, w) of values whose fibers B meets and
+    cuts in equal fractions |F_v ∩ B|/|F_v| = |F_w ∩ B|/|F_w|.  A relation
+    on V is one packed int, so f(R) is an OR of contributions.
     """
-    n = len(rgs)
-    m = len(fibers)
-    blocks = block_masks(rgs)
-    num = [0] * n
-    den = [0] * n
-    for x in range(n):
-        f = fibers[table[x]]
-        num[x] = (blocks[rgs[x]] & f).bit_count()
-        den[x] = f.bit_count()
-    rows = [0] * m
-    for x in range(n):
-        rx, nx, dx = rgs[x], num[x], den[x]
-        vx = table[x]
-        for y in range(n):
-            if rgs[y] == rx and nx * den[y] == num[y] * dx:
-                rows[vx] |= 1 << table[y]
-    return tuple(rows)
+    m = len(sizes)
+    classes: dict = {}  # equal fractions -> mask of their values
+    for v, c in enumerate(counts):
+        if c:
+            g = gcd(c, sizes[v])
+            key = (c // g, sizes[v] // g)
+            classes[key] = classes.get(key, 0) | 1 << v
+    out = 0
+    for values in classes.values():
+        for v in range(m):
+            if (values >> v) & 1:
+                out |= values << v * m
+    return out
 
 
-def degree_pairs(rgs, table, fibers):
-    """Per-element degree of its block within its fiber, as (num, den) pairs."""
-    blocks = block_masks(rgs)
-    out = []
-    for x in range(len(rgs)):
-        f = fibers[table[x]]
-        out.append(((blocks[rgs[x]] & f).bit_count(), f.bit_count()))
-    return tuple(out)
+def unpack_rows(packed: int, m: int) -> tuple[int, ...]:
+    """The rows of a packed relation on a universe of size m."""
+    full = (1 << m) - 1
+    return tuple((packed >> v * m) & full for v in range(m))
 
 
 def meet_rgs(rgs1, rgs2):
@@ -238,16 +238,13 @@ def image_mask(table, xmask):
     return out
 
 
-def rows_or(r1, r2):
-    return tuple(a | b for a, b in zip(r1, r2))
-
-
 def select(n: int, m: int | None = None):
     """The kernel module for a universe of size n (codomain size m).
 
-    Returns this module.  The engine reaches every kernel through this
-    call, so the per-layer benchmark trace (`perfbench/tracing.py`) can
-    wrap it to count and time kernel calls.
+    Returns this module.  The engine fetches its kernels through this call
+    (`claims.GroupContext`, `claims._DirectTables`), so the per-layer
+    benchmark trace (`perfbench/tracing.py`) can wrap it to count and time
+    kernel calls; the public API calls the kernels directly.
     """
     return _this
 

@@ -88,8 +88,7 @@ class SurjMap:
         self.domain = domain
         self.codomain = codomain
         self.table = table
-        k = kernels.select(domain.size, codomain.size)
-        self.fibers = k.fiber_masks(table, codomain.size)
+        self.fibers = kernels.fiber_masks(table, codomain.size)
         self.surjective = all(m != 0 for m in self.fibers)
 
     @classmethod
@@ -129,8 +128,7 @@ class SurjMap:
     def image_subset(self, x: Subset) -> Subset:
         if x.universe is not self.domain:
             raise MixedUniverseError("subset not over the map's domain")
-        k = kernels.select(self.domain.size, self.codomain.size)
-        return Subset(self.codomain, k.image_mask(self.table, x.mask))
+        return Subset(self.codomain, kernels.image_mask(self.table, x.mask))
 
     def __eq__(self, other):
         return (
@@ -160,29 +158,27 @@ def relmap(f: SurjMap, p: Partition) -> BinRelation:
     """Image relation of an equivalence under f.
 
     (f(x), f(y)) is kept iff x and y are equivalent and the degree of x's
-    class within x's fiber equals the degree of y's class within y's fiber.
+    class within x's fiber equals the degree of y's class within y's fiber:
+    the OR of every block's `kernels.contribution`.
     """
     if p.universe is not f.domain:
         raise MixedUniverseError("partition not over the map's domain")
-    k = kernels.select(f.domain.size, f.codomain.size)
-    rows = k.relmap_rows(p.rgs, f.table, f.fibers)
-    return BinRelation(f.codomain, rows)
+    sizes = [fiber.bit_count() for fiber in f.fibers]
+    packed = 0
+    for block in kernels.block_masks(p.rgs):
+        packed |= kernels.contribution(sizes, kernels.fiber_counts(f.fibers, block))
+    return BinRelation(f.codomain, kernels.unpack_rows(packed, f.codomain.size))
 
 
 def degree_table(f: SurjMap, p: Partition) -> tuple[DegreeRatio, ...]:
     """Per-domain-element degree of its class inside its fiber."""
     if p.universe is not f.domain:
         raise MixedUniverseError("partition not over the map's domain")
-    k = kernels.select(f.domain.size, f.codomain.size)
-    return tuple(
-        DegreeRatio(num, den)
-        for num, den in k.degree_pairs(p.rgs, f.table, f.fibers)
-    )
+    return tuple(including_degree(f.fiber_of(x), p.block_of(x)) for x in range(f.domain.size))
 
 
 def fiber_condition(f: SurjMap, p: Partition) -> bool:
     """True when every fiber sits inside the class of its elements."""
     if p.universe is not f.domain:
         raise MixedUniverseError("partition not over the map's domain")
-    k = kernels.select(f.domain.size, f.codomain.size)
-    return k.fiber_condition(p.rgs, f.table, f.fibers)
+    return kernels.fiber_condition(p.rgs, f.table, f.fibers)

@@ -155,63 +155,42 @@ def _group_instances(claim: Claim, n: int) -> Iterator[tuple]:
             yield rgs1, None, None
 
 
-def _run_group(args: tuple) -> tuple[Tally, list[tuple[RawInstance, dict]], Optional[str]]:
-    """Evaluate every instance of one (claim, n, m, table) group.
-
-    Returns (tally, failures capped at max_failures, first ill-typed reason).
-    In stop-on-fail mode the tally covers instances up to and including the
-    first failure only.
-    """
-    claim_id, n, m, table, stop_on_fail, max_failures = args
-    claim = get_claim(claim_id)
-    ctx = GroupContext(n, m, table)
-    holds = vacuous = ill_typed = failed = 0
-    fails: list[tuple[RawInstance, dict]] = []
-    reason: Optional[str] = None
-    for rgs1, rgs2, xmask in _group_instances(claim, n):
-        verdict = evaluate_raw(claim_id, ctx, rgs1, rgs2, xmask)
-        outcome = verdict.outcome
-        if outcome is _HOLDS:
-            holds += 1
-        elif outcome is _VACUOUS:
-            vacuous += 1
-        elif outcome is _ILL_TYPED:
-            ill_typed += 1
-            if reason is None:
-                reason = verdict.reason
-        else:
-            failed += 1
-            if len(fails) < max_failures:
-                parts = (rgs1,) if rgs2 is None else (rgs1, rgs2)
-                fails.append((RawInstance(n, m, table, parts, xmask), verdict.witness))
-            if stop_on_fail:
-                break
-    return Tally(holds, failed, ill_typed, vacuous), fails, reason
-
-
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
-    """Evaluate a run of consecutive groups of one claim, in order: a pool
-    task, or on one worker the whole sweep.
+    """Evaluate every instance of a run of consecutive (n, m, table) groups
+    of one claim, in order: a pool task, or on one worker the whole sweep.
 
     Returns (groups done, tally, failures capped at max_failures, first
-    ill-typed reason).  In stop-on-fail mode the task ends with its first
-    group that fails, and everything after it is left uncounted.
+    ill-typed reason).  In stop-on-fail mode the task ends at its first
+    failure, and everything after it is left uncounted.
     """
     claim_id, groups, stop_on_fail, max_failures = args
-    total = Tally()
+    claim = get_claim(claim_id)
+    holds = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: Optional[str] = None
     done = 0
     for n, m, table in groups:
-        tally, group_fails, group_reason = _run_group((claim_id, n, m, table, stop_on_fail, max_failures))
+        ctx = GroupContext(n, m, table)
         done += 1
-        total.add(tally)
-        if reason is None:
-            reason = group_reason
-        fails.extend(group_fails[: max_failures - len(fails)])
-        if group_fails and stop_on_fail:
-            break
-    return done, total, fails, reason
+        for rgs1, rgs2, xmask in _group_instances(claim, n):
+            verdict = evaluate_raw(claim_id, ctx, rgs1, rgs2, xmask)
+            outcome = verdict.outcome
+            if outcome is _HOLDS:
+                holds += 1
+            elif outcome is _VACUOUS:
+                vacuous += 1
+            elif outcome is _ILL_TYPED:
+                ill_typed += 1
+                if reason is None:
+                    reason = verdict.reason
+            else:
+                failed += 1
+                if len(fails) < max_failures:
+                    parts = (rgs1,) if rgs2 is None else (rgs1, rgs2)
+                    fails.append((RawInstance(n, m, table, parts, xmask), verdict.witness))
+                if stop_on_fail:
+                    return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
+    return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
 
 
 def _group_size(claim: Claim, n: int) -> int:

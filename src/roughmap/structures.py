@@ -219,12 +219,10 @@ class BinRelation:
         return all(not (a & ~b) for a, b in zip(self.rows, other.rows))
 
     def classify(self) -> "Classification":
-        k = kernels.select(self.universe.size)
-        return Classification(k.classify_rows(self.rows))
+        return Classification(kernels.classify_rows(self.rows))
 
     def transitive_closure(self) -> "BinRelation":
-        k = kernels.select(self.universe.size)
-        return BinRelation(self.universe, k.closure_rows(self.rows))
+        return BinRelation(self.universe, kernels.closure_rows(self.rows))
 
     def to_partition(self) -> "Partition":
         """Partition of an equivalence relation; raises NotEquivalenceError otherwise."""
@@ -235,8 +233,7 @@ class BinRelation:
             raise NotEquivalenceError("symmetry")
         if not c.transitive:
             raise NotEquivalenceError("transitivity")
-        k = kernels.select(self.universe.size)
-        return Partition(self.universe, k.rows_to_rgs(self.rows))
+        return Partition(self.universe, kernels.rows_to_rgs(self.rows))
 
     def __repr__(self):
         u = self.universe
@@ -341,9 +338,8 @@ class Partition:
 
     def blocks(self) -> tuple[Subset, ...]:
         if self._blocks is None:
-            k = kernels.select(self.universe.size)
             self._blocks = tuple(
-                Subset(self.universe, m) for m in k.block_masks(self.rgs)
+                Subset(self.universe, m) for m in kernels.block_masks(self.rgs)
             )
         return self._blocks
 
@@ -353,25 +349,22 @@ class Partition:
         return self.blocks()[self.rgs[x]]
 
     def to_relation(self) -> BinRelation:
-        k = kernels.select(self.universe.size)
-        return BinRelation(self.universe, k.partition_rows(self.rgs))
+        return BinRelation(self.universe, kernels.partition_rows(self.rgs))
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
         _check_same(self.universe, other.universe)
-        return kernels.select(self.universe.size).refines_rgs(self.rgs, other.rgs)
+        return kernels.refines_rgs(self.rgs, other.rgs)
 
     def meet(self, other: "Partition") -> "Partition":
         """Coarsest common refinement (pairwise block intersections)."""
         _check_same(self.universe, other.universe)
-        k = kernels.select(self.universe.size)
-        return Partition(self.universe, k.meet_rgs(self.rgs, other.rgs))
+        return Partition(self.universe, kernels.meet_rgs(self.rgs, other.rgs))
 
     def join(self, other: "Partition") -> "Partition":
         """Finest common coarsening (transitive closure of the union)."""
         _check_same(self.universe, other.universe)
-        k = kernels.select(self.universe.size)
-        return Partition(self.universe, k.join_rgs(self.rgs, other.rgs))
+        return Partition(self.universe, kernels.join_rgs(self.rgs, other.rgs))
 
     def raw_union(self, other: "Partition") -> BinRelation:
         """Plain pair-set union of the two equivalences; may not be one itself."""

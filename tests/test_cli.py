@@ -41,8 +41,10 @@ def test_count_commands(capsys):
     code, out, _ = run(capsys, "count", "--surjections", "2", "3")
     assert code == 0
     assert "0" in out and "no surjections onto a larger codomain" in out
-    code, _, err = run(capsys, "count", "--partitions", "0")
-    assert code == 2
+    for argv in (("--partitions", "0"), ("--surjections", "3", "0"), ("--subsets", "0")):
+        code, out, err = run(capsys, "count", *argv)
+        assert code == 2 and out == ""
+        assert "must be at least 1" in err
 
 
 def test_falsify_exit_codes(capsys):
@@ -238,7 +240,7 @@ def test_worker_crash_exits_4_without_traceback(capsys, monkeypatch):
     # pool workers see the module as it was when their pool started, so a
     # pool left by an earlier test must go before the patch
     search._drop_pool()
-    monkeypatch.setattr(search, "_run_group", _die)
+    monkeypatch.setattr(search, "_run_task", _die)
     code, out, err = run(capsys, "verify", "T31", "--max-u", "3", "--workers", "2")
     assert code == 4
     assert err == "roughmap: a search worker process died\n"

@@ -92,16 +92,17 @@ def test_from_pairs_requires_totality_and_single_image():
 
 
 def test_relmap_matches_set_oracle_exhaustively():
-    # every surjection and partition with |U| <= 4
+    # every map table and partition with |U| <= 4 and |V| <= max(|U|, 3):
+    # maps with empty fibers as well as surjections
     from roughmap import Partition
-    from roughmap.enumeration import iter_rgs, iter_surjections
+    from roughmap.enumeration import iter_rgs, iter_tables
 
     for n in range(1, 5):
         u = Universe(n)
         parts = [Partition(u, rgs) for rgs in iter_rgs(n)]
-        for m in range(1, n + 1):
+        for m in range(1, max(n, 3) + 1):
             v = Universe(m)
-            for table in iter_surjections(n, m):
+            for table in iter_tables(n, m):
                 f = SurjMap(u, v, table)
                 for mask in range(1 << n):
                     x = Subset(u, mask)
