@@ -2,7 +2,7 @@
 and an exhaustive claim-checking engine.
 
 The core objects are bitmask-backed: a Universe of n indexed elements, a
-Subset as one mask, a BinRelation as n row masks, and a Partition stored
+Subset as one mask, a BinRelation as one packed int, and a Partition stored
 canonically as a restricted-growth string.  A map between universes
 induces an image relation that keeps a pair (f(x), f(y)) only when x and
 y are equivalent and cut equal exact fractions out of their fibers; the
@@ -75,7 +75,6 @@ from .errors import (
     EmptyUniverseError,
     IoError,
     MixedUniverseError,
-    NoSurjectionError,
     NotAPartitionError,
     NotEquivalenceError,
     ParseError,
@@ -97,7 +96,6 @@ __all__ = [
     "BadElementError",
     "BadImageError",
     "EmptyReferenceError",
-    "NoSurjectionError",
     "BadInstanceError",
     "ParseError",
     "ValidationError",

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from . import kernels
-from .kernels import contribution, fiber_counts, unpack_rows
+from .kernels import contribution, fiber_counts
 from .enumeration import iter_rgs
 from .errors import BadInstanceError
 from .mappings import SurjMap
@@ -214,7 +214,8 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # f(R).  The first two depend on the universe size alone and are shared by
 # every map of that size; the last two are kept per map, in GroupContext.
 # Tables are built lazily, on first use; above _TABLE_MAX_N elements the
-# per-size answers are computed by the kernels on every call instead.
+# per-size answers are computed by the kernels instead, and what is kept is
+# kept only as long as one GroupContext.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
@@ -227,18 +228,6 @@ _TODO = object()  # a pair-row slot not filled yet
 # relations on V keyed by m, then by the packed relation
 _CONTRIBUTIONS: dict = {}
 _RELATIONS: dict = {}
-
-
-class _Computed:
-    """A table too large to store: entry x is computed when it is read."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def __getitem__(self, x):
-        return self.entry(x)
 
 
 class _Cached(dict):
@@ -255,31 +244,34 @@ class _Cached(dict):
 
 
 class _Relation:
-    """A relation on V: packed, as rows, its classification flags and, when
-    it is an equivalence, its rgs."""
+    """A packed relation on V, its classification flags and, when it is an
+    equivalence, its rgs."""
 
-    __slots__ = ("packed", "rows", "flags", "rgs")
+    __slots__ = ("packed", "flags", "rgs")
 
     def __init__(self, kern, m: int, packed: int):
         self.packed = packed
-        self.rows = unpack_rows(packed, m)
-        self.flags = kern.classify_rows(self.rows)
-        self.rgs = kern.rows_to_rgs(self.rows) if self.flags == kernels.EQUIVALENCE else None
+        self.flags = kern.classify(packed, m)
+        self.rgs = kern.relation_rgs(packed, m) if self.flags == kernels.EQUIVALENCE else None
 
 
 class _DirectTables:
-    """Per-size answers computed by the kernels on every call."""
+    """Per-size answers computed by the kernels when asked for.
+
+    Block masks and approximation entries are kept on first read; every
+    GroupContext makes its own _DirectTables, so they die with it.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.kern = kernels.select(n)
-        self.blocks = _Computed(self.kern.block_masks)
+        self.blocks = _Cached(self.kern.block_masks)
 
     def approx(self, rgs):
         """(lower, upper) approximations over rgs, each indexed by subset mask."""
         blocks = self.kern.block_masks(rgs)
         lub = self.kern.lower_upper_masks
-        return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
+        return _Cached(lambda x: lub(blocks, x)[0]), _Cached(lambda x: lub(blocks, x)[1])
 
     def meet(self, rgs1, rgs2):
         return self.kern.meet_rgs(rgs1, rgs2)
@@ -293,10 +285,10 @@ class _DirectTables:
     def union(self, rgs1, rgs2):
         """rgs of R1 ∪ R2 when that union is an equivalence, else None."""
         kern = self.kern
-        union = tuple(a | b for a, b in zip(kern.partition_rows(rgs1), kern.partition_rows(rgs2)))
-        if kern.classify_rows(union) != kernels.EQUIVALENCE:
+        union = kern.partition_relation(rgs1) | kern.partition_relation(rgs2)
+        if kern.classify(union, self.n) != kernels.EQUIVALENCE:
             return None
-        return kern.rows_to_rgs(union)
+        return kern.relation_rgs(union, self.n)
 
 
 class _SizeTables:
@@ -405,7 +397,7 @@ class GroupContext:
         else:
             fibers, image_mask = self.fibers, self.kern.image_mask
             sizes = [f.bit_count() for f in fibers]
-            self.images = _Computed(lambda x: image_mask(table, x))
+            self.images = _Cached(lambda x: image_mask(table, x))
             self.contributions = _Cached(
                 lambda block: contribution(sizes, fiber_counts(fibers, block))
             )
@@ -504,32 +496,29 @@ def _eval_t31(ctx, rgs1, rgs2, xmask):
     rel = ctx.image_relation(rgs1)
     if rel.flags == kernels.EQUIVALENCE:
         return _HOLDS
-    return _fails(not_equivalence(rel.rows))
+    return _fails(not_equivalence(rel.packed, ctx.m))
 
 
 def _eval_t31_refl(ctx, rgs1, rgs2, xmask):
     rel = ctx.image_relation(rgs1)
-    rows = rel.rows
+    m = ctx.m
     reflexive = bool(rel.flags & kernels.REFLEXIVE)
     if reflexive == ctx.surjective:
         return _HOLDS
     if ctx.surjective:
-        v = next(v for v in range(ctx.m) if not (rows[v] >> v) & 1)
+        v = next(v for v in range(m) if not (rel.packed >> v * (m + 1)) & 1)
     else:
-        v = next(v for v in range(ctx.m) if ctx.fibers[v] == 0)
+        v = next(v for v in range(m) if ctx.fibers[v] == 0)
     return _fails(
         {
             "kind": "reflexivity-mismatch",
             "surjective": ctx.surjective,
             "reflexive": reflexive,
             "element": v,
-            "relation": pairs(rows),
+            "relation": pairs(rel.packed, m),
         }
     )
 
-
-# The pair claims compare packed relations on V; rows are unpacked only for
-# a witness.
 
 def _eval_l311_fwd(ctx, rgs1, rgs2, xmask):
     if not ctx.sizes.refines(rgs1, rgs2):
@@ -538,7 +527,7 @@ def _eval_l311_fwd(ctx, rgs1, rgs2, xmask):
     right = ctx.relmap(rgs2)
     if not left.packed & ~right.packed:
         return _HOLDS
-    return _fails(relation_not_included("codomain", "f(R1)", left.rows, "f(R2)", right.rows))
+    return _fails(relation_not_included("codomain", ctx.m, "f(R1)", left.packed, "f(R2)", right.packed))
 
 
 def _eval_l311_bwd(ctx, rgs1, rgs2, xmask):
@@ -546,8 +535,8 @@ def _eval_l311_bwd(ctx, rgs1, rgs2, xmask):
         return _VACUOUS
     if ctx.sizes.refines(rgs1, rgs2):
         return _HOLDS
-    rows = ctx.kern.partition_rows
-    return _fails(relation_not_included("domain", "R1", rows(rgs1), "R2", rows(rgs2)))
+    packed = ctx.kern.partition_relation
+    return _fails(relation_not_included("domain", ctx.n, "R1", packed(rgs1), "R2", packed(rgs2)))
 
 
 def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
@@ -556,7 +545,7 @@ def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
     if not left.packed & ~right:
         return _HOLDS
     return _fails(
-        relation_not_included("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", unpack_rows(right, ctx.m))
+        relation_not_included("codomain", ctx.m, "f(R1 ∩ R2)", left.packed, "f(R1) ∩ f(R2)", right)
     )
 
 
@@ -568,7 +557,7 @@ def _eval_l312_eq(ctx, rgs1, rgs2, xmask):
     if left.packed == right:
         return _HOLDS
     return _fails(
-        relation_not_equal("codomain", "f(R1 ∩ R2)", left.rows, "f(R1) ∩ f(R2)", unpack_rows(right, ctx.m))
+        relation_not_equal("codomain", ctx.m, "f(R1 ∩ R2)", left.packed, "f(R1) ∩ f(R2)", right)
     )
 
 
@@ -581,7 +570,7 @@ def _eval_l313_inc(ctx, rgs1, rgs2, xmask):
     if not right & ~left.packed:
         return _HOLDS
     return _fails(
-        relation_not_included("codomain", "f(R1) ∪ f(R2)", unpack_rows(right, ctx.m), "f(R1 ∪ R2)", left.rows)
+        relation_not_included("codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∪ R2)", left.packed)
     )
 
 
@@ -596,7 +585,7 @@ def _eval_l313_eq(ctx, rgs1, rgs2, xmask):
     if left.packed == right:
         return _HOLDS
     return _fails(
-        relation_not_equal("codomain", "f(R1 ∪ R2)", left.rows, "f(R1) ∪ f(R2)", unpack_rows(right, ctx.m))
+        relation_not_equal("codomain", ctx.m, "f(R1 ∪ R2)", left.packed, "f(R1) ∪ f(R2)", right)
     )
 
 
@@ -606,7 +595,7 @@ def _eval_l313_join(ctx, rgs1, rgs2, xmask):
     if not right & ~left.packed:
         return _HOLDS
     return _fails(
-        relation_not_included("codomain", "f(R1) ∪ f(R2)", unpack_rows(right, ctx.m), "f(R1 ∨ R2)", left.rows)
+        relation_not_included("codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∨ R2)", left.packed)
     )
 
 

@@ -33,7 +33,6 @@ from .docio import (
 from .enumeration import bell, subset_count, surjection_count
 from .errors import (
     BadInstanceError,
-    IoError,
     ParseError,
     RoughmapError,
     ValidationError,
@@ -380,9 +379,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WorkerCrashError as e:
         print(f"roughmap: {e}", file=sys.stderr)
         return 4
-    except IoError as e:
-        print(f"roughmap: {e}", file=sys.stderr)
-        return 2
     except RoughmapError as e:
         print(f"roughmap: {e}", file=sys.stderr)
         return 2

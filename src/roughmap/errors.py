@@ -41,10 +41,6 @@ class EmptyReferenceError(RoughmapError):
     """Including degree D(F/E) needs a nonempty reference set E."""
 
 
-class NoSurjectionError(RoughmapError):
-    """No surjection exists onto a codomain larger than the domain."""
-
-
 class BadInstanceError(RoughmapError):
     """Instance does not match the claim's shape (partition count, subset, map constraint)."""
 

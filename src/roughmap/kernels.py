@@ -6,9 +6,9 @@ Conventions:
 * a subset of the universe is an int whose bit i is element i;
 * a partition is a restricted-growth string `rgs` (tuple of ints,
   rgs[0] == 0 and rgs[i] <= 1 + max(rgs[:i])), block ids 0..nblocks-1;
-* a binary relation over a size-m universe is a tuple `rows` of m ints,
-  bit j of rows[i] meaning the pair (i, j), or one `packed` int with the
-  pair (v, w) at bit v*m + w;
+* a binary relation over a size-m universe is one `packed` int with the
+  pair (v, w) at bit v*m + w, so its pairs in row-major order are its set
+  bits from the lowest up, and set algebra on relations is int algebra;
 * a map U -> V is a tuple `table` of images, plus its precomputed
   `fibers` (tuple of m preimage masks).
 
@@ -44,37 +44,49 @@ def block_masks(rgs):
     return tuple(blocks)
 
 
-def partition_rows(rgs):
-    """The equivalence relation of a partition: rows[i] is the block of i."""
+def partition_relation(rgs):
+    """The equivalence relation of a partition: each element is related to
+    every element of its block."""
+    n = len(rgs)
     blocks = block_masks(rgs)
-    return tuple(blocks[b] for b in rgs)
+    packed = 0
+    for i, b in enumerate(rgs):
+        packed |= blocks[b] << i * n
+    return packed
 
 
-def rows_to_rgs(rows):
-    """Canonical rgs of an equivalence relation given as rows.
+def pairs(packed, m):
+    """The pairs (v, w) of a relation in row-major order, one step per pair."""
+    while packed:
+        low = packed & -packed
+        yield divmod(low.bit_length() - 1, m)
+        packed ^= low
 
-    Assumes `rows` already is an equivalence; block ids are assigned in
+
+def relation_rgs(packed, m):
+    """Canonical rgs of an equivalence relation.
+
+    Assumes `packed` already is an equivalence; block ids are assigned in
     order of each block's least element.
     """
-    n = len(rows)
-    rgs = [-1] * n
+    full = (1 << m) - 1
+    rgs = [-1] * m
     nxt = 0
-    for i in range(n):
+    for i in range(m):
         if rgs[i] < 0:
-            row = rows[i]
-            j = 0
+            row = (packed >> i * m) & full
             while row:
-                if row & 1:
-                    rgs[j] = nxt
-                row >>= 1
-                j += 1
+                low = row & -row
+                rgs[low.bit_length() - 1] = nxt
+                row ^= low
             nxt += 1
     return tuple(rgs)
 
 
-def classify_rows(rows):
+def classify(packed, m):
     """Reflexive/symmetric/transitive flags of a relation, as an int."""
-    m = len(rows)
+    full = (1 << m) - 1
+    rows = [(packed >> i * m) & full for i in range(m)]
     flags = REFLEXIVE | SYMMETRIC | TRANSITIVE
     for i in range(m):
         if not (rows[i] >> i) & 1:
@@ -105,17 +117,20 @@ def classify_rows(rows):
     return flags
 
 
-def closure_rows(rows):
-    """Transitive closure (Warshall over bit rows)."""
-    out = list(rows)
-    m = len(out)
+def closure(packed, m):
+    """Transitive closure (Warshall over the rows)."""
+    full = (1 << m) - 1
+    rows = [(packed >> i * m) & full for i in range(m)]
     for k in range(m):
-        rk = out[k]
+        rk = rows[k]
         bit = 1 << k
         for i in range(m):
-            if out[i] & bit:
-                out[i] |= rk
-    return tuple(out)
+            if rows[i] & bit:
+                rows[i] |= rk
+    out = 0
+    for i, row in enumerate(rows):
+        out |= row << i * m
+    return out
 
 
 def fiber_counts(fibers, block):
@@ -145,12 +160,6 @@ def contribution(sizes, counts) -> int:
             if (values >> v) & 1:
                 out |= values << v * m
     return out
-
-
-def unpack_rows(packed: int, m: int) -> tuple[int, ...]:
-    """The rows of a packed relation on a universe of size m."""
-    full = (1 << m) - 1
-    return tuple((packed >> v * m) & full for v in range(m))
 
 
 def meet_rgs(rgs1, rgs2):

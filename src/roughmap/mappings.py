@@ -167,7 +167,7 @@ def relmap(f: SurjMap, p: Partition) -> BinRelation:
     packed = 0
     for block in kernels.block_masks(p.rgs):
         packed |= kernels.contribution(sizes, kernels.fiber_counts(f.fibers, block))
-    return BinRelation(f.codomain, kernels.unpack_rows(packed, f.codomain.size))
+    return BinRelation(f.codomain, packed)
 
 
 def degree_table(f: SurjMap, p: Partition) -> tuple[DegreeRatio, ...]:

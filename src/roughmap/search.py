@@ -327,20 +327,14 @@ def _run(
     return report
 
 
-def falsify(
-    claim,
-    max_u: int,
-    max_v: int,
-    workers: Optional[int] = None,
-    max_failures: int = DEFAULT_MAX_FAILURES,
-) -> SearchReport:
+def falsify(claim, max_u: int, max_v: int, workers: Optional[int] = None) -> SearchReport:
     """Scan in canonical order until the first failing instance.
 
     Maps are enumerated one per codomain-relabeling orbit.  The returned
     first_counterexample (and all tallies) are worker-count independent.
     """
     claim = get_claim(claim)
-    return _run(claim, max_u, max_v, "falsify", workers, max_failures)
+    return _run(claim, max_u, max_v, "falsify", workers, 1)
 
 
 def verify(

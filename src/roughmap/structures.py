@@ -145,84 +145,77 @@ class Subset:
 
 
 class BinRelation:
-    """Binary relation on a universe, stored as per-row membership masks."""
+    """Binary relation on a universe, stored as one packed int (the layout
+    is in `kernels`)."""
 
-    __slots__ = ("universe", "rows")
+    __slots__ = ("universe", "packed")
 
-    def __init__(self, universe: Universe, rows: Sequence[int]):
-        rows = tuple(rows)
-        if len(rows) != universe.size:
-            raise BadElementError("row count differs from universe size")
-        full = universe.full_mask
-        for r in rows:
-            if r & ~full:
-                raise BadElementError("row mask has bits outside the universe")
+    def __init__(self, universe: Universe, packed: int):
+        if not isinstance(packed, int):
+            raise BadElementError("a relation is one packed int")
+        if packed < 0 or packed >> universe.size**2:
+            raise BadElementError("relation has pairs outside the universe")
         self.universe = universe
-        self.rows = rows
+        self.packed = packed
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> "BinRelation":
-        rows = [0] * universe.size
+        packed = 0
         for a, b in pairs:
             universe.check_element(a)
             universe.check_element(b)
-            rows[a] |= 1 << b
-        return cls(universe, rows)
+            packed |= 1 << a * universe.size + b
+        return cls(universe, packed)
 
     @classmethod
     def identity(cls, universe: Universe) -> "BinRelation":
-        return cls(universe, tuple(1 << i for i in range(universe.size)))
+        size = universe.size
+        return cls(universe, sum(1 << i * (size + 1) for i in range(size)))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered pairs, ascending lexicographically."""
-        for a, row in enumerate(self.rows):
-            b = 0
-            while row:
-                if row & 1:
-                    yield (a, b)
-                row >>= 1
-                b += 1
+        return kernels.pairs(self.packed, self.universe.size)
 
     @property
     def pair_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return self.packed.bit_count()
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
         size = self.universe.size
-        return 0 <= a < size and 0 <= b < size and (self.rows[a] >> b) & 1 == 1
+        return 0 <= a < size and 0 <= b < size and (self.packed >> a * size + b) & 1 == 1
 
     def __eq__(self, other):
         return (
             isinstance(other, BinRelation)
             and self.universe is other.universe
-            and self.rows == other.rows
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((id(self.universe), self.rows))
+        return hash((id(self.universe), self.packed))
 
     def __and__(self, other: "BinRelation") -> "BinRelation":
         _check_same(self.universe, other.universe)
-        return BinRelation(self.universe, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return BinRelation(self.universe, self.packed & other.packed)
 
     def __or__(self, other: "BinRelation") -> "BinRelation":
         _check_same(self.universe, other.universe)
-        return BinRelation(self.universe, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return BinRelation(self.universe, self.packed | other.packed)
 
     def __sub__(self, other: "BinRelation") -> "BinRelation":
         _check_same(self.universe, other.universe)
-        return BinRelation(self.universe, tuple(a & ~b for a, b in zip(self.rows, other.rows)))
+        return BinRelation(self.universe, self.packed & ~other.packed)
 
     def __le__(self, other: "BinRelation") -> bool:
         _check_same(self.universe, other.universe)
-        return all(not (a & ~b) for a, b in zip(self.rows, other.rows))
+        return not (self.packed & ~other.packed)
 
     def classify(self) -> "Classification":
-        return Classification(kernels.classify_rows(self.rows))
+        return Classification(kernels.classify(self.packed, self.universe.size))
 
     def transitive_closure(self) -> "BinRelation":
-        return BinRelation(self.universe, kernels.closure_rows(self.rows))
+        return BinRelation(self.universe, kernels.closure(self.packed, self.universe.size))
 
     def to_partition(self) -> "Partition":
         """Partition of an equivalence relation; raises NotEquivalenceError otherwise."""
@@ -233,7 +226,7 @@ class BinRelation:
             raise NotEquivalenceError("symmetry")
         if not c.transitive:
             raise NotEquivalenceError("transitivity")
-        return Partition(self.universe, kernels.rows_to_rgs(self.rows))
+        return Partition(self.universe, kernels.relation_rgs(self.packed, self.universe.size))
 
     def __repr__(self):
         u = self.universe
@@ -349,7 +342,7 @@ class Partition:
         return self.blocks()[self.rgs[x]]
 
     def to_relation(self) -> BinRelation:
-        return BinRelation(self.universe, kernels.partition_rows(self.rgs))
+        return BinRelation(self.universe, kernels.partition_relation(self.rgs))
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""

@@ -1,22 +1,16 @@
 """Witnesses: the JSON-ready evidence a failing verdict carries.
 
-Relations come in as rows (bit j of rows[i] is the pair (i, j)) and subsets
-as masks; a witness names the first offending pair or element in row-major
-or increasing order, so equal inputs give equal witnesses.  `docio` renders
-them.
+Relations come in packed on a universe of size m (`kernels` has the
+layout) and subsets as masks; a witness names the first offending pair or
+element in row-major or increasing order, so equal inputs give equal
+witnesses.  `docio` renders them.
 """
 
+from . import kernels
 
-def pairs(rows) -> list[list[int]]:
-    out = []
-    for a, row in enumerate(rows):
-        b = 0
-        while row:
-            if row & 1:
-                out.append([a, b])
-            row >>= 1
-            b += 1
-    return out
+
+def pairs(packed: int, m: int) -> list[list[int]]:
+    return [list(pair) for pair in kernels.pairs(packed, m)]
 
 
 def elements(mask: int) -> list[int]:
@@ -30,32 +24,28 @@ def elements(mask: int) -> list[int]:
     return out
 
 
-def _first_extra_pair(left, right) -> list[int]:
-    # first pair of left missing from right, row-major order
-    for a, (lr, rr) in enumerate(zip(left, right)):
-        extra = lr & ~rr
-        if extra:
-            return [a, (extra & -extra).bit_length() - 1]
-    raise AssertionError("no extra pair")
+def _first_pair(packed: int, m: int) -> list[int]:
+    # the lowest set bit is the first pair in row-major order
+    return list(next(kernels.pairs(packed, m)))
 
 
-def relation_not_included(space, left_name, left, right_name, right) -> dict:
+def relation_not_included(space, m, left_name, left, right_name, right) -> dict:
     return {
         "kind": "relation-not-included",
         "space": space,
-        "pair": _first_extra_pair(left, right),
+        "pair": _first_pair(left & ~right, m),
         "left_name": left_name,
         "right_name": right_name,
-        "left": pairs(left),
-        "right": pairs(right),
+        "left": pairs(left, m),
+        "right": pairs(right, m),
     }
 
 
-def relation_not_equal(space, left_name, left, right_name, right) -> dict:
-    if any(lr & ~rr for lr, rr in zip(left, right)):
-        pair, side = _first_extra_pair(left, right), "left-only"
+def relation_not_equal(space, m, left_name, left, right_name, right) -> dict:
+    if left & ~right:
+        pair, side = _first_pair(left & ~right, m), "left-only"
     else:
-        pair, side = _first_extra_pair(right, left), "right-only"
+        pair, side = _first_pair(right & ~left, m), "right-only"
     return {
         "kind": "relation-not-equal",
         "space": space,
@@ -63,8 +53,8 @@ def relation_not_equal(space, left_name, left, right_name, right) -> dict:
         "side": side,
         "left_name": left_name,
         "right_name": right_name,
-        "left": pairs(left),
-        "right": pairs(right),
+        "left": pairs(left, m),
+        "right": pairs(right, m),
     }
 
 
@@ -96,35 +86,23 @@ def subset_not_equal(left_name, left, right_name, right) -> dict:
     }
 
 
-def not_equivalence(rows) -> dict:
-    m = len(rows)
+def _broken_axiom(packed: int, m: int, relation) -> tuple[str, list[int]]:
+    # the first equivalence axiom the relation breaks, and the items breaking it
     for v in range(m):
-        if not (rows[v] >> v) & 1:
-            return {
-                "kind": "not-equivalence",
-                "condition": "reflexivity",
-                "items": [v],
-                "relation": pairs(rows),
-            }
-    for a in range(m):
-        for b in range(m):
-            if (rows[a] >> b) & 1 and not (rows[b] >> a) & 1:
-                return {
-                    "kind": "not-equivalence",
-                    "condition": "symmetry",
-                    "items": [a, b],
-                    "relation": pairs(rows),
-                }
-    for a in range(m):
-        for b in range(m):
-            if (rows[a] >> b) & 1:
-                missing = rows[b] & ~rows[a]
-                if missing:
-                    c = (missing & -missing).bit_length() - 1
-                    return {
-                        "kind": "not-equivalence",
-                        "condition": "transitivity",
-                        "items": [a, b, c],
-                        "relation": pairs(rows),
-                    }
+        if not (packed >> v * (m + 1)) & 1:
+            return "reflexivity", [v]
+    for a, b in relation:
+        if not (packed >> b * m + a) & 1:
+            return "symmetry", [a, b]
+    full = (1 << m) - 1
+    for a, b in relation:
+        missing = (packed >> b * m) & ~(packed >> a * m) & full
+        if missing:
+            return "transitivity", [a, b, (missing & -missing).bit_length() - 1]
     raise AssertionError("relation is an equivalence")
+
+
+def not_equivalence(packed: int, m: int) -> dict:
+    relation = pairs(packed, m)
+    condition, items = _broken_axiom(packed, m, relation)
+    return {"kind": "not-equivalence", "condition": condition, "items": items, "relation": relation}

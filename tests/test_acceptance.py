@@ -36,7 +36,7 @@ from roughmap.enumeration import (
     stirling2,
     surjection_count,
 )
-from roughmap.replay import replay_examples
+from roughmap.replay import approximation_instance, monotonicity_instance, replay_examples
 
 import oracles
 
@@ -97,6 +97,20 @@ def test_c2_approximation_instance_replays_bit_exactly():
     for cid in ("T41-1", "T41-2", "T43-1", "T43-2"):
         assert checks[f"{cid} verdict"].actual == "fails"
     assert all(c.ok for c in checks.values())
+
+
+def test_replayed_instances_are_the_bundled_documents():
+    # replay builds its two instances in code; they must be the ones
+    # instances/*.json ships
+    for build, name in ((monotonicity_instance, "monotonicity"), (approximation_instance, "approximation")):
+        doc = json.loads((ROOT / "instances" / f"{name}.json").read_text(encoding="utf-8"))
+        want, got = parse_instance_doc(doc).instance, build()
+        assert got.f.domain.labels == want.f.domain.labels
+        assert got.f.codomain.labels == want.f.codomain.labels
+        assert got.f.table == want.f.table
+        assert [p.rgs for p in got.partitions] == [p.rgs for p in want.partitions]
+        got_x, want_x = (None if inst.x is None else inst.x.mask for inst in (got, want))
+        assert got_x == want_x
 
 
 def test_c3_falsification_sweep_with_revalidating_witnesses():

@@ -68,6 +68,14 @@ def test_subset_rejects_foreign_bits():
         Subset.from_elements(u, [5])
 
 
+def test_relation_rejects_foreign_bits():
+    u = Universe(2)
+    assert list(BinRelation(u, 0b1111).pairs()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for bad in (0b10000, -1, (0b01, 0b10)):
+        with pytest.raises(BadElementError):
+            BinRelation(u, bad)
+
+
 def test_relation_pairs_round_trip():
     u = Universe(3)
     pairs = {(0, 1), (1, 2), (2, 2)}
