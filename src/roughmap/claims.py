@@ -214,8 +214,8 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # f(R).  The first two depend on the universe size alone and are shared by
 # every map of that size; the last two are kept per map, in GroupContext.
 # Tables are built lazily, on first use; above _TABLE_MAX_N elements the
-# per-size answers are computed by the kernels instead, and what is kept is
-# kept only as long as one GroupContext.
+# per-size answers are computed by the kernels on every call instead, and
+# the per-map ones are kept as they are first read, for one GroupContext.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
@@ -228,6 +228,18 @@ _TODO = object()  # a pair-row slot not filled yet
 # relations on V keyed by m, then by the packed relation
 _CONTRIBUTIONS: dict = {}
 _RELATIONS: dict = {}
+
+
+class _Computed:
+    """A table too large to store: entry x is computed when it is read."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, x):
+        return self.entry(x)
 
 
 class _Cached(dict):
@@ -256,22 +268,24 @@ class _Relation:
 
 
 class _DirectTables:
-    """Per-size answers computed by the kernels when asked for.
+    """Per-size answers computed by the kernels on every call.
 
-    Block masks and approximation entries are kept on first read; every
-    GroupContext makes its own _DirectTables, so they die with it.
+    Nothing is kept: a search group reads each partition's block masks once
+    and each (partition, subset) approximation once, so keeping them would
+    hold B(n) block tuples and up to 2·B(n)·2**n masks per group and reuse
+    none.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.kern = kernels.select(n)
-        self.blocks = _Cached(self.kern.block_masks)
+        self.blocks = _Computed(self.kern.block_masks)
 
     def approx(self, rgs):
         """(lower, upper) approximations over rgs, each indexed by subset mask."""
         blocks = self.kern.block_masks(rgs)
         lub = self.kern.lower_upper_masks
-        return _Cached(lambda x: lub(blocks, x)[0]), _Cached(lambda x: lub(blocks, x)[1])
+        return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
 
     def meet(self, rgs1, rgs2):
         return self.kern.meet_rgs(rgs1, rgs2)

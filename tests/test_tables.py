@@ -217,7 +217,7 @@ def test_large_universes_agree_with_the_reference_relmap(n, m, table):
     for p1 in parts:
         fr = oracle(p1)
         is_eq = all(naive_classify(fr, m))
-        assert set(kernels.pairs(GroupContext(n, m, table).relmap(p1.rgs).packed, m)) == fr
+        assert GroupContext(n, m, table).relmap(p1.rgs).packed == sum(1 << a * m + b for a, b in fr)
         want = Outcome.HOLDS if is_eq else Outcome.FAILS
         assert evaluate("T31", Instance(f, (p1,))).outcome is want
 
