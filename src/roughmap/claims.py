@@ -213,15 +213,17 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # operations on pairs of partitions, images of masks and the image relation
 # f(R).  The first two depend on the universe size alone and are shared by
 # every map of that size; the last two are kept per map, in GroupContext.
-# Tables are built lazily, on first use; above _TABLE_MAX_N elements the
-# per-size answers are computed by the kernels on every call instead, and
-# the per-map ones are kept as they are first read, for one GroupContext.
+# Evaluators name a partition of U by a handle: up to _TABLE_MAX_N elements
+# its index into _SizeTables.parts, and the tables are lists built lazily;
+# above it the rgs itself, for which _DirectTables computes the per-size
+# answers on every call and GroupContext keeps the per-map ones as they are
+# first read.  `handle` and `rgs` convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
 # (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
 _TABLE_MAX_N = 7
-_TODO = object()  # a pair-row slot not filled yet
+_TODO = object()  # an approximation slot not filled yet
 
 # process-wide memos, shared by every group: block contributions keyed by
 # the fiber sizes, then by the per-fiber counts packed into one int; and
@@ -268,7 +270,8 @@ class _Relation:
 
 
 class _DirectTables:
-    """Per-size answers computed by the kernels on every call.
+    """Per-size answers computed by the kernels on every call; a partition's
+    handle is its rgs.
 
     Nothing is kept: a search group reads each partition's block masks once
     and each (partition, subset) approximation once, so keeping them would
@@ -278,23 +281,20 @@ class _DirectTables:
 
     def __init__(self, n: int):
         self.n = n
-        self.kern = kernels.select(n)
-        self.blocks = _Computed(self.kern.block_masks)
+        kern = self.kern = kernels.select(n)
+        self.blocks = _Computed(kern.block_masks)
+        self.meet, self.join, self.refines = kern.meet_rgs, kern.join_rgs, kern.refines_rgs
+
+    handle = rgs = staticmethod(lambda x: x)
+
+    def handles(self) -> list:  # in lex order
+        return list(iter_rgs(self.n))
 
     def approx(self, rgs):
         """(lower, upper) approximations over rgs, each indexed by subset mask."""
         blocks = self.kern.block_masks(rgs)
         lub = self.kern.lower_upper_masks
         return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
-
-    def meet(self, rgs1, rgs2):
-        return self.kern.meet_rgs(rgs1, rgs2)
-
-    def join(self, rgs1, rgs2):
-        return self.kern.join_rgs(rgs1, rgs2)
-
-    def refines(self, rgs1, rgs2) -> bool:
-        return self.kern.refines_rgs(rgs1, rgs2)
 
     def union(self, rgs1, rgs2):
         """rgs of R1 ∪ R2 when that union is an equivalence, else None."""
@@ -306,14 +306,14 @@ class _DirectTables:
 
 
 class _SizeTables:
-    """The answers of _DirectTables, stored as they are first asked for.
+    """The answers of _DirectTables, stored; a partition's handle is its
+    index into `parts`, the partitions in lex order.
 
-    Partitions are kept in lex order with an rgs -> index dict and an
-    rgs -> block masks dict.  Each partition gets its approximation rows
-    (2**n masks each), and each operation on pairs one row per first
-    partition, with a slot per second partition: at most B(n)**2 slots per
-    operation.  Partitions in a slot are the tuples of `parts`, so no rgs is
-    stored twice.
+    `blocks` lists each partition's block masks.  Partition i gets its
+    approximation rows (2**n masks each), and each pair operation its row i,
+    when first read, filled whole with one entry per second partition: at
+    most B(n)**2 entries per operation.  Meet, join and union rows hold
+    handles (union None where R1 ∪ R2 is no equivalence), refines rows bools.
     """
 
     def __init__(self, n: int):
@@ -321,51 +321,43 @@ class _SizeTables:
         self.direct = _DirectTables(n)
         self.parts = list(iter_rgs(n))
         self.index = {rgs: i for i, rgs in enumerate(self.parts)}
-        self.blocks = {rgs: self.direct.kern.block_masks(rgs) for rgs in self.parts}
+        self.handle, self.rgs = self.index.__getitem__, self.parts.__getitem__
+        self.blocks = [self.direct.kern.block_masks(rgs) for rgs in self.parts]
         count = len(self.parts)
-        self._approx = [None] * count
-        self._meet = [None] * count
-        self._join = [None] * count
-        self._refines = [None] * count
-        self._union = [None] * count
+        self._approx, self._meet, self._join, self._refines, self._union = ([None] * count for _ in range(5))
 
-    def approx(self, rgs):
-        i = self.index[rgs]
+    def handles(self) -> range:
+        return range(len(self.parts))
+
+    def approx(self, i: int):
         hit = self._approx[i]
         if hit is None:
             lub = self.direct.kern.lower_upper_masks
-            blocks = self.blocks[rgs]
-            rows = [lub(blocks, x) for x in range(1 << self.n)]
-            hit = self._approx[i] = tuple(zip(*rows))
+            blocks = self.blocks[i]
+            hit = self._approx[i] = tuple(zip(*[lub(blocks, x) for x in range(1 << self.n)]))
         return hit
 
-    def _pair(self, rows, compute, rgs1, rgs2):
-        """Slot (rgs1, rgs2) of one operation's rows, filled by compute."""
-        index = self.index
-        i = index[rgs1]
-        row = rows[i]
-        if row is None:
-            row = rows[i] = [_TODO] * len(self.parts)
-        j = index[rgs2]
-        hit = row[j]
-        if hit is _TODO:
-            hit = compute(rgs1, rgs2)
-            if type(hit) is tuple:  # an rgs: keep the listed tuple instead
-                hit = self.parts[index[hit]]
-            row[j] = hit
-        return hit
+    def _fill(self, rows: list, compute, i: int) -> list:
+        """Row i of one pair operation: compute on partition i and each
+        partition in turn, with partitions in the results as handles."""
+        first, index = self.parts[i], self.index
+        row = rows[i] = [compute(first, rgs) for rgs in self.parts]
+        for j, hit in enumerate(row):
+            if type(hit) is tuple:  # an rgs
+                row[j] = index[hit]
+        return row
 
-    def meet(self, rgs1, rgs2):
-        return self._pair(self._meet, self.direct.meet, rgs1, rgs2)
+    def meet(self, i: int, j: int) -> int:
+        return (self._meet[i] or self._fill(self._meet, self.direct.meet, i))[j]
 
-    def join(self, rgs1, rgs2):
-        return self._pair(self._join, self.direct.join, rgs1, rgs2)
+    def join(self, i: int, j: int) -> int:
+        return (self._join[i] or self._fill(self._join, self.direct.join, i))[j]
 
-    def refines(self, rgs1, rgs2) -> bool:
-        return self._pair(self._refines, self.direct.refines, rgs1, rgs2)
+    def refines(self, i: int, j: int) -> bool:
+        return (self._refines[i] or self._fill(self._refines, self.direct.refines, i))[j]
 
-    def union(self, rgs1, rgs2):
-        return self._pair(self._union, self.direct.union, rgs1, rgs2)
+    def union(self, i: int, j: int) -> Optional[int]:
+        return (self._union[i] or self._fill(self._union, self.direct.union, i))[j]
 
 
 @lru_cache(maxsize=_TABLE_MAX_N)
@@ -382,14 +374,14 @@ class GroupContext:
     """Shared per-(n, m, table) computations for one batch of instances.
 
     The image and the block contribution to f(R) of every mask of U depend
-    only on the map; the fiber condition and the approximation rows on U and
-    V only on the map and one partition.  So a search group iterating many
-    partition and subset combinations keeps them here.
+    only on the map; f(R) (`relmaps`), the fiber condition and the
+    approximation rows on U and V only on the map and one partition.  So a
+    search group keeps them here, per partition handle of `sizes`.
     """
 
     __slots__ = (
         "n", "m", "table", "kern", "fibers", "surjective", "bijective",
-        "sizes", "images", "contributions", "_relations", "_relmap", "_fiber_ok",
+        "sizes", "images", "contributions", "relmaps", "_relations", "_fiber_ok",
         "_approx",
     )
 
@@ -403,18 +395,21 @@ class GroupContext:
         self.bijective = n == m and self.surjective
         self.sizes = _size_tables(n)
         self._relations = _RELATIONS.setdefault(m, {})
-        self._relmap: dict = {}
-        self._fiber_ok: dict = {}
-        self._approx: dict = {}
         if n <= _TABLE_MAX_N:
             self._fill_tables()
+            # a search group reads every partition's f(R)
+            self.relmaps = [self.relmap(h) for h in self.sizes.handles()]
+            self._fiber_ok = [None] * len(self.relmaps)
+            self._approx = [_TODO] * len(self.relmaps)
         else:
             fibers, image_mask = self.fibers, self.kern.image_mask
             sizes = [f.bit_count() for f in fibers]
             self.images = _Cached(lambda x: image_mask(table, x))
-            self.contributions = _Cached(
-                lambda block: contribution(sizes, fiber_counts(fibers, block))
-            )
+            self.contributions = _Cached(lambda block: contribution(sizes, fiber_counts(fibers, block)))
+            self.relmaps = _Cached(self.relmap)
+            # unread handles read as unfilled, as in the lists above
+            self._fiber_ok = _Cached(lambda h: None)
+            self._approx = _Cached(lambda h: _TODO)
 
     @classmethod
     def for_map(cls, f: SurjMap) -> "GroupContext":
@@ -447,53 +442,44 @@ class GroupContext:
         self.images = images
         self.contributions = contributions
 
-    def image_relation(self, rgs) -> _Relation:
-        """The image relation f(R) of the partition rgs."""
+    def relmap(self, h) -> _Relation:
+        """The image relation f(R) of the partition h, computed (`relmaps` keeps it)."""
         packed = 0
         contributions = self.contributions
-        for block in self.sizes.blocks[rgs]:
+        for block in self.sizes.blocks[h]:
             packed |= contributions[block]
         hit = self._relations.get(packed)
         if hit is None:
             hit = self._relations[packed] = _Relation(self.kern, self.m, packed)
         return hit
 
-    def relmap(self, rgs) -> _Relation:
-        """image_relation(rgs), kept for the pair claims, which read each
-        partition's image once per second partition."""
-        hit = self._relmap.get(rgs)
+    def fiber_ok(self, h) -> bool:
+        """True when every fiber of f lies inside one block of partition h."""
+        hit = self._fiber_ok[h]
         if hit is None:
-            hit = self._relmap[rgs] = self.image_relation(rgs)
+            hit = self._fiber_ok[h] = self.kern.fiber_condition(self.sizes.rgs(h), self.table, self.fibers)
         return hit
 
-    def fiber_ok(self, rgs) -> bool:
-        """True when every fiber of f lies inside one block of rgs."""
-        hit = self._fiber_ok.get(rgs)
-        if hit is None:
-            hit = self.kern.fiber_condition(rgs, self.table, self.fibers)
-            self._fiber_ok[rgs] = hit
-        return hit
-
-    def approx(self, rgs):
-        """(lo_U, hi_U, lo_V, hi_V) for the partition rgs, or None when f(R)
+    def approx(self, h):
+        """(lo_U, hi_U, lo_V, hi_V) for the partition h, or None when f(R)
         is not an equivalence.
 
         lo_U[x], hi_U[x] are the approximations of a mask x of U over R;
         lo_V[y], hi_V[y] those of a mask y of V over f(R).
         """
-        hit = self._approx.get(rgs, _TODO)
+        hit = self._approx[h]
         if hit is _TODO:
-            vrgs = self.image_relation(rgs).rgs
-            hit = None if vrgs is None else self.sizes.approx(rgs) + _size_tables(self.m).approx(vrgs)
-            self._approx[rgs] = hit
+            vrgs, vsizes = self.relmaps[h].rgs, _size_tables(self.m)
+            hit = None if vrgs is None else self.sizes.approx(h) + vsizes.approx(vsizes.handle(vrgs))
+            self._approx[h] = hit
         return hit
 
 
 # --------------------------------------------------------------- evaluators
 #
-# Each evaluator takes (ctx, rgs1, rgs2, xmask) and returns a Verdict.
-# rgs2/xmask are None when the claim shape does not use them.  Verdicts
-# without a witness are shared constants; a witness is built only on failure.
+# Each evaluator takes (ctx, h1, h2, xmask), partitions as handles of
+# ctx.sizes, and returns a Verdict or a _Failure.  h2/xmask are None when the
+# claim shape does not use them.  Verdicts without a witness are constants.
 
 _HOLDS = Verdict(Outcome.HOLDS)
 _VACUOUS = Verdict(Outcome.VACUOUS)
@@ -502,125 +488,136 @@ _ILL_DIFFERENCE = Verdict(Outcome.ILL_TYPED, reason="difference-not-reflexive")
 _ILL_RELMAP = Verdict(Outcome.ILL_TYPED, reason="relmap-not-equivalence")
 
 
-def _fails(witness: dict) -> Verdict:
-    return Verdict(Outcome.FAILS, witness=witness)
+class _Failure:
+    """A Fails verdict whose witness build(*args) makes when it is read."""
+
+    __slots__ = ("build", "args")
+    outcome = Outcome.FAILS
+
+    def __init__(self, build, *args):
+        self.build, self.args = build, args
+
+    @property
+    def witness(self) -> dict:
+        return self.build(*self.args)
 
 
-def _eval_t31(ctx, rgs1, rgs2, xmask):
-    rel = ctx.image_relation(rgs1)
+def _eval_t31(ctx, h1, h2, xmask):
+    rel = ctx.relmaps[h1]
     if rel.flags == kernels.EQUIVALENCE:
         return _HOLDS
-    return _fails(not_equivalence(rel.packed, ctx.m))
+    return _Failure(not_equivalence, rel.packed, ctx.m)
 
 
-def _eval_t31_refl(ctx, rgs1, rgs2, xmask):
-    rel = ctx.image_relation(rgs1)
+def _reflexivity_mismatch(ctx, rel, reflexive: bool) -> dict:
     m = ctx.m
-    reflexive = bool(rel.flags & kernels.REFLEXIVE)
-    if reflexive == ctx.surjective:
-        return _HOLDS
     if ctx.surjective:
         v = next(v for v in range(m) if not (rel.packed >> v * (m + 1)) & 1)
     else:
         v = next(v for v in range(m) if ctx.fibers[v] == 0)
-    return _fails(
-        {
-            "kind": "reflexivity-mismatch",
-            "surjective": ctx.surjective,
-            "reflexive": reflexive,
-            "element": v,
-            "relation": pairs(rel.packed, m),
-        }
-    )
+    return {
+        "kind": "reflexivity-mismatch",
+        "surjective": ctx.surjective,
+        "reflexive": reflexive,
+        "element": v,
+        "relation": pairs(rel.packed, m),
+    }
 
 
-def _eval_l311_fwd(ctx, rgs1, rgs2, xmask):
-    if not ctx.sizes.refines(rgs1, rgs2):
+def _eval_t31_refl(ctx, h1, h2, xmask):
+    rel = ctx.relmaps[h1]
+    reflexive = bool(rel.flags & kernels.REFLEXIVE)
+    if reflexive == ctx.surjective:
+        return _HOLDS
+    return _Failure(_reflexivity_mismatch, ctx, rel, reflexive)
+
+
+def _eval_l311_fwd(ctx, h1, h2, xmask):
+    if not ctx.sizes.refines(h1, h2):
         return _VACUOUS
-    left = ctx.relmap(rgs1)
-    right = ctx.relmap(rgs2)
-    if not left.packed & ~right.packed:
+    left = ctx.relmaps[h1].packed
+    right = ctx.relmaps[h2].packed
+    if not left & ~right:
         return _HOLDS
-    return _fails(relation_not_included("codomain", ctx.m, "f(R1)", left.packed, "f(R2)", right.packed))
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1)", left, "f(R2)", right)
 
 
-def _eval_l311_bwd(ctx, rgs1, rgs2, xmask):
-    if ctx.relmap(rgs1).packed & ~ctx.relmap(rgs2).packed:
+def _partitions_not_included(ctx, h1, h2) -> dict:
+    packed, rgs = ctx.kern.partition_relation, ctx.sizes.rgs
+    return relation_not_included("domain", ctx.n, "R1", packed(rgs(h1)), "R2", packed(rgs(h2)))
+
+
+def _eval_l311_bwd(ctx, h1, h2, xmask):
+    if ctx.relmaps[h1].packed & ~ctx.relmaps[h2].packed:
         return _VACUOUS
-    if ctx.sizes.refines(rgs1, rgs2):
+    if ctx.sizes.refines(h1, h2):
         return _HOLDS
-    packed = ctx.kern.partition_relation
-    return _fails(relation_not_included("domain", ctx.n, "R1", packed(rgs1), "R2", packed(rgs2)))
+    return _Failure(_partitions_not_included, ctx, h1, h2)
 
 
-def _eval_l312_inc(ctx, rgs1, rgs2, xmask):
-    left = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
-    right = ctx.relmap(rgs1).packed & ctx.relmap(rgs2).packed
-    if not left.packed & ~right:
+def _eval_l312_inc(ctx, h1, h2, xmask):
+    relmaps = ctx.relmaps
+    left = relmaps[ctx.sizes.meet(h1, h2)].packed
+    right = relmaps[h1].packed & relmaps[h2].packed
+    if not left & ~right:
         return _HOLDS
-    return _fails(
-        relation_not_included("codomain", ctx.m, "f(R1 ∩ R2)", left.packed, "f(R1) ∩ f(R2)", right)
-    )
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
 
 
-def _eval_l312_eq(ctx, rgs1, rgs2, xmask):
-    if not (ctx.fiber_ok(rgs1) and ctx.fiber_ok(rgs2)):
+def _eval_l312_eq(ctx, h1, h2, xmask):
+    if not (ctx.fiber_ok(h1) and ctx.fiber_ok(h2)):
         return _VACUOUS
-    left = ctx.relmap(ctx.sizes.meet(rgs1, rgs2))
-    right = ctx.relmap(rgs1).packed & ctx.relmap(rgs2).packed
-    if left.packed == right:
+    relmaps = ctx.relmaps
+    left = relmaps[ctx.sizes.meet(h1, h2)].packed
+    right = relmaps[h1].packed & relmaps[h2].packed
+    if left == right:
         return _HOLDS
-    return _fails(
-        relation_not_equal("codomain", ctx.m, "f(R1 ∩ R2)", left.packed, "f(R1) ∩ f(R2)", right)
-    )
+    return _Failure(relation_not_equal, "codomain", ctx.m, "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
 
 
-def _eval_l313_inc(ctx, rgs1, rgs2, xmask):
-    union = ctx.sizes.union(rgs1, rgs2)
+def _eval_l313_inc(ctx, h1, h2, xmask):
+    union = ctx.sizes.union(h1, h2)
     if union is None:
         return _ILL_UNION
-    left = ctx.relmap(union)
-    right = ctx.relmap(rgs1).packed | ctx.relmap(rgs2).packed
-    if not right & ~left.packed:
+    relmaps = ctx.relmaps
+    left = relmaps[union].packed
+    right = relmaps[h1].packed | relmaps[h2].packed
+    if not right & ~left:
         return _HOLDS
-    return _fails(
-        relation_not_included("codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∪ R2)", left.packed)
-    )
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∪ R2)", left)
 
 
-def _eval_l313_eq(ctx, rgs1, rgs2, xmask):
-    union = ctx.sizes.union(rgs1, rgs2)
+def _eval_l313_eq(ctx, h1, h2, xmask):
+    union = ctx.sizes.union(h1, h2)
     if union is None:
         return _ILL_UNION
-    if not (ctx.fiber_ok(rgs1) and ctx.fiber_ok(rgs2)):
+    if not (ctx.fiber_ok(h1) and ctx.fiber_ok(h2)):
         return _VACUOUS
-    left = ctx.relmap(union)
-    right = ctx.relmap(rgs1).packed | ctx.relmap(rgs2).packed
-    if left.packed == right:
+    relmaps = ctx.relmaps
+    left = relmaps[union].packed
+    right = relmaps[h1].packed | relmaps[h2].packed
+    if left == right:
         return _HOLDS
-    return _fails(
-        relation_not_equal("codomain", ctx.m, "f(R1 ∪ R2)", left.packed, "f(R1) ∪ f(R2)", right)
-    )
+    return _Failure(relation_not_equal, "codomain", ctx.m, "f(R1 ∪ R2)", left, "f(R1) ∪ f(R2)", right)
 
 
-def _eval_l313_join(ctx, rgs1, rgs2, xmask):
-    left = ctx.relmap(ctx.sizes.join(rgs1, rgs2))
-    right = ctx.relmap(rgs1).packed | ctx.relmap(rgs2).packed
-    if not right & ~left.packed:
+def _eval_l313_join(ctx, h1, h2, xmask):
+    relmaps = ctx.relmaps
+    left = relmaps[ctx.sizes.join(h1, h2)].packed
+    right = relmaps[h1].packed | relmaps[h2].packed
+    if not right & ~left:
         return _HOLDS
-    return _fails(
-        relation_not_included("codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∨ R2)", left.packed)
-    )
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∨ R2)", left)
 
 
-def _eval_l32(ctx, rgs1, rgs2, xmask):
+def _eval_l32(ctx, h1, h2, xmask):
     # R1 and R2 are reflexive, so R1 - R2 always loses the whole diagonal
     # and can never be an equivalence; f(R1 - R2) is not formable.
     return _ILL_DIFFERENCE
 
 
-def _eval_t41_1(ctx, rgs1, rgs2, xmask):
-    tables = ctx.approx(rgs1)
+def _eval_t41_1(ctx, h1, h2, xmask):
+    tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, _, lo_v, _ = tables
@@ -629,11 +626,11 @@ def _eval_t41_1(ctx, rgs1, rgs2, xmask):
     lo_fx = lo_v[images[xmask]]
     if not (f_lo & ~lo_fx):
         return _HOLDS
-    return _fails(subset_not_included("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
+    return _Failure(subset_not_included, "f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx)
 
 
-def _eval_t41_2(ctx, rgs1, rgs2, xmask):
-    tables = ctx.approx(rgs1)
+def _eval_t41_2(ctx, h1, h2, xmask):
+    tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     _, hi_u, _, hi_v = tables
@@ -642,11 +639,11 @@ def _eval_t41_2(ctx, rgs1, rgs2, xmask):
     hi_fx = hi_v[images[xmask]]
     if not (hi_fx & ~f_hi):
         return _HOLDS
-    return _fails(subset_not_included("apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi))
+    return _Failure(subset_not_included, "apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi)
 
 
-def _eval_t42_1(ctx, rgs1, rgs2, xmask):
-    tables = ctx.approx(rgs1)
+def _eval_t42_1(ctx, h1, h2, xmask):
+    tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, _, lo_v, _ = tables
@@ -655,11 +652,11 @@ def _eval_t42_1(ctx, rgs1, rgs2, xmask):
     lo_fx = lo_v[images[xmask]]
     if f_lo == lo_fx:
         return _HOLDS
-    return _fails(subset_not_equal("f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx))
+    return _Failure(subset_not_equal, "f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx)
 
 
-def _eval_t42_2(ctx, rgs1, rgs2, xmask):
-    tables = ctx.approx(rgs1)
+def _eval_t42_2(ctx, h1, h2, xmask):
+    tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     _, hi_u, _, hi_v = tables
@@ -668,11 +665,11 @@ def _eval_t42_2(ctx, rgs1, rgs2, xmask):
     hi_fx = hi_v[images[xmask]]
     if f_hi == hi_fx:
         return _HOLDS
-    return _fails(subset_not_equal("f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx))
+    return _Failure(subset_not_equal, "f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx)
 
 
-def _eval_t43_1(ctx, rgs1, rgs2, xmask):
-    tables = ctx.approx(rgs1)
+def _eval_t43_1(ctx, h1, h2, xmask):
+    tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, hi_u, lo_v, _ = tables
@@ -682,11 +679,11 @@ def _eval_t43_1(ctx, rgs1, rgs2, xmask):
     lo_fx = lo_v[fx]
     if lo_fx == fx:
         return _HOLDS
-    return _fails(subset_not_equal("apr_f(R) f(X)", lo_fx, "f(X)", fx))
+    return _Failure(subset_not_equal, "apr_f(R) f(X)", lo_fx, "f(X)", fx)
 
 
-def _eval_t43_2(ctx, rgs1, rgs2, xmask):
-    tables = ctx.approx(rgs1)
+def _eval_t43_2(ctx, h1, h2, xmask):
+    tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, hi_u, _, hi_v = tables
@@ -696,7 +693,7 @@ def _eval_t43_2(ctx, rgs1, rgs2, xmask):
     hi_fx = hi_v[fx]
     if hi_fx == fx:
         return _HOLDS
-    return _fails(subset_not_equal("apr̄_f(R) f(X)", hi_fx, "f(X)", fx))
+    return _Failure(subset_not_equal, "apr̄_f(R) f(X)", hi_fx, "f(X)", fx)
 
 
 _EVALUATORS = {
@@ -721,15 +718,10 @@ _EVALUATORS = {
 assert set(_EVALUATORS) == set(REGISTRY)
 
 
-def evaluate_raw(
-    claim_id: str,
-    ctx: GroupContext,
-    rgs1: tuple[int, ...],
-    rgs2: Optional[tuple[int, ...]] = None,
-    xmask: Optional[int] = None,
-) -> Verdict:
-    """Evaluate on raw encodings; shape is the caller's responsibility."""
-    return _EVALUATORS[claim_id](ctx, rgs1, rgs2, xmask)
+def evaluate_raw(claim_id: str, ctx: GroupContext, h1, h2=None, xmask: Optional[int] = None):
+    """Evaluate on raw encodings, partitions as handles of ctx.sizes; shape
+    is the caller's responsibility.  A failure comes back as a _Failure."""
+    return _EVALUATORS[claim_id](ctx, h1, h2, xmask)
 
 
 def evaluate(claim: Union[str, Claim], inst: Instance) -> Verdict:
@@ -737,7 +729,6 @@ def evaluate(claim: Union[str, Claim], inst: Instance) -> Verdict:
     claim = get_claim(claim)
     check_shape(claim, inst)
     ctx = GroupContext.for_map(inst.f)
-    rgs1 = inst.partitions[0].rgs
-    rgs2 = inst.partitions[1].rgs if len(inst.partitions) > 1 else None
-    xmask = inst.x.mask if inst.x is not None else None
-    return evaluate_raw(claim.id, ctx, rgs1, rgs2, xmask)
+    handles = [ctx.sizes.handle(p.rgs) for p in inst.partitions]
+    verdict = evaluate_raw(claim.id, ctx, *handles, xmask=inst.x.mask if inst.x is not None else None)
+    return Verdict(Outcome.FAILS, witness=verdict.witness) if verdict.outcome is Outcome.FAILS else verdict

@@ -2,6 +2,8 @@
 
 Instances are enumerated in one canonical order: increasing |U|, then |V|,
 then the map table, then the partition encodings, then the subset mask.
+Within a group a partition is a `claims` handle: up to 7 elements its lex
+index, above that its rgs; only the failures kept are turned back into rgs.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On more than one
 worker, runs of consecutive groups are packed into tasks of about
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .claims import Claim, GroupContext, Instance, Outcome, get_claim, evaluate_raw
+# iter_rgs is not called here; perfbench/tracing.py wraps it with the other enumeration streams
 from .enumeration import bell, iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
 from .errors import WorkerCrashError
 from .mappings import SurjMap
@@ -140,40 +143,33 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
             yield n, m, table
 
 
-def _group_instances(claim: Claim, n: int) -> Iterator[tuple]:
-    """(rgs1, rgs2, xmask) triples in canonical order for one group."""
-    if claim.partitions == 2:
-        for rgs1 in iter_rgs(n):
-            for rgs2 in iter_rgs(n):
-                yield rgs1, rgs2, None
-    elif claim.needs_subset:
-        for rgs1 in iter_rgs(n):
-            for xmask in range(1 << n):
-                yield rgs1, None, xmask
-    else:
-        for rgs1 in iter_rgs(n):
-            yield rgs1, None, None
-
-
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
     of one claim, in order: a pool task, or on one worker the whole sweep.
 
     Returns (groups done, tally, failures capped at max_failures, first
     ill-typed reason).  In stop-on-fail mode the task ends at its first
-    failure, and everything after it is left uncounted.
+    failure, and everything after it is left uncounted.  A pool task whose
+    generation is no longer the pool's belongs to a stopped sweep: it ends
+    before its next group, and its result is never read; the parent bumps
+    the generation when a sweep stops early.
     """
-    claim_id, groups, stop_on_fail, max_failures = args
+    claim_id, groups, stop_on_fail, max_failures, generation = args
     claim = get_claim(claim_id)
     holds = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: Optional[str] = None
     done = 0
     for n, m, table in groups:
+        if generation is not None and _generation.value != generation:
+            break
         ctx = GroupContext(n, m, table)
         done += 1
-        for rgs1, rgs2, xmask in _group_instances(claim, n):
-            verdict = evaluate_raw(claim_id, ctx, rgs1, rgs2, xmask)
+        handles = ctx.sizes.handles()
+        seconds = handles if claim.partitions == 2 else (None,)
+        xmasks = range(1 << n) if claim.needs_subset else (None,)
+        for h1, h2, xmask in itertools.product(handles, seconds, xmasks):
+            verdict = evaluate_raw(claim_id, ctx, h1, h2, xmask)
             outcome = verdict.outcome
             if outcome is _HOLDS:
                 holds += 1
@@ -186,7 +182,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
             else:
                 failed += 1
                 if len(fails) < max_failures:
-                    parts = (rgs1,) if rgs2 is None else (rgs1, rgs2)
+                    parts = (ctx.sizes.rgs(h1),) if h2 is None else (ctx.sizes.rgs(h1), ctx.sizes.rgs(h2))
                     fails.append((RawInstance(n, m, table, parts, xmask), verdict.witness))
                 if stop_on_fail:
                     return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
@@ -216,30 +212,40 @@ def _tasks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]]) -> 
         yield batch
 
 
-# this process's search pool as (workers, pid, executor, exit hook); a
-# forked child sees its parent's entry under another pid and starts its own
+# this process's search pool as (workers, pid, executor, exit hook,
+# generation); a forked child sees its parent's entry under another pid and
+# starts its own
 _pool: Optional[tuple] = None
+_generation = None  # in a pool worker, the pool's generation (see _run_task)
+
+
+def _start_worker(generation) -> None:
+    global _generation
+    import signal
+    # workers ignore Ctrl-C: the parent stops the sweep and drops the pool,
+    # and an idle pool must outlive a Ctrl-C at an interactive prompt
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _generation = generation
 
 
 def _get_pool(workers: int):
     global _pool
     if _pool is not None and _pool[:2] == (workers, os.getpid()):
-        return _pool[2]
+        return _pool[2], _pool[4]
     _drop_pool()
-    import signal
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.util import Finalize
 
-    # workers ignore Ctrl-C: the parent stops the sweep and drops the pool,
-    # and an idle pool must outlive a Ctrl-C at an interactive prompt
-    executor = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    generation = multiprocessing.Value("q", 0, lock=False)  # written by this process only
+    executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(generation,))
     # shut the pool down at exit while the interpreter is whole: from
     # atexit in the main process, and at the end of a multiprocessing child,
     # which would otherwise wait forever on the pool's workers; priority 20
     # runs before the pool's own queues close theirs (priority 10)
     hook = Finalize(None, _drop_pool, exitpriority=20)
-    _pool = (workers, os.getpid(), executor, hook)
-    return executor
+    _pool = (workers, os.getpid(), executor, hook, generation)
+    return executor, generation
 
 
 def _drop_pool() -> None:
@@ -292,15 +298,16 @@ def _run(
         return False
 
     if workers == 1:
-        merge(*_run_task((claim.id, groups, stop_on_fail, max_failures)))
+        merge(*_run_task((claim.id, groups, stop_on_fail, max_failures, None)))
     else:
         from collections import deque
         from concurrent.futures.process import BrokenProcessPool
 
         # bounded window of in-flight tasks, merged strictly in submission
-        # order; on early stop the unstarted tail is cancelled and the
-        # results of running tasks are never read
-        pool = _get_pool(workers)
+        # order; on early stop the unstarted tail is cancelled, running
+        # tasks go stale and end before their next group, and their results
+        # are never read
+        pool, generation = _get_pool(workers)
         tasks = _tasks(claim, groups)
         pending: deque = deque()
         try:
@@ -309,10 +316,12 @@ def _run(
                     batch = next(tasks, None)
                     if batch is None:
                         break
-                    pending.append(pool.submit(_run_task, (claim.id, batch, stop_on_fail, max_failures)))
+                    task = (claim.id, batch, stop_on_fail, max_failures, generation.value)
+                    pending.append(pool.submit(_run_task, task))
                 if not pending:
                     break
                 if merge(*pending.popleft().result()):
+                    generation.value += 1
                     for fut in pending:
                         fut.cancel()
                     break

@@ -229,3 +229,57 @@ def test_import_leaves_pool_modules_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_failures_past_the_cap_build_no_witness(monkeypatch):
+    from roughmap import claims
+
+    built = []
+    real = claims.subset_not_included
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(claims, "subset_not_included", counted)
+    report = verify("T41-1", 5, 3, workers=1, max_failures=3)
+    assert report.tally.fails == 10176
+    assert len(built) == len(report.failures) == 3
+    # the kept failures carry the witnesses evaluate() gives
+    for raw, witness in report.failures:
+        assert evaluate("T41-1", raw.to_instance()).witness == witness
+    assert len(built) == 6
+
+
+class _Generation:
+    value = 1
+
+
+def test_stale_pool_task_ends_before_its_next_group(monkeypatch):
+    # the pool's generation moved on: the task's sweep has stopped
+    monkeypatch.setattr(search, "_generation", _Generation)
+    groups = [(4, 2, (0, 0, 1, 1)), (4, 2, (0, 1, 0, 1))]
+    done, tally, fails, reason = search._run_task(("T31", groups, True, 1, 0))
+    assert (done, tally.total, fails, reason) == (0, 0, [], None)
+    done, tally, _, _ = search._run_task(("T31", groups, True, 1, 1))
+    assert done == 2 and tally.total == 2 * bell(4)
+
+
+def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monkeypatch):
+    # perfbench's --trace 1 gate: evaluations = instances, contexts = groups
+    from roughmap import claims
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from tracing import Tracer, installed
+
+    try:
+        for cid, max_u, max_v in [("T31", 4, 3), ("L31-2-inc", 4, 2), ("T41-1", 4, 3)]:
+            tracer = Tracer()
+            with installed(tracer):
+                report = verify(cid, max_u, max_v, workers=1)
+            assert tracer.calls["claims.evaluate_raw"] == report.instances
+            assert tracer.calls["claims.GroupContext"] == report.groups
+    finally:
+        # per-size tables built under the trace hold its kernel wrappers
+        claims._stored_tables.cache_clear()

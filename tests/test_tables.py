@@ -2,10 +2,11 @@
 evaluation against evaluation from scratch.
 
 Per-size tables (approximations, partition pairs) are compared in both
-forms: stored, as used up to claims._TABLE_MAX_N elements, and computed on
-every call, as used above it.  So is the image relation f(R), which is
-built from per-block contributions in a table up to that size and block by
-block above it.
+forms: stored, as used up to claims._TABLE_MAX_N elements, with partitions
+named by their index into the listed partitions, and computed on every
+call, as used above it, with partitions named by their rgs.  So is the
+image relation f(R), which is built from per-block contributions in a table
+up to that size and block by block above it.
 """
 
 import json
@@ -30,7 +31,7 @@ from roughmap import (
 from roughmap import claims, kernels
 from roughmap.claims import GroupContext, Instance
 from roughmap.enumeration import iter_rgs
-from roughmap.search import RawInstance, Tally, _group_instances, _run_task
+from roughmap.search import RawInstance, Tally, _run_task
 
 from oracles import (
     blocks_of_rgs,
@@ -59,7 +60,7 @@ def _elements(mask, n):
 def test_approximation_rows_match_oracle(form, n):
     tables = FORMS[form](n)
     for rgs in iter_rgs(n):
-        lo, hi = tables.approx(rgs)
+        lo, hi = tables.approx(tables.handle(rgs))
         blocks = blocks_of_rgs(rgs)
         for x in range(1 << n):
             want_lo, want_hi = naive_lower_upper(blocks, _elements(x, n))
@@ -71,24 +72,44 @@ def test_approximation_rows_match_oracle(form, n):
 def test_pair_rows_match_oracle(form, n):
     tables = FORMS[form](n)
     parts = list(iter_rgs(n))
-    # twice: the second sweep reads the slots the first one filled
+    # twice: the second sweep reads the rows the first one filled
     for _ in range(2):
         for rgs1, rgs2 in product(parts, parts):
+            h1, h2 = tables.handle(rgs1), tables.handle(rgs2)
             b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
-            assert blocks_of_rgs(tables.meet(rgs1, rgs2)) == naive_meet(b1, b2)
-            assert blocks_of_rgs(tables.join(rgs1, rgs2)) == naive_join(b1, b2)
-            assert tables.refines(rgs1, rgs2) == naive_refines(b1, b2)
-            union = tables.union(rgs1, rgs2)
+            assert blocks_of_rgs(tables.rgs(tables.meet(h1, h2))) == naive_meet(b1, b2)
+            assert blocks_of_rgs(tables.rgs(tables.join(h1, h2))) == naive_join(b1, b2)
+            assert tables.refines(h1, h2) == naive_refines(b1, b2)
+            union = tables.union(h1, h2)
             want = naive_union(b1, b2, n)
-            assert (None if union is None else blocks_of_rgs(union)) == want
+            assert (None if union is None else blocks_of_rgs(tables.rgs(union))) == want
 
 
 def test_stored_pair_results_are_the_listed_partitions():
     tables = claims._size_tables(4)
-    parts = {id(rgs) for rgs in tables.parts}
-    for rgs1, rgs2 in product(tables.parts, tables.parts):
-        assert id(tables.meet(rgs1, rgs2)) in parts
-        assert id(tables.join(rgs1, rgs2)) in parts
+    handles = range(len(tables.parts))
+    assert list(tables.handles()) == list(handles)
+    for h1, h2 in product(handles, handles):
+        assert tables.meet(h1, h2) in handles
+        assert tables.join(h1, h2) in handles
+        assert tables.union(h1, h2) in (None, *handles)
+        assert type(tables.refines(h1, h2)) is bool
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stored_pair_rows_name_the_kernel_results(n):
+    claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
+    tables = claims._size_tables(n)
+    direct = claims._DirectTables(n)
+    parts = tables.parts
+    assert parts == list(iter_rgs(n))
+    for i, j in product(range(len(parts)), repeat=2):
+        rgs1, rgs2 = parts[i], parts[j]
+        assert parts[tables.meet(i, j)] == kernels.meet_rgs(rgs1, rgs2)
+        assert parts[tables.join(i, j)] == kernels.join_rgs(rgs1, rgs2)
+        assert tables.refines(i, j) == kernels.refines_rgs(rgs1, rgs2)
+        union = tables.union(i, j)
+        assert (None if union is None else parts[union]) == direct.union(rgs1, rgs2)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -100,36 +121,47 @@ def test_images_match_direct_image(n, m):
             assert images[x] == _mask({table[i] for i in _elements(x, n)}), (table, x)
 
 
-# one group of every claim at n = 4: a surjection onto 2 values (the group of
-# the first counterexample of most refuted claims), a bijection for T42-*,
-# and a map missing a value for T31-refl
-def _group(cid):
+# two groups of every claim, at n = 4 and n = 5: surjections (onto 2 values,
+# the group of the first counterexample of most refuted claims, then onto 3
+# with uneven fibers), bijections for T42-*, and maps missing a value for
+# T31-refl
+def _groups(cid):
     claim = REGISTRY[cid]
     if claim.map_constraint == "bijective":
-        return 4, 4, (1, 0, 3, 2)
+        return [(4, 4, (1, 0, 3, 2)), (5, 5, (2, 0, 4, 1, 3))]
     if claim.map_constraint == "any":
-        return 4, 3, (0, 1, 1, 1)
-    return 4, 2, (0, 0, 1, 1)
+        return [(4, 3, (0, 1, 1, 1)), (5, 3, (0, 2, 2, 0, 0))]
+    return [(4, 2, (0, 0, 1, 1)), (5, 3, (0, 0, 1, 1, 2))]
+
+
+def _group_instances(claim, n):
+    """(partitions, xmask) of one group in canonical order, by rgs."""
+    parts = list(iter_rgs(n))
+    seconds = parts if claim.partitions == 2 else [None]
+    xmasks = range(1 << n) if claim.needs_subset else [None]
+    for rgs1, rgs2, xmask in product(parts, seconds, xmasks):
+        yield ((rgs1,) if rgs2 is None else (rgs1, rgs2)), xmask
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_cached_group_equals_evaluation_from_scratch(cid):
-    n, m, table = _group(cid)
-    _, tally, fails, reason = _run_task((cid, [(n, m, table)], False, 10**9))
+    groups = _groups(cid)
+    done, tally, fails, reason = _run_task((cid, groups, False, 10**9, None))
+    assert done == len(groups)
 
     claims._stored_tables.cache_clear()  # fresh per-size tables as well
     outcomes = Counter()
     want_fails = []
     want_reason = None
-    for rgs1, rgs2, xmask in _group_instances(REGISTRY[cid], n):
-        parts = (rgs1,) if rgs2 is None else (rgs1, rgs2)
-        raw = RawInstance(n, m, table, parts, xmask)
-        verdict = evaluate(cid, raw.to_instance())  # builds its own GroupContext
-        outcomes[verdict.outcome] += 1
-        if verdict.outcome is Outcome.FAILS:
-            want_fails.append((raw, verdict.witness))
-        if verdict.outcome is Outcome.ILL_TYPED and want_reason is None:
-            want_reason = verdict.reason
+    for n, m, table in groups:
+        for parts, xmask in _group_instances(REGISTRY[cid], n):
+            raw = RawInstance(n, m, table, parts, xmask)
+            verdict = evaluate(cid, raw.to_instance())  # builds its own GroupContext
+            outcomes[verdict.outcome] += 1
+            if verdict.outcome is Outcome.FAILS:
+                want_fails.append((raw, verdict.witness))
+            if verdict.outcome is Outcome.ILL_TYPED and want_reason is None:
+                want_reason = verdict.reason
 
     assert tally == Tally(
         outcomes[Outcome.HOLDS], outcomes[Outcome.FAILS],
@@ -160,14 +192,15 @@ def test_image_relation_matches_oracle(stored, n, monkeypatch):
         for table in product(range(m), repeat=n):
             ctx = GroupContext(n, m, table)
             for rgs in parts:
-                rel = ctx.relmap(rgs)
-                assert ctx.image_relation(rgs) is rel
+                h = ctx.sizes.handle(rgs)
+                rel = ctx.relmaps[h]
+                assert ctx.relmap(h) is rel
                 pairs = naive_relmap(table, m, blocks_of_rgs(rgs))
                 assert set(kernels.pairs(rel.packed, m)) == pairs, (table, rgs)
                 assert rel.packed == sum(1 << a * m + b for a, b in pairs)
                 refl, sym, trans = naive_classify(pairs, m)
                 assert rel.flags == refl * 1 + sym * 2 + trans * 4, (table, rgs)
-                approx = ctx.approx(rgs)
+                approx = ctx.approx(h)
                 if not (refl and sym and trans):
                     assert rel.rgs is None and approx is None
                     continue
