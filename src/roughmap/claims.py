@@ -219,6 +219,9 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # answers on every call and GroupContext keeps the per-map ones as they are
 # first read.  `handle` and `rgs` convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
+# The partition order comes from the meet and join rows alone: R1 ⊆ R2
+# when R1 ∧ R2 = R1; the fiber condition when ker f ∧ R = ker f; and
+# R1 ∪ R2 is an equivalence exactly when it equals R1 ∨ R2.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
 # (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
@@ -283,7 +286,7 @@ class _DirectTables:
         self.n = n
         kern = self.kern = kernels.select(n)
         self.blocks = _Computed(kern.block_masks)
-        self.meet, self.join, self.refines = kern.meet_rgs, kern.join_rgs, kern.refines_rgs
+        self.meet, self.join = kern.meet_rgs, kern.join_rgs
 
     handle = rgs = staticmethod(lambda x: x)
 
@@ -297,12 +300,10 @@ class _DirectTables:
         return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
 
     def union(self, rgs1, rgs2):
-        """rgs of R1 ∪ R2 when that union is an equivalence, else None."""
-        kern = self.kern
-        union = kern.partition_relation(rgs1) | kern.partition_relation(rgs2)
-        if kern.classify(union, self.n) != kernels.EQUIVALENCE:
-            return None
-        return kern.relation_rgs(union, self.n)
+        """rgs of R1 ∪ R2 when that union is an equivalence, else None: it is
+        one exactly when it equals the join R1 ∨ R2 as a relation."""
+        join, relation = self.kern.join_rgs(rgs1, rgs2), self.kern.partition_relation
+        return join if relation(rgs1) | relation(rgs2) == relation(join) else None
 
 
 class _SizeTables:
@@ -313,7 +314,7 @@ class _SizeTables:
     approximation rows (2**n masks each), and each pair operation its row i,
     when first read, filled whole with one entry per second partition: at
     most B(n)**2 entries per operation.  Meet, join and union rows hold
-    handles (union None where R1 ∪ R2 is no equivalence), refines rows bools.
+    handles (union None where R1 ∪ R2 is no equivalence).
     """
 
     def __init__(self, n: int):
@@ -324,7 +325,7 @@ class _SizeTables:
         self.handle, self.rgs = self.index.__getitem__, self.parts.__getitem__
         self.blocks = [self.direct.kern.block_masks(rgs) for rgs in self.parts]
         count = len(self.parts)
-        self._approx, self._meet, self._join, self._refines, self._union = ([None] * count for _ in range(5))
+        self._approx, self._meet, self._join, self._union = ([None] * count for _ in range(4))
 
     def handles(self) -> range:
         return range(len(self.parts))
@@ -353,9 +354,6 @@ class _SizeTables:
     def join(self, i: int, j: int) -> int:
         return (self._join[i] or self._fill(self._join, self.direct.join, i))[j]
 
-    def refines(self, i: int, j: int) -> bool:
-        return (self._refines[i] or self._fill(self._refines, self.direct.refines, i))[j]
-
     def union(self, i: int, j: int) -> Optional[int]:
         return (self._union[i] or self._fill(self._union, self.direct.union, i))[j]
 
@@ -380,9 +378,8 @@ class GroupContext:
     """
 
     __slots__ = (
-        "n", "m", "table", "kern", "fibers", "surjective", "bijective",
-        "sizes", "images", "contributions", "relmaps", "_relations", "_fiber_ok",
-        "_approx",
+        "n", "m", "table", "kern", "fibers", "surjective", "sizes", "images",
+        "contributions", "relmaps", "_relations", "_ker", "_fiber_ok", "_approx",
     )
 
     def __init__(self, n: int, m: int, table: tuple[int, ...]):
@@ -392,8 +389,8 @@ class GroupContext:
         self.kern = kernels.select(n, m)
         self.fibers = self.kern.fiber_masks(table, m)
         self.surjective = all(f != 0 for f in self.fibers)
-        self.bijective = n == m and self.surjective
         self.sizes = _size_tables(n)
+        self._ker = None  # handle of ker f, found by the first fiber_ok
         self._relations = _RELATIONS.setdefault(m, {})
         if n <= _TABLE_MAX_N:
             self._fill_tables()
@@ -454,10 +451,14 @@ class GroupContext:
         return hit
 
     def fiber_ok(self, h) -> bool:
-        """True when every fiber of f lies inside one block of partition h."""
+        """True when every fiber of f lies inside one block of partition h:
+        ker f ≤ h, that is ker f ∧ h = ker f."""
         hit = self._fiber_ok[h]
         if hit is None:
-            hit = self._fiber_ok[h] = self.kern.fiber_condition(self.sizes.rgs(h), self.table, self.fibers)
+            ker = self._ker
+            if ker is None:
+                ker = self._ker = self.sizes.handle(self.kern.fiber_rgs(self.table))
+            hit = self._fiber_ok[h] = self.sizes.meet(ker, h) == ker
         return hit
 
     def approx(self, h):
@@ -533,7 +534,7 @@ def _eval_t31_refl(ctx, h1, h2, xmask):
 
 
 def _eval_l311_fwd(ctx, h1, h2, xmask):
-    if not ctx.sizes.refines(h1, h2):
+    if ctx.sizes.meet(h1, h2) != h1:
         return _VACUOUS
     left = ctx.relmaps[h1].packed
     right = ctx.relmaps[h2].packed
@@ -550,7 +551,7 @@ def _partitions_not_included(ctx, h1, h2) -> dict:
 def _eval_l311_bwd(ctx, h1, h2, xmask):
     if ctx.relmaps[h1].packed & ~ctx.relmaps[h2].packed:
         return _VACUOUS
-    if ctx.sizes.refines(h1, h2):
+    if ctx.sizes.meet(h1, h2) == h1:
         return _HOLDS
     return _Failure(_partitions_not_included, ctx, h1, h2)
 

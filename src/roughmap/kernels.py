@@ -163,7 +163,11 @@ def contribution(sizes, counts) -> int:
 
 
 def meet_rgs(rgs1, rgs2):
-    """Common refinement: blocks are the nonempty pairwise intersections."""
+    """Common refinement: blocks are the nonempty pairwise intersections.
+
+    This is the partition order's one definition: R1 refines R2 (R1 ≤ R2,
+    R1 ⊆ R2 as relations) exactly when meet_rgs(R1, R2) == R1.
+    """
     seen = {}
     out = []
     for a, b in zip(rgs1, rgs2):
@@ -205,22 +209,12 @@ def join_rgs(rgs1, rgs2):
     return tuple(out)
 
 
-def refines_rgs(rgs1, rgs2):
-    """True when every block of rgs1 sits inside one block of rgs2."""
-    image = {}
-    for a, b in zip(rgs1, rgs2):
-        if image.setdefault(a, b) != b:
-            return False
-    return True
-
-
-def fiber_condition(rgs, table, fibers):
-    """True when every fiber is contained in its element's block."""
-    blocks = block_masks(rgs)
-    for x in range(len(rgs)):
-        if fibers[table[x]] & ~blocks[rgs[x]]:
-            return False
-    return True
+def fiber_rgs(table):
+    """ker f, the partition of U into the fibers of a map table: the table
+    relabeled by first appearance.  The fiber condition [x]_f ⊆ [x]_R is
+    ker f ≤ R."""
+    first = {}
+    return tuple(first.setdefault(v, len(first)) for v in table)
 
 
 def lower_upper_masks(blocks, xmask):
@@ -253,7 +247,10 @@ def select(n: int, m: int | None = None):
     Returns this module.  The engine fetches its kernels through this call
     (`claims.GroupContext`, `claims._DirectTables`), so the per-layer
     benchmark trace (`perfbench/tracing.py`) can wrap it to count and time
-    kernel calls; the public API calls the kernels directly.
+    kernel calls; the public API calls the kernels directly.  Refinement,
+    the fiber condition and the union test have no kernel of their own:
+    the engine reads them from meet_rgs, join_rgs, fiber_rgs and
+    partition_relation.
     """
     return _this
 

@@ -178,7 +178,7 @@ def degree_table(f: SurjMap, p: Partition) -> tuple[DegreeRatio, ...]:
 
 
 def fiber_condition(f: SurjMap, p: Partition) -> bool:
-    """True when every fiber sits inside the class of its elements."""
+    """True when every fiber sits inside the class of its elements: ker f ≤ R."""
     if p.universe is not f.domain:
         raise MixedUniverseError("partition not over the map's domain")
-    return kernels.fiber_condition(p.rgs, f.table, f.fibers)
+    return Partition(f.domain, kernels.fiber_rgs(f.table)).refines(p)

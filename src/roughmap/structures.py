@@ -345,9 +345,9 @@ class Partition:
         return BinRelation(self.universe, kernels.partition_relation(self.rgs))
 
     def refines(self, other: "Partition") -> bool:
-        """True when every block of self lies inside a block of other."""
+        """True when every block of self lies inside a block of other: self ∧ other = self."""
         _check_same(self.universe, other.universe)
-        return kernels.refines_rgs(self.rgs, other.rgs)
+        return kernels.meet_rgs(self.rgs, other.rgs) == self.rgs
 
     def meet(self, other: "Partition") -> "Partition":
         """Coarsest common refinement (pairwise block intersections)."""

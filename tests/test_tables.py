@@ -6,7 +6,10 @@ forms: stored, as used up to claims._TABLE_MAX_N elements, with partitions
 named by their index into the listed partitions, and computed on every
 call, as used above it, with partitions named by their rgs.  So is the
 image relation f(R), which is built from per-block contributions in a table
-up to that size and block by block above it.
+up to that size and block by block above it.  Refinement, the union test
+and the fiber condition have no table of their own; they are read from
+the meet and join rows (R1 ⊆ R2 when meet(R1, R2) = R1, the fiber
+condition when meet(ker f, R) = ker f) and checked against the oracles here.
 """
 
 import json
@@ -25,6 +28,7 @@ from roughmap import (
     Universe,
     approximations,
     evaluate,
+    fiber_condition,
     report_doc,
     verify,
 )
@@ -79,7 +83,7 @@ def test_pair_rows_match_oracle(form, n):
             b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
             assert blocks_of_rgs(tables.rgs(tables.meet(h1, h2))) == naive_meet(b1, b2)
             assert blocks_of_rgs(tables.rgs(tables.join(h1, h2))) == naive_join(b1, b2)
-            assert tables.refines(h1, h2) == naive_refines(b1, b2)
+            assert (tables.meet(h1, h2) == h1) == naive_refines(b1, b2)
             union = tables.union(h1, h2)
             want = naive_union(b1, b2, n)
             assert (None if union is None else blocks_of_rgs(tables.rgs(union))) == want
@@ -93,23 +97,44 @@ def test_stored_pair_results_are_the_listed_partitions():
         assert tables.meet(h1, h2) in handles
         assert tables.join(h1, h2) in handles
         assert tables.union(h1, h2) in (None, *handles)
-        assert type(tables.refines(h1, h2)) is bool
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stored_pair_rows_name_the_kernel_results(n):
     claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
     tables = claims._size_tables(n)
-    direct = claims._DirectTables(n)
     parts = tables.parts
     assert parts == list(iter_rgs(n))
     for i, j in product(range(len(parts)), repeat=2):
         rgs1, rgs2 = parts[i], parts[j]
+        b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
         assert parts[tables.meet(i, j)] == kernels.meet_rgs(rgs1, rgs2)
         assert parts[tables.join(i, j)] == kernels.join_rgs(rgs1, rgs2)
-        assert tables.refines(i, j) == kernels.refines_rgs(rgs1, rgs2)
+        assert (tables.meet(i, j) == i) == naive_refines(b1, b2)
         union = tables.union(i, j)
-        assert (None if union is None else parts[union]) == direct.union(rgs1, rgs2)
+        assert (None if union is None else blocks_of_rgs(parts[union])) == naive_union(b1, b2, n)
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "direct"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fiber_condition_is_every_fiber_inside_one_block(stored, n, monkeypatch):
+    # every table, so also tables such as (1, 0, 0, 2) whose values do not
+    # appear in order, and tables that miss a value
+    if not stored:
+        monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+    parts = list(iter_rgs(n))
+    u = Universe(n)
+    for m in range(1, 4):
+        v = Universe(m)
+        for table in product(range(m), repeat=n):
+            ctx = GroupContext(n, m, table)
+            fibers = [{x for x in range(n) if table[x] == value} for value in range(m)]
+            f = SurjMap(u, v, table)
+            for rgs in parts:
+                blocks = blocks_of_rgs(rgs)
+                want = all(any(fiber <= block for block in blocks) for fiber in fibers)
+                assert ctx.fiber_ok(ctx.sizes.handle(rgs)) == want, (table, rgs)
+                assert fiber_condition(f, Partition(u, rgs)) == want, (table, rgs)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
