@@ -213,11 +213,12 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # operations on pairs of partitions, images of masks and the image relation
 # f(R).  The first two depend on the universe size alone and are shared by
 # every map of that size; the last two are kept per map, in GroupContext.
-# Evaluators name a partition of U by a handle: up to _TABLE_MAX_N elements
-# its index into _SizeTables.parts, and the tables are lists built lazily;
-# above it the rgs itself, for which _DirectTables computes the per-size
-# answers on every call and GroupContext keeps the per-map ones as they are
-# first read.  `handle` and `rgs` convert at the boundary.
+# Evaluators name a partition of U by a handle of the size tables, which
+# size_tables picks: for a sweep up to _TABLE_MAX_N elements _SizeTables,
+# whose handle is an index into `parts` and whose lists are built lazily;
+# for a sweep above it, and for any single evaluate(), _DirectTables, whose
+# handle is the rgs and which computes every answer on each call.  `handle`
+# and `rgs` convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 # The partition order comes from the meet and join rows alone: R1 ⊆ R2
 # when R1 ∧ R2 = R1; the fiber condition when ker f ∧ R = ker f; and
@@ -363,8 +364,8 @@ def _stored_tables(n: int) -> _SizeTables:
     return _SizeTables(n)
 
 
-def _size_tables(n: int):
-    """Approximation and partition-pair tables for universes of size n."""
+def size_tables(n: int):
+    """Approximation and partition-pair tables for a sweep over size n."""
     return _stored_tables(n) if n <= _TABLE_MAX_N else _DirectTables(n)
 
 
@@ -374,7 +375,9 @@ class GroupContext:
     The image and the block contribution to f(R) of every mask of U depend
     only on the map; f(R) (`relmaps`), the fiber condition and the
     approximation rows on U and V only on the map and one partition.  So a
-    search group keeps them here, per partition handle of `sizes`.
+    search group keeps them here, per partition handle of `sizes`, the size
+    tables of U: on _SizeTables in lists filled for every partition when the
+    group starts, on _DirectTables as they are first read.
     """
 
     __slots__ = (
@@ -382,35 +385,31 @@ class GroupContext:
         "contributions", "relmaps", "_relations", "_ker", "_fiber_ok", "_approx",
     )
 
-    def __init__(self, n: int, m: int, table: tuple[int, ...]):
-        self.n = n
+    def __init__(self, sizes, m: int, table: tuple[int, ...]):
+        self.sizes = sizes
+        self.n = n = sizes.n
         self.m = m
         self.table = table = tuple(table)
         self.kern = kernels.select(n, m)
         self.fibers = self.kern.fiber_masks(table, m)
         self.surjective = all(f != 0 for f in self.fibers)
-        self.sizes = _size_tables(n)
         self._ker = None  # handle of ker f, found by the first fiber_ok
         self._relations = _RELATIONS.setdefault(m, {})
-        if n <= _TABLE_MAX_N:
+        if type(sizes) is _SizeTables:
             self._fill_tables()
             # a search group reads every partition's f(R)
-            self.relmaps = [self.relmap(h) for h in self.sizes.handles()]
+            self.relmaps = [self.relmap(h) for h in sizes.handles()]
             self._fiber_ok = [None] * len(self.relmaps)
             self._approx = [_TODO] * len(self.relmaps)
         else:
             fibers, image_mask = self.fibers, self.kern.image_mask
-            sizes = [f.bit_count() for f in fibers]
+            fiber_sizes = [f.bit_count() for f in fibers]
             self.images = _Cached(lambda x: image_mask(table, x))
-            self.contributions = _Cached(lambda block: contribution(sizes, fiber_counts(fibers, block)))
+            self.contributions = _Cached(lambda block: contribution(fiber_sizes, fiber_counts(fibers, block)))
             self.relmaps = _Cached(self.relmap)
             # unread handles read as unfilled, as in the lists above
             self._fiber_ok = _Cached(lambda h: None)
             self._approx = _Cached(lambda h: _TODO)
-
-    @classmethod
-    def for_map(cls, f: SurjMap) -> "GroupContext":
-        return cls(f.domain.size, f.codomain.size, f.table)
 
     def _fill_tables(self) -> None:
         """images[x] = f(x) and contributions[x] for every mask x of U.
@@ -470,7 +469,7 @@ class GroupContext:
         """
         hit = self._approx[h]
         if hit is _TODO:
-            vrgs, vsizes = self.relmaps[h].rgs, _size_tables(self.m)
+            vrgs, vsizes = self.relmaps[h].rgs, size_tables(self.m)
             hit = None if vrgs is None else self.sizes.approx(h) + vsizes.approx(vsizes.handle(vrgs))
             self._approx[h] = hit
         return hit
@@ -729,7 +728,7 @@ def evaluate(claim: Union[str, Claim], inst: Instance) -> Verdict:
     """Verdict of a claim on an instance; raises BadInstance on shape mismatch."""
     claim = get_claim(claim)
     check_shape(claim, inst)
-    ctx = GroupContext.for_map(inst.f)
+    ctx = GroupContext(_DirectTables(inst.f.domain.size), inst.f.codomain.size, inst.f.table)
     handles = [ctx.sizes.handle(p.rgs) for p in inst.partitions]
     verdict = evaluate_raw(claim.id, ctx, *handles, xmask=inst.x.mask if inst.x is not None else None)
     return Verdict(Outcome.FAILS, witness=verdict.witness) if verdict.outcome is Outcome.FAILS else verdict

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .claims import Claim, GroupContext, Instance, Outcome, get_claim, evaluate_raw
+from .claims import Claim, GroupContext, Instance, Outcome, get_claim, evaluate_raw, size_tables
 # iter_rgs is not called here; perfbench/tracing.py wraps it with the other enumeration streams
 from .enumeration import bell, iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
 from .errors import WorkerCrashError
@@ -163,7 +163,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     for n, m, table in groups:
         if generation is not None and _generation.value != generation:
             break
-        ctx = GroupContext(n, m, table)
+        ctx = GroupContext(size_tables(n), m, table)
         done += 1
         handles = ctx.sizes.handles()
         seconds = handles if claim.partitions == 2 else (None,)

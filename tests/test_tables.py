@@ -2,14 +2,17 @@
 evaluation against evaluation from scratch.
 
 Per-size tables (approximations, partition pairs) are compared in both
-forms: stored, as used up to claims._TABLE_MAX_N elements, with partitions
-named by their index into the listed partitions, and computed on every
-call, as used above it, with partitions named by their rgs.  So is the
-image relation f(R), which is built from per-block contributions in a table
-up to that size and block by block above it.  Refinement, the union test
-and the fiber condition have no table of their own; they are read from
-the meet and join rows (R1 ⊆ R2 when meet(R1, R2) = R1, the fiber
-condition when meet(ker f, R) = ker f) and checked against the oracles here.
+forms: stored, as a sweep uses them up to claims._TABLE_MAX_N elements,
+with partitions named by their index into the listed partitions, and
+computed on every call, as a sweep uses them above it and a single
+evaluate() at every size, with partitions named by their rgs.  So is the
+image relation f(R), which GroupContext builds for every partition from
+per-block contributions in a table on the stored form and block by block,
+as it is read, on the direct form; a sweep's groups are checked against
+evaluate() on each instance.  Refinement, the union test and the fiber
+condition have no table of their own; they are read from the meet and join
+rows (R1 ⊆ R2 when meet(R1, R2) = R1, the fiber condition when
+meet(ker f, R) = ker f) and checked against the oracles here.
 """
 
 import json
@@ -48,7 +51,7 @@ from oracles import (
     naive_union,
 )
 
-FORMS = {"stored": claims._size_tables, "direct": claims._DirectTables}
+FORMS = {"stored": claims.size_tables, "direct": claims._DirectTables}
 
 
 def _mask(elements):
@@ -90,7 +93,7 @@ def test_pair_rows_match_oracle(form, n):
 
 
 def test_stored_pair_results_are_the_listed_partitions():
-    tables = claims._size_tables(4)
+    tables = claims.size_tables(4)
     handles = range(len(tables.parts))
     assert list(tables.handles()) == list(handles)
     for h1, h2 in product(handles, handles):
@@ -102,7 +105,7 @@ def test_stored_pair_results_are_the_listed_partitions():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stored_pair_rows_name_the_kernel_results(n):
     claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
-    tables = claims._size_tables(n)
+    tables = claims.size_tables(n)
     parts = tables.parts
     assert parts == list(iter_rgs(n))
     for i, j in product(range(len(parts)), repeat=2):
@@ -115,19 +118,17 @@ def test_stored_pair_rows_name_the_kernel_results(n):
         assert (None if union is None else blocks_of_rgs(parts[union])) == naive_union(b1, b2, n)
 
 
-@pytest.mark.parametrize("stored", [True, False], ids=["stored", "direct"])
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", range(1, 6))
-def test_fiber_condition_is_every_fiber_inside_one_block(stored, n, monkeypatch):
+def test_fiber_condition_is_every_fiber_inside_one_block(form, n):
     # every table, so also tables such as (1, 0, 0, 2) whose values do not
     # appear in order, and tables that miss a value
-    if not stored:
-        monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
     parts = list(iter_rgs(n))
     u = Universe(n)
     for m in range(1, 4):
         v = Universe(m)
         for table in product(range(m), repeat=n):
-            ctx = GroupContext(n, m, table)
+            ctx = GroupContext(FORMS[form](n), m, table)
             fibers = [{x for x in range(n) if table[x] == value} for value in range(m)]
             f = SurjMap(u, v, table)
             for rgs in parts:
@@ -141,7 +142,7 @@ def test_fiber_condition_is_every_fiber_inside_one_block(stored, n, monkeypatch)
 @pytest.mark.parametrize("m", range(1, 4))
 def test_images_match_direct_image(n, m):
     for table in product(range(m), repeat=n):
-        images = GroupContext(n, m, table).images
+        images = GroupContext(claims.size_tables(n), m, table).images
         for x in range(1 << n):
             assert images[x] == _mask({table[i] for i in _elements(x, n)}), (table, x)
 
@@ -149,14 +150,18 @@ def test_images_match_direct_image(n, m):
 # two groups of every claim, at n = 4 and n = 5: surjections (onto 2 values,
 # the group of the first counterexample of most refuted claims, then onto 3
 # with uneven fibers), bijections for T42-*, and maps missing a value for
-# T31-refl
+# T31-refl; T31 also gets the group of its first counterexample at n = 6
+# (perfbench/workloads.py, PINS["t31-verify-6-3"]), a transitivity failure
 def _groups(cid):
     claim = REGISTRY[cid]
     if claim.map_constraint == "bijective":
         return [(4, 4, (1, 0, 3, 2)), (5, 5, (2, 0, 4, 1, 3))]
     if claim.map_constraint == "any":
         return [(4, 3, (0, 1, 1, 1)), (5, 3, (0, 2, 2, 0, 0))]
-    return [(4, 2, (0, 0, 1, 1)), (5, 3, (0, 0, 1, 1, 2))]
+    groups = [(4, 2, (0, 0, 1, 1)), (5, 3, (0, 0, 1, 1, 2))]
+    if cid == "T31":
+        groups.append((6, 3, (0, 0, 1, 1, 2, 2)))
+    return groups
 
 
 def _group_instances(claim, n):
@@ -181,7 +186,7 @@ def test_cached_group_equals_evaluation_from_scratch(cid):
     for n, m, table in groups:
         for parts, xmask in _group_instances(REGISTRY[cid], n):
             raw = RawInstance(n, m, table, parts, xmask)
-            verdict = evaluate(cid, raw.to_instance())  # builds its own GroupContext
+            verdict = evaluate(cid, raw.to_instance())  # its own GroupContext, on direct tables
             outcomes[verdict.outcome] += 1
             if verdict.outcome is Outcome.FAILS:
                 want_fails.append((raw, verdict.witness))
@@ -196,6 +201,26 @@ def test_cached_group_equals_evaluation_from_scratch(cid):
     assert reason == want_reason
 
 
+def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
+    # a single instance at 7 elements: f(R) of R1, R2 and their meet, and no
+    # per-size tables, where a sweep's group builds f(R) for all 877 partitions
+    calls = []
+    relmap = GroupContext.relmap
+
+    def counted(ctx, h):
+        calls.append(h)
+        return relmap(ctx, h)
+
+    monkeypatch.setattr(GroupContext, "relmap", counted)
+    claims._stored_tables.cache_clear()
+    u = Universe(7)
+    f = SurjMap(u, Universe(3), (0, 0, 1, 1, 2, 2, 2))
+    r1, r2 = Partition(u, (0, 1, 0, 2, 1, 3, 3)), Partition(u, (0, 0, 1, 1, 2, 2, 0))
+    evaluate("L31-2-inc", Instance(f, (r1, r2)))
+    assert len(calls) <= 3
+    assert claims._stored_tables.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     # above _TABLE_MAX_N nothing is stored; the sweep must not notice
@@ -207,15 +232,13 @@ def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     assert direct.ill_typed_reason == stored.ill_typed_reason
 
 
-@pytest.mark.parametrize("stored", [True, False], ids=["stored", "direct"])
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", range(1, 6))
-def test_image_relation_matches_oracle(stored, n, monkeypatch):
-    if not stored:
-        monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+def test_image_relation_matches_oracle(form, n):
     parts = list(iter_rgs(n))
     for m in range(1, 4):
         for table in product(range(m), repeat=n):
-            ctx = GroupContext(n, m, table)
+            ctx = GroupContext(FORMS[form](n), m, table)
             for rgs in parts:
                 h = ctx.sizes.handle(rgs)
                 rel = ctx.relmaps[h]
@@ -275,7 +298,7 @@ def test_large_universes_agree_with_the_reference_relmap(n, m, table):
     for p1 in parts:
         fr = oracle(p1)
         is_eq = all(naive_classify(fr, m))
-        assert GroupContext(n, m, table).relmap(p1.rgs).packed == sum(1 << a * m + b for a, b in fr)
+        assert GroupContext(claims.size_tables(n), m, table).relmap(p1.rgs).packed == sum(1 << a * m + b for a, b in fr)
         want = Outcome.HOLDS if is_eq else Outcome.FAILS
         assert evaluate("T31", Instance(f, (p1,))).outcome is want
 
