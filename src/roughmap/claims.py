@@ -213,16 +213,19 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # operations on pairs of partitions, images of masks and the image relation
 # f(R).  The first two depend on the universe size alone and are shared by
 # every map of that size; the last two are kept per map, in GroupContext.
-# Evaluators name a partition of U by a handle of the size tables, which
-# size_tables picks: for a sweep up to _TABLE_MAX_N elements _SizeTables,
-# whose handle is an index into `parts` and whose lists are built lazily;
+# A partition is its equivalence relation, packed into one int as every
+# relation is (kernels), so the lattice is relation algebra: the meet is
+# R1 & R2, the join closure(R1 | R2), and the union R1 | R2 when that is an
+# equivalence.  R1 ⊆ R2 when R1 ∧ R2 = R1, and the fiber condition when
+# ker f ∧ R = ker f.  Evaluators name a partition by a handle of the size
+# tables, which size_tables picks: for a sweep up to _TABLE_MAX_N elements
+# _SizeTables, whose handle is the relation's index into `relations`, the
+# partitions in lex order of their rgs, and whose rows are filled lazily;
 # for a sweep above it, and for any single evaluate(), _DirectTables, whose
-# handle is the rgs and which computes every answer on each call.  `handle`
-# and `rgs` convert at the boundary.
+# handle is the relation itself and which computes every answer on each
+# call.  On both, `index` maps a partition's relation to its handle, and
+# `handle` and `rgs` convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
-# The partition order comes from the meet and join rows alone: R1 ⊆ R2
-# when R1 ∧ R2 = R1; the fiber condition when ker f ∧ R = ker f; and
-# R1 ∪ R2 is an equivalence exactly when it equals R1 ∨ R2.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
 # (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
@@ -262,101 +265,116 @@ class _Cached(dict):
 
 
 class _Relation:
-    """A packed relation on V, its classification flags and, when it is an
-    equivalence, its rgs."""
+    """A packed relation on V and its classification flags."""
 
-    __slots__ = ("packed", "flags", "rgs")
+    __slots__ = ("packed", "flags")
 
     def __init__(self, kern, m: int, packed: int):
         self.packed = packed
         self.flags = kern.classify(packed, m)
-        self.rgs = kern.relation_rgs(packed, m) if self.flags == kernels.EQUIVALENCE else None
+
+
+@lru_cache(maxsize=1)
+def _listed_relations(n: int) -> list:
+    """The relation of every partition of n elements, in lex order of the rgs."""
+    return [kernels.partition_relation(rgs) for rgs in iter_rgs(n)]
 
 
 class _DirectTables:
     """Per-size answers computed by the kernels on every call; a partition's
-    handle is its rgs.
+    handle is its packed relation, so `relations` and `index` map a handle
+    to itself.
 
     Nothing is kept: a search group reads each partition's block masks once
     and each (partition, subset) approximation once, so keeping them would
     hold B(n) block tuples and up to 2·B(n)·2**n masks per group and reuse
-    none.
+    none.  Only `handles()`, which a sweep reads in every group, is listed
+    once per size.
     """
 
     def __init__(self, n: int):
         self.n = n
         kern = self.kern = kernels.select(n)
-        self.blocks = _Computed(kern.block_masks)
-        self.meet, self.join = kern.meet_rgs, kern.join_rgs
+        self.relations = self.index = _Computed(lambda r: r)
+        self.blocks = _Computed(lambda r: kern.relation_blocks(r, n))
 
-    handle = rgs = staticmethod(lambda x: x)
+    def handle(self, rgs):
+        return self.index[self.kern.partition_relation(rgs)]
+
+    def rgs(self, h) -> tuple:
+        return self.kern.relation_rgs(self.relations[h], self.n)
 
     def handles(self) -> list:  # in lex order
-        return list(iter_rgs(self.n))
+        return _listed_relations(self.n)
 
-    def approx(self, rgs):
-        """(lower, upper) approximations over rgs, each indexed by subset mask."""
-        blocks = self.kern.block_masks(rgs)
+    def approx(self, r: int):
+        """(lower, upper) approximations over r, each indexed by subset mask."""
+        blocks = self.blocks[r]
         lub = self.kern.lower_upper_masks
         return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
 
-    def union(self, rgs1, rgs2):
-        """rgs of R1 ∪ R2 when that union is an equivalence, else None: it is
-        one exactly when it equals the join R1 ∨ R2 as a relation."""
-        join, relation = self.kern.join_rgs(rgs1, rgs2), self.kern.partition_relation
-        return join if relation(rgs1) | relation(rgs2) == relation(join) else None
+    meet = staticmethod(int.__and__)
+
+    def join(self, r1: int, r2: int) -> int:
+        return self.kern.closure(r1 | r2, self.n)
+
+    def union(self, r1: int, r2: int) -> Optional[int]:
+        """R1 ∪ R2 when it is an equivalence, else None: it is reflexive and
+        symmetric, so one exactly when it is its own closure, the join."""
+        r = r1 | r2
+        return r if self.kern.closure(r, self.n) == r else None
 
 
 class _SizeTables:
     """The answers of _DirectTables, stored; a partition's handle is its
-    index into `parts`, the partitions in lex order.
+    relation's index into `relations`, the partitions in lex order.
 
     `blocks` lists each partition's block masks.  Partition i gets its
     approximation rows (2**n masks each), and each pair operation its row i,
     when first read, filled whole with one entry per second partition: at
-    most B(n)**2 entries per operation.  Meet, join and union rows hold
-    handles (union None where R1 ∪ R2 is no equivalence).
+    most B(n)**2 entries per operation.  An entry is the handle of the
+    resulting relation, so a union that is no partition's relation, no
+    equivalence, reads None.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.direct = _DirectTables(n)
-        self.parts = list(iter_rgs(n))
-        self.index = {rgs: i for i, rgs in enumerate(self.parts)}
-        self.handle, self.rgs = self.index.__getitem__, self.parts.__getitem__
-        self.blocks = [self.direct.kern.block_masks(rgs) for rgs in self.parts]
-        count = len(self.parts)
+        self.direct = direct = _DirectTables(n)
+        self.kern = direct.kern
+        self.relations = _listed_relations(n)
+        self.index = {r: i for i, r in enumerate(self.relations)}
+        self.blocks = [direct.blocks[r] for r in self.relations]
+        count = len(self.relations)
         self._approx, self._meet, self._join, self._union = ([None] * count for _ in range(4))
 
+    handle, rgs = _DirectTables.handle, _DirectTables.rgs
+
     def handles(self) -> range:
-        return range(len(self.parts))
+        return range(len(self.relations))
 
     def approx(self, i: int):
         hit = self._approx[i]
         if hit is None:
-            lub = self.direct.kern.lower_upper_masks
+            lub = self.kern.lower_upper_masks
             blocks = self.blocks[i]
             hit = self._approx[i] = tuple(zip(*[lub(blocks, x) for x in range(1 << self.n)]))
         return hit
 
-    def _fill(self, rows: list, compute, i: int) -> list:
-        """Row i of one pair operation: compute on partition i and each
-        partition in turn, with partitions in the results as handles."""
-        first, index = self.parts[i], self.index
-        row = rows[i] = [compute(first, rgs) for rgs in self.parts]
-        for j, hit in enumerate(row):
-            if type(hit) is tuple:  # an rgs
-                row[j] = index[hit]
+    def _fill(self, rows: list, op, i: int) -> list:
+        """Row i of one pair operation: op on partition i's relation and each
+        partition's in turn, each result named by its handle."""
+        first, handle = self.relations[i], self.index.get
+        row = rows[i] = [handle(op(first, r)) for r in self.relations]
         return row
 
     def meet(self, i: int, j: int) -> int:
-        return (self._meet[i] or self._fill(self._meet, self.direct.meet, i))[j]
+        return (self._meet[i] or self._fill(self._meet, int.__and__, i))[j]
 
     def join(self, i: int, j: int) -> int:
         return (self._join[i] or self._fill(self._join, self.direct.join, i))[j]
 
     def union(self, i: int, j: int) -> Optional[int]:
-        return (self._union[i] or self._fill(self._union, self.direct.union, i))[j]
+        return (self._union[i] or self._fill(self._union, int.__or__, i))[j]
 
 
 @lru_cache(maxsize=_TABLE_MAX_N)
@@ -377,18 +395,20 @@ class GroupContext:
     approximation rows on U and V only on the map and one partition.  So a
     search group keeps them here, per partition handle of `sizes`, the size
     tables of U: on _SizeTables in lists filled for every partition when the
-    group starts, on _DirectTables as they are first read.
+    group starts, on _DirectTables as they are first read.  The rows on V
+    come from `vsizes`, the size tables of V, which a search passes in the
+    form size_tables picks and evaluate() as _DirectTables.
     """
 
     __slots__ = (
-        "n", "m", "table", "kern", "fibers", "surjective", "sizes", "images",
+        "n", "m", "table", "kern", "fibers", "surjective", "sizes", "vsizes", "images",
         "contributions", "relmaps", "_relations", "_ker", "_fiber_ok", "_approx",
     )
 
-    def __init__(self, sizes, m: int, table: tuple[int, ...]):
-        self.sizes = sizes
+    def __init__(self, sizes, vsizes, table: tuple[int, ...]):
+        self.sizes, self.vsizes = sizes, vsizes
         self.n = n = sizes.n
-        self.m = m
+        self.m = m = vsizes.n
         self.table = table = tuple(table)
         self.kern = kernels.select(n, m)
         self.fibers = self.kern.fiber_masks(table, m)
@@ -456,7 +476,7 @@ class GroupContext:
         if hit is None:
             ker = self._ker
             if ker is None:
-                ker = self._ker = self.sizes.handle(self.kern.fiber_rgs(self.table))
+                ker = self._ker = self.sizes.index[self.kern.partition_relation(self.table)]
             hit = self._fiber_ok[h] = self.sizes.meet(ker, h) == ker
         return hit
 
@@ -469,8 +489,11 @@ class GroupContext:
         """
         hit = self._approx[h]
         if hit is _TODO:
-            vrgs, vsizes = self.relmaps[h].rgs, size_tables(self.m)
-            hit = None if vrgs is None else self.sizes.approx(h) + vsizes.approx(vsizes.handle(vrgs))
+            rel, vsizes = self.relmaps[h], self.vsizes
+            if rel.flags == kernels.EQUIVALENCE:
+                hit = self.sizes.approx(h) + vsizes.approx(vsizes.index[rel.packed])
+            else:
+                hit = None
             self._approx[h] = hit
         return hit
 
@@ -543,8 +566,8 @@ def _eval_l311_fwd(ctx, h1, h2, xmask):
 
 
 def _partitions_not_included(ctx, h1, h2) -> dict:
-    packed, rgs = ctx.kern.partition_relation, ctx.sizes.rgs
-    return relation_not_included("domain", ctx.n, "R1", packed(rgs(h1)), "R2", packed(rgs(h2)))
+    relations = ctx.sizes.relations
+    return relation_not_included("domain", ctx.n, "R1", relations[h1], "R2", relations[h2])
 
 
 def _eval_l311_bwd(ctx, h1, h2, xmask):
@@ -728,7 +751,7 @@ def evaluate(claim: Union[str, Claim], inst: Instance) -> Verdict:
     """Verdict of a claim on an instance; raises BadInstance on shape mismatch."""
     claim = get_claim(claim)
     check_shape(claim, inst)
-    ctx = GroupContext(_DirectTables(inst.f.domain.size), inst.f.codomain.size, inst.f.table)
+    ctx = GroupContext(_DirectTables(inst.f.domain.size), _DirectTables(inst.f.codomain.size), inst.f.table)
     handles = [ctx.sizes.handle(p.rgs) for p in inst.partitions]
     verdict = evaluate_raw(claim.id, ctx, *handles, xmask=inst.x.mask if inst.x is not None else None)
     return Verdict(Outcome.FAILS, witness=verdict.witness) if verdict.outcome is Outcome.FAILS else verdict

@@ -4,13 +4,19 @@ Conventions:
 
 * elements of a universe of size n are 0..n-1;
 * a subset of the universe is an int whose bit i is element i;
-* a partition is a restricted-growth string `rgs` (tuple of ints,
-  rgs[0] == 0 and rgs[i] <= 1 + max(rgs[:i])), block ids 0..nblocks-1;
 * a binary relation over a size-m universe is one `packed` int with the
   pair (v, w) at bit v*m + w, so its pairs in row-major order are its set
   bits from the lowest up, and set algebra on relations is int algebra;
+* a partition is a restricted-growth string `rgs` (tuple of ints,
+  rgs[0] == 0 and rgs[i] <= 1 + max(rgs[:i])), block ids 0..nblocks-1, or
+  its equivalence relation, packed: `partition_relation` and
+  `relation_rgs` convert.  On packed relations the partition lattice is
+  relation algebra: the meet R1 ∧ R2 is R1 & R2, the join R1 ∨ R2 is
+  closure(R1 | R2), R1 ≤ R2 when R1 & R2 == R1, and the union R1 | R2 is
+  a partition's relation exactly when it equals the join;
 * a map U -> V is a tuple `table` of images, plus its precomputed
-  `fibers` (tuple of m preimage masks).
+  `fibers` (tuple of m preimage masks); ker f, the partition of U into the
+  fibers, is partition_relation(table).
 
 Python ints are unbounded, so every kernel works for any n.
 """
@@ -46,7 +52,8 @@ def block_masks(rgs):
 
 def partition_relation(rgs):
     """The equivalence relation of a partition: each element is related to
-    every element of its block."""
+    every element of its block.  Any table of block ids works, not only an
+    rgs: a map table gives ker f."""
     n = len(rgs)
     blocks = block_masks(rgs)
     packed = 0
@@ -63,23 +70,30 @@ def pairs(packed, m):
         packed ^= low
 
 
+def relation_blocks(packed, m):
+    """Mask of every block of an equivalence relation, in order of each
+    block's least element (the block ids of `relation_rgs`)."""
+    full = rest = (1 << m) - 1
+    blocks = []
+    while rest:  # the row of the least element not yet in a block
+        row = (packed >> ((rest & -rest).bit_length() - 1) * m) & full
+        blocks.append(row)
+        rest ^= row
+    return tuple(blocks)
+
+
 def relation_rgs(packed, m):
     """Canonical rgs of an equivalence relation.
 
     Assumes `packed` already is an equivalence; block ids are assigned in
     order of each block's least element.
     """
-    full = (1 << m) - 1
-    rgs = [-1] * m
-    nxt = 0
-    for i in range(m):
-        if rgs[i] < 0:
-            row = (packed >> i * m) & full
-            while row:
-                low = row & -row
-                rgs[low.bit_length() - 1] = nxt
-                row ^= low
-            nxt += 1
+    rgs = [0] * m
+    for b, block in enumerate(relation_blocks(packed, m)):
+        while block:
+            low = block & -block
+            rgs[low.bit_length() - 1] = b
+            block ^= low
     return tuple(rgs)
 
 
@@ -162,61 +176,6 @@ def contribution(sizes, counts) -> int:
     return out
 
 
-def meet_rgs(rgs1, rgs2):
-    """Common refinement: blocks are the nonempty pairwise intersections.
-
-    This is the partition order's one definition: R1 refines R2 (R1 ≤ R2,
-    R1 ⊆ R2 as relations) exactly when meet_rgs(R1, R2) == R1.
-    """
-    seen = {}
-    out = []
-    for a, b in zip(rgs1, rgs2):
-        key = (a, b)
-        if key not in seen:
-            seen[key] = len(seen)
-        out.append(seen[key])
-    return tuple(out)
-
-
-def join_rgs(rgs1, rgs2):
-    """Finest common coarsening: union-find over both block structures."""
-    n = len(rgs1)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first1 = {}
-    first2 = {}
-    for i in range(n):
-        for first, b in ((first1, rgs1[i]), (first2, rgs2[i])):
-            if b in first:
-                ra, rb = find(first[b]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                first[b] = i
-    seen = {}
-    out = []
-    for i in range(n):
-        r = find(i)
-        if r not in seen:
-            seen[r] = len(seen)
-        out.append(seen[r])
-    return tuple(out)
-
-
-def fiber_rgs(table):
-    """ker f, the partition of U into the fibers of a map table: the table
-    relabeled by first appearance.  The fiber condition [x]_f ⊆ [x]_R is
-    ker f ≤ R."""
-    first = {}
-    return tuple(first.setdefault(v, len(first)) for v in table)
-
-
 def lower_upper_masks(blocks, xmask):
     """Lower and upper approximations of a subset over explicit block masks."""
     lo = 0
@@ -247,10 +206,11 @@ def select(n: int, m: int | None = None):
     Returns this module.  The engine fetches its kernels through this call
     (`claims.GroupContext`, `claims._DirectTables`), so the per-layer
     benchmark trace (`perfbench/tracing.py`) can wrap it to count and time
-    kernel calls; the public API calls the kernels directly.  Refinement,
-    the fiber condition and the union test have no kernel of their own:
-    the engine reads them from meet_rgs, join_rgs, fiber_rgs and
-    partition_relation.
+    kernel calls; the public API calls the kernels directly.  The partition
+    lattice has no kernel of its own: the engine names a partition by its
+    packed relation, or by that relation's index, and computes the meet
+    with &, the union with | and the join with closure; refinement, the
+    fiber condition and the union test are read from those.
     """
     return _this
 

@@ -178,7 +178,9 @@ def degree_table(f: SurjMap, p: Partition) -> tuple[DegreeRatio, ...]:
 
 
 def fiber_condition(f: SurjMap, p: Partition) -> bool:
-    """True when every fiber sits inside the class of its elements: ker f ≤ R."""
+    """True when every fiber sits inside the class of its elements: ker f ≤ R,
+    that is ker f ∩ R = ker f as relations."""
     if p.universe is not f.domain:
         raise MixedUniverseError("partition not over the map's domain")
-    return Partition(f.domain, kernels.fiber_rgs(f.table)).refines(p)
+    ker = kernels.partition_relation(f.table)
+    return ker & p.to_relation().packed == ker

@@ -2,8 +2,9 @@
 
 Instances are enumerated in one canonical order: increasing |U|, then |V|,
 then the map table, then the partition encodings, then the subset mask.
-Within a group a partition is a `claims` handle: up to 7 elements its lex
-index, above that its rgs; only the failures kept are turned back into rgs.
+Within a group a partition is a `claims` handle: up to 7 elements the lex
+index of its relation, above that the packed relation itself; only the
+failures kept are turned back into rgs.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On more than one
 worker, runs of consecutive groups are packed into tasks of about
@@ -163,7 +164,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     for n, m, table in groups:
         if generation is not None and _generation.value != generation:
             break
-        ctx = GroupContext(size_tables(n), m, table)
+        ctx = GroupContext(size_tables(n), size_tables(m), table)
         done += 1
         handles = ctx.sizes.handles()
         seconds = handles if claim.partitions == 2 else (None,)

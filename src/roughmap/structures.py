@@ -346,18 +346,16 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other: self ∧ other = self."""
-        _check_same(self.universe, other.universe)
-        return kernels.meet_rgs(self.rgs, other.rgs) == self.rgs
+        mine = self.to_relation()
+        return mine & other.to_relation() == mine
 
     def meet(self, other: "Partition") -> "Partition":
-        """Coarsest common refinement (pairwise block intersections)."""
-        _check_same(self.universe, other.universe)
-        return Partition(self.universe, kernels.meet_rgs(self.rgs, other.rgs))
+        """Coarsest common refinement: the intersection of the two relations."""
+        return (self.to_relation() & other.to_relation()).to_partition()
 
     def join(self, other: "Partition") -> "Partition":
-        """Finest common coarsening (transitive closure of the union)."""
-        _check_same(self.universe, other.universe)
-        return Partition(self.universe, kernels.join_rgs(self.rgs, other.rgs))
+        """Finest common coarsening: the transitive closure of the union."""
+        return self.raw_union(other).transitive_closure().to_partition()
 
     def raw_union(self, other: "Partition") -> BinRelation:
         """Plain pair-set union of the two equivalences; may not be one itself."""

@@ -283,3 +283,4 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
     finally:
         # per-size tables built under the trace hold its kernel wrappers
         claims._stored_tables.cache_clear()
+        claims._listed_relations.cache_clear()

@@ -3,16 +3,18 @@ evaluation against evaluation from scratch.
 
 Per-size tables (approximations, partition pairs) are compared in both
 forms: stored, as a sweep uses them up to claims._TABLE_MAX_N elements,
-with partitions named by their index into the listed partitions, and
-computed on every call, as a sweep uses them above it and a single
-evaluate() at every size, with partitions named by their rgs.  So is the
-image relation f(R), which GroupContext builds for every partition from
-per-block contributions in a table on the stored form and block by block,
-as it is read, on the direct form; a sweep's groups are checked against
-evaluate() on each instance.  Refinement, the union test and the fiber
-condition have no table of their own; they are read from the meet and join
-rows (R1 ⊆ R2 when meet(R1, R2) = R1, the fiber condition when
-meet(ker f, R) = ker f) and checked against the oracles here.
+with partitions named by their relation's index into the listed
+partitions, and computed on every call, as a sweep uses them above it and
+a single evaluate() at every size, with partitions named by their packed
+relation.  On both the meet is R1 & R2, the union R1 | R2 and the join the
+closure of R1 | R2.  So is the image relation f(R), which GroupContext
+builds for every partition from per-block contributions in a table on the
+stored form and block by block, as it is read, on the direct form; a
+sweep's groups are checked against evaluate() on each instance.
+Refinement, the union test and the fiber condition have no table of their
+own; they are read from the pair rows (R1 ⊆ R2 when meet(R1, R2) = R1, the
+fiber condition when meet(ker f, R) = ker f) and checked against the
+oracles here.
 """
 
 import json
@@ -77,8 +79,10 @@ def test_approximation_rows_match_oracle(form, n):
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pair_rows_match_oracle(form, n):
+    claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
     tables = FORMS[form](n)
     parts = list(iter_rgs(n))
+    assert [tables.rgs(h) for h in tables.handles()] == parts
     # twice: the second sweep reads the rows the first one filled
     for _ in range(2):
         for rgs1, rgs2 in product(parts, parts):
@@ -94,28 +98,12 @@ def test_pair_rows_match_oracle(form, n):
 
 def test_stored_pair_results_are_the_listed_partitions():
     tables = claims.size_tables(4)
-    handles = range(len(tables.parts))
+    handles = range(len(tables.relations))
     assert list(tables.handles()) == list(handles)
     for h1, h2 in product(handles, handles):
         assert tables.meet(h1, h2) in handles
         assert tables.join(h1, h2) in handles
         assert tables.union(h1, h2) in (None, *handles)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_stored_pair_rows_name_the_kernel_results(n):
-    claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
-    tables = claims.size_tables(n)
-    parts = tables.parts
-    assert parts == list(iter_rgs(n))
-    for i, j in product(range(len(parts)), repeat=2):
-        rgs1, rgs2 = parts[i], parts[j]
-        b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
-        assert parts[tables.meet(i, j)] == kernels.meet_rgs(rgs1, rgs2)
-        assert parts[tables.join(i, j)] == kernels.join_rgs(rgs1, rgs2)
-        assert (tables.meet(i, j) == i) == naive_refines(b1, b2)
-        union = tables.union(i, j)
-        assert (None if union is None else blocks_of_rgs(parts[union])) == naive_union(b1, b2, n)
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -128,7 +116,7 @@ def test_fiber_condition_is_every_fiber_inside_one_block(form, n):
     for m in range(1, 4):
         v = Universe(m)
         for table in product(range(m), repeat=n):
-            ctx = GroupContext(FORMS[form](n), m, table)
+            ctx = GroupContext(FORMS[form](n), FORMS[form](m), table)
             fibers = [{x for x in range(n) if table[x] == value} for value in range(m)]
             f = SurjMap(u, v, table)
             for rgs in parts:
@@ -142,7 +130,7 @@ def test_fiber_condition_is_every_fiber_inside_one_block(form, n):
 @pytest.mark.parametrize("m", range(1, 4))
 def test_images_match_direct_image(n, m):
     for table in product(range(m), repeat=n):
-        images = GroupContext(claims.size_tables(n), m, table).images
+        images = GroupContext(claims.size_tables(n), claims.size_tables(m), table).images
         for x in range(1 << n):
             assert images[x] == _mask({table[i] for i in _elements(x, n)}), (table, x)
 
@@ -203,7 +191,9 @@ def test_cached_group_equals_evaluation_from_scratch(cid):
 
 def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
     # a single instance at 7 elements: f(R) of R1, R2 and their meet, and no
-    # per-size tables, where a sweep's group builds f(R) for all 877 partitions
+    # per-size tables or partition list, where a sweep's group builds f(R)
+    # for all 877 partitions; an approximation claim on a 7 -> 7 bijection
+    # also reads the rows of V over f(R) without the tables of V
     calls = []
     relmap = GroupContext.relmap
 
@@ -212,13 +202,18 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
         return relmap(ctx, h)
 
     monkeypatch.setattr(GroupContext, "relmap", counted)
-    claims._stored_tables.cache_clear()
+    _clear_memos()
     u = Universe(7)
     f = SurjMap(u, Universe(3), (0, 0, 1, 1, 2, 2, 2))
     r1, r2 = Partition(u, (0, 1, 0, 2, 1, 3, 3)), Partition(u, (0, 0, 1, 1, 2, 2, 0))
     evaluate("L31-2-inc", Instance(f, (r1, r2)))
     assert len(calls) <= 3
+    calls.clear()
+    g = SurjMap(u, Universe(7), (3, 0, 6, 1, 5, 2, 4))
+    evaluate("T41-1", Instance(g, (r1,), Subset(u, 0b0100110)))
+    assert len(calls) == 1
     assert claims._stored_tables.cache_info().currsize == 0
+    assert claims._listed_relations.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
@@ -238,7 +233,7 @@ def test_image_relation_matches_oracle(form, n):
     parts = list(iter_rgs(n))
     for m in range(1, 4):
         for table in product(range(m), repeat=n):
-            ctx = GroupContext(FORMS[form](n), m, table)
+            ctx = GroupContext(FORMS[form](n), FORMS[form](m), table)
             for rgs in parts:
                 h = ctx.sizes.handle(rgs)
                 rel = ctx.relmaps[h]
@@ -250,11 +245,10 @@ def test_image_relation_matches_oracle(form, n):
                 assert rel.flags == refl * 1 + sym * 2 + trans * 4, (table, rgs)
                 approx = ctx.approx(h)
                 if not (refl and sym and trans):
-                    assert rel.rgs is None and approx is None
+                    assert approx is None
                     continue
-                assert rel.rgs == kernels.relation_rgs(rel.packed, m)
                 _, _, lo_v, hi_v = approx
-                vblocks = blocks_of_rgs(rel.rgs)
+                vblocks = {frozenset(w for a, w in pairs if a == b) for b in range(m)}
                 for y in range(1 << m):
                     want_lo, want_hi = naive_lower_upper(vblocks, _elements(y, m))
                     assert (lo_v[y], hi_v[y]) == (_mask(want_lo), _mask(want_hi))
@@ -265,6 +259,49 @@ def _random_rgs(rng, n):
     labels = [rng.randrange(k) for _ in range(n)]
     first = {}
     return tuple(first.setdefault(b, len(first)) for b in labels)
+
+
+def _union_pair(rng, n):
+    """Two rgs whose union is an equivalence: each block of a coarser
+    partition is one block of R1 split in R2, or the reverse."""
+    blocks1, blocks2 = [], []
+    for block in blocks_of_rgs(_random_rgs(rng, n)):
+        whole, split = (blocks1, blocks2) if rng.random() < 0.5 else (blocks2, blocks1)
+        whole.append(block)
+        halves = ([], [])
+        for x in block:
+            halves[rng.randrange(2)].append(x)
+        split.extend(half for half in halves if half)
+    u = Universe(n)
+    return Partition.from_blocks(u, blocks1).rgs, Partition.from_blocks(u, blocks2).rgs
+
+
+@pytest.mark.parametrize("form, n", [("stored", 7), ("direct", 9)])
+def test_sampled_pairs_match_oracle_above_five_elements(form, n):
+    tables = claims.size_tables(n)
+    assert type(tables) is {"stored": claims._SizeTables, "direct": claims._DirectTables}[form]
+    rng = random.Random(n)
+    pairs = [(_random_rgs(rng, n), _random_rgs(rng, n)) for _ in range(40)]
+    pairs += [_union_pair(rng, n) for _ in range(20)]
+    # comparable pairs: the meet below R1, the join above it
+    u = Universe(n)
+    for p, q in pairs[:20]:
+        bp, bq = blocks_of_rgs(p), blocks_of_rgs(q)
+        pairs += [(Partition.from_blocks(u, naive_meet(bp, bq)).rgs, p), (p, Partition.from_blocks(u, naive_join(bp, bq)).rgs)]
+    seen = Counter()
+    for rgs1, rgs2 in pairs:
+        h1, h2 = tables.handle(rgs1), tables.handle(rgs2)
+        b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
+        assert blocks_of_rgs(tables.rgs(tables.meet(h1, h2))) == naive_meet(b1, b2), (rgs1, rgs2)
+        assert blocks_of_rgs(tables.rgs(tables.join(h1, h2))) == naive_join(b1, b2), (rgs1, rgs2)
+        refines = tables.meet(h1, h2) == h1
+        assert refines == naive_refines(b1, b2), (rgs1, rgs2)
+        union = tables.union(h1, h2)
+        want = naive_union(b1, b2, n)
+        assert (None if union is None else blocks_of_rgs(tables.rgs(union))) == want, (rgs1, rgs2)
+        seen[refines, union is None] += 1
+    # the sample reaches both answers of refinement and of the union test
+    assert all(seen[key] for key in [(True, False), (False, False), (False, True)]), seen
 
 
 # tables above _TABLE_MAX_N: a constant map (one fiber holding all of U),
@@ -298,7 +335,8 @@ def test_large_universes_agree_with_the_reference_relmap(n, m, table):
     for p1 in parts:
         fr = oracle(p1)
         is_eq = all(naive_classify(fr, m))
-        assert GroupContext(claims.size_tables(n), m, table).relmap(p1.rgs).packed == sum(1 << a * m + b for a, b in fr)
+        ctx = GroupContext(claims.size_tables(n), claims.size_tables(m), table)
+        assert ctx.relmap(ctx.sizes.handle(p1.rgs)).packed == sum(1 << a * m + b for a, b in fr)
         want = Outcome.HOLDS if is_eq else Outcome.FAILS
         assert evaluate("T31", Instance(f, (p1,))).outcome is want
 
@@ -328,6 +366,7 @@ def _clear_memos():
     claims._CONTRIBUTIONS.clear()
     claims._RELATIONS.clear()
     claims._stored_tables.cache_clear()
+    claims._listed_relations.cache_clear()
 
 
 def test_process_wide_memos_do_not_depend_on_earlier_sweeps():
