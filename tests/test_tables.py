@@ -96,6 +96,27 @@ def test_pair_rows_match_oracle(form, n):
             assert (None if union is None else blocks_of_rgs(tables.rgs(union))) == want
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stored_pair_rows_name_the_kernel_results(n):
+    claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
+    tables = claims.size_tables(n)
+    parts = [tables.rgs(i) for i in tables.handles()]
+    assert parts == list(iter_rgs(n))
+    relations = [kernels.partition_relation(rgs) for rgs in parts]
+    assert relations == tables.relations
+    for i, j in product(range(len(parts)), repeat=2):
+        r1, r2 = relations[i], relations[j]
+        b1, b2 = blocks_of_rgs(parts[i]), blocks_of_rgs(parts[j])
+        assert relations[tables.meet(i, j)] == r1 & r2
+        assert relations[tables.join(i, j)] == kernels.closure(r1 | r2, n)
+        assert (tables.meet(i, j) == i) == naive_refines(b1, b2)
+        union = tables.union(i, j)
+        assert (None if union is None else relations[union]) == (
+            r1 | r2 if r1 | r2 in relations else None
+        )
+        assert (None if union is None else blocks_of_rgs(parts[union])) == naive_union(b1, b2, n)
+
+
 def test_stored_pair_results_are_the_listed_partitions():
     tables = claims.size_tables(4)
     handles = range(len(tables.relations))
