@@ -280,16 +280,23 @@ def _listed_relations(n: int) -> list:
     return [kernels.partition_relation(rgs) for rgs in iter_rgs(n)]
 
 
+@lru_cache(maxsize=1)
+def _listed_blocks(n: int) -> dict:
+    """The block masks of every partition of n elements, keyed by its relation."""
+    return {r: kernels.relation_blocks(r, n) for r in _listed_relations(n)}
+
+
 class _DirectTables:
     """Per-size answers computed by the kernels on every call; a partition's
     handle is its packed relation, so `relations` and `index` map a handle
     to itself.
 
-    Nothing is kept: a search group reads each partition's block masks once
-    and each (partition, subset) approximation once, so keeping them would
-    hold B(n) block tuples and up to 2·B(n)·2**n masks per group and reuse
-    none.  Only `handles()`, which a sweep reads in every group, is listed
-    once per size.
+    Nothing is kept per group: a search group reads each (partition,
+    subset) approximation once, so keeping them would hold up to
+    2·B(n)·2**n masks per group and reuse none.  Only `handles()`, which a
+    sweep reads in every group, lists the partitions once per size, and
+    their block masks with them, which every group of the sweep reads; a
+    single evaluate() lists nothing.
     """
 
     def __init__(self, n: int):
@@ -305,6 +312,7 @@ class _DirectTables:
         return self.kern.relation_rgs(self.relations[h], self.n)
 
     def handles(self) -> list:  # in lex order
+        self.blocks = _listed_blocks(self.n)
         return _listed_relations(self.n)
 
     def approx(self, r: int):

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, search
 from .approx import approximations
 from .claims import Claim, evaluate, get_claim, list_claims
 from .docio import (
@@ -385,6 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("roughmap: interrupted", file=sys.stderr)
         return 130
+    finally:
+        # shut the search pool down here, not at exit: there the executor's
+        # own exit hook races with its manager thread, which stale task
+        # results may have woken, and can print a traceback
+        search._drop_pool()
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ failures kept are turned back into rgs.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On more than one
 worker, runs of consecutive groups are packed into tasks of about
-TASK_INSTANCES instances and handed to one process pool that lives as long
-as this process and serves every call with the same worker count; task
-results are merged in submission order, so the first counterexample, the
-failure list and every tally are independent of the worker count.
+TASK_INSTANCES instances.  The first task runs in the calling process, so a
+falsify that stops inside it never waits on the pool and a sweep of one
+task never starts one; the rest are handed to one process pool that lives
+as long as this process and serves every call with the same worker count.
+Task results are merged in submission order, the caller's first, so the
+first counterexample, the failure list and every tally are independent of
+the worker count.
 
 falsify enumerates one map per codomain-relabeling orbit (relabeling V
 commutes with every claim); verify enumerates all maps.
@@ -146,7 +149,8 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
 
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
-    of one claim, in order: a pool task, or on one worker the whole sweep.
+    of one claim, in order: a pool task, the first task of a sweep on more
+    than one worker, or on one worker the whole sweep.
 
     Returns (groups done, tally, failures capped at max_failures, first
     ill-typed reason).  In stop-on-fail mode the task ends at its first
@@ -301,37 +305,44 @@ def _run(
     if workers == 1:
         merge(*_run_task((claim.id, groups, stop_on_fail, max_failures, None)))
     else:
-        from collections import deque
-        from concurrent.futures.process import BrokenProcessPool
-
-        # bounded window of in-flight tasks, merged strictly in submission
-        # order; on early stop the unstarted tail is cancelled, running
-        # tasks go stale and end before their next group, and their results
-        # are never read
-        pool, generation = _get_pool(workers)
+        # the first task runs in this process, merged as a pool task would
+        # be: a falsify that stops inside it never waits on the pool, and a
+        # sweep of one task never starts one
         tasks = _tasks(claim, groups)
-        pending: deque = deque()
-        try:
-            while True:
-                while len(pending) < workers * 2:
-                    batch = next(tasks, None)
-                    if batch is None:
+        stopped = merge(*_run_task((claim.id, next(tasks, []), stop_on_fail, max_failures, None)))
+        second = None if stopped else next(tasks, None)
+        if second is not None:
+            from collections import deque
+            from concurrent.futures.process import BrokenProcessPool
+
+            # the rest goes to the pool: a bounded window of in-flight
+            # tasks, merged strictly in submission order; on early stop the
+            # unstarted tail is cancelled, running tasks go stale and end
+            # before their next group, and their results are never read
+            pool, generation = _get_pool(workers)
+            tasks = itertools.chain([second], tasks)
+            pending: deque = deque()
+            try:
+                while True:
+                    while len(pending) < workers * 2:
+                        batch = next(tasks, None)
+                        if batch is None:
+                            break
+                        task = (claim.id, batch, stop_on_fail, max_failures, generation.value)
+                        pending.append(pool.submit(_run_task, task))
+                    if not pending:
                         break
-                    task = (claim.id, batch, stop_on_fail, max_failures, generation.value)
-                    pending.append(pool.submit(_run_task, task))
-                if not pending:
-                    break
-                if merge(*pending.popleft().result()):
-                    generation.value += 1
-                    for fut in pending:
-                        fut.cancel()
-                    break
-        except BrokenProcessPool:
-            _drop_pool()
-            raise WorkerCrashError("a search worker process died") from None
-        except BaseException:
-            _drop_pool()
-            raise
+                    if merge(*pending.popleft().result()):
+                        generation.value += 1
+                        for fut in pending:
+                            fut.cancel()
+                        break
+            except BrokenProcessPool:
+                _drop_pool()
+                raise WorkerCrashError("a search worker process died") from None
+            except BaseException:
+                _drop_pool()
+                raise
 
     report.elapsed_s = time.perf_counter() - start
     return report

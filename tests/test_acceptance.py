@@ -25,6 +25,7 @@ from roughmap import (
     boundary,
     parse_instance_doc,
     relmap,
+    search,
     verify,
 )
 from roughmap.docio import emit_instance_doc, raw_to_instance, report_doc
@@ -203,7 +204,7 @@ def test_c7_enumeration_counts_match_independent_formulas():
     assert surjection_count(6, 2) == 62 == 2**6 - 2
 
 
-def test_c8_properties_hold_exhaustively_up_to_five():
+def test_c8_properties_hold_exhaustively_up_to_five(monkeypatch):
     # relmap symmetry, reflexivity iff surjectivity, and the degree-one
     # collapse, over every map (surjective or not) and every partition
     for n in range(1, 6):
@@ -246,13 +247,17 @@ def test_c8_properties_hold_exhaustively_up_to_five():
             p = Partition(u, rgs)
             assert p.to_relation().to_partition().rgs == rgs
 
-    # first witness and tallies do not depend on the worker count
-    for cid in ("T41-1", "L31-2-inc"):
-        reports = [falsify(cid, max_u=5, max_v=3, workers=w) for w in (1, 2, 8)]
-        for other in reports[1:]:
-            assert other.tally == reports[0].tally
-            assert other.first_counterexample == reports[0].first_counterexample
-            assert other.witness == reports[0].witness
+    # first witness and tallies do not depend on the worker count, whether
+    # the first counterexample lies in the first task of the sweep, which
+    # runs in the caller, or (with tiny tasks) in a pool task
+    for task_instances in (search.TASK_INSTANCES, 100):
+        monkeypatch.setattr(search, "TASK_INSTANCES", task_instances)
+        for cid in ("T41-1", "L31-2-inc"):
+            reports = [falsify(cid, max_u=5, max_v=3, workers=w) for w in (1, 2, 8)]
+            for other in reports[1:]:
+                assert other.tally == reports[0].tally
+                assert other.first_counterexample == reports[0].first_counterexample
+                assert other.witness == reports[0].witness
 
 
 def test_c9_committed_evidence_regenerates():

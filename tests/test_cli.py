@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from roughmap import REGISTRY
+from roughmap import REGISTRY, search
 from roughmap.cli import main
 
 
@@ -229,24 +229,54 @@ def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     assert "Traceback" not in out + err
 
 
-def _die(args):
-    os._exit(1)
+_CALLER = os.getpid()
+_real_run_task = search._run_task
+
+
+def _die_in_worker(args):
+    # the first task of a sweep runs in the caller, the rest in pool workers
+    if os.getpid() != _CALLER:
+        os._exit(1)
+    return _real_run_task(args)
+
+
+def _pools_started(monkeypatch) -> list:
+    """The worker count of every pool a sweep asks for from now on."""
+    started = []
+    get_pool = search._get_pool
+    monkeypatch.setattr(search, "_get_pool", lambda workers: started.append(workers) or get_pool(workers))
+    return started
+
+
+# T31 at (6, 3) outgrows the first task, so it reaches the pool; T31 is
+# open, so its failures exit 1
+POOL_SWEEP = ("verify", "T31", "--max-u", "6", "--max-v", "3", "--workers", "2")
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
 def test_worker_crash_exits_4_without_traceback(capsys, monkeypatch):
-    from roughmap import search
-
     # pool workers see the module as it was when their pool started, so a
     # pool left by an earlier test must go before the patch
     search._drop_pool()
-    monkeypatch.setattr(search, "_run_task", _die)
-    code, out, err = run(capsys, "verify", "T31", "--max-u", "3", "--workers", "2")
+    monkeypatch.setattr(search, "_run_task", _die_in_worker)
+    code, out, err = run(capsys, *POOL_SWEEP)
     assert code == 4
     assert err == "roughmap: a search worker process died\n"
     assert "Traceback" not in out + err
     # the crashed pool was dropped: the next sweep gets a new one
     monkeypatch.undo()
-    code, out, err = run(capsys, "verify", "T31", "--max-u", "3", "--workers", "2")
-    assert code == 0
+    started = _pools_started(monkeypatch)
+    code, out, err = run(capsys, *POOL_SWEEP)
+    assert code == 1
     assert err == ""
+    assert started == [2]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_main_shuts_down_the_pool_it_used(capsys, monkeypatch):
+    # a pool left to the exit hooks can race its own manager thread there
+    # and print a traceback after the command's output
+    started = _pools_started(monkeypatch)
+    code, _, err = run(capsys, *POOL_SWEEP)
+    assert (code, err, started) == (1, "", [2])
+    assert search._pool is None

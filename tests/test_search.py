@@ -93,22 +93,29 @@ def test_verify_clean_claim_has_zero_failures():
     assert report.tally.holds == report.instances
 
 
-# T31 at (6, 3) packs into two pool tasks, and its first failing group sits
-# in the middle of the first one
+# T31 at (6, 3) packs into two tasks, and its first failing group sits in
+# the middle of the first one
 FALSIFY_BOUNDS = {"T31": (6, 3)}
+WORKER_COUNT_CLAIMS = ["T41-1", "L31-2-inc", "T31-refl", "T31"]
+# on more than one worker the first task of a sweep runs in the caller and
+# the rest on the pool; with tasks this small every failing sweep above
+# stops in a pool task
+SMALL_TASK = 100
 
 
-@pytest.mark.parametrize("cid", ["T41-1", "L31-2-inc", "T31-refl", "T31"])
-def test_worker_count_does_not_change_results(cid):
+def _falsify_on_each_worker_count(cid, in_first_task):
     max_u, max_v = FALSIFY_BOUNDS.get(cid, (5, 3))
     reports = [falsify(cid, max_u, max_v, workers=w) for w in (1, 2, 8)]
     first = reports[0]
     if first.found:
-        # the groups after the failing one in its task must go uncounted
         claim = get_claim(cid)
         tasks = search._tasks(claim, search._groups(claim, max_u, max_v, True))
         ends = list(itertools.accumulate(len(batch) for batch in tasks))
-        assert first.groups not in ends
+        if in_first_task:
+            # the groups after the failing one in its task must go uncounted
+            assert first.groups < ends[0]
+        else:
+            assert first.groups > ends[0]
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.first_counterexample == first.first_counterexample
@@ -116,13 +123,24 @@ def test_worker_count_does_not_change_results(cid):
         assert other.groups == first.groups
 
 
-def test_verify_worker_count_does_not_change_failures():
+@pytest.mark.parametrize("cid", WORKER_COUNT_CLAIMS)
+def test_worker_count_does_not_change_results(cid):
+    _falsify_on_each_worker_count(cid, in_first_task=True)
+
+
+@pytest.mark.parametrize("cid", WORKER_COUNT_CLAIMS)
+def test_worker_count_does_not_change_results_found_in_a_pool_task(cid, monkeypatch):
+    monkeypatch.setattr(search, "TASK_INSTANCES", SMALL_TASK)
+    _falsify_on_each_worker_count(cid, in_first_task=False)
+
+
+def _verify_on_each_worker_count():
     reports = [verify("T43-1", max_u=4, max_v=2, workers=w) for w in (1, 2, 8)]
     first = reports[0]
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.failures == first.failures
-    # 852 groups in several pool tasks, and 2,160 failures against a cap of 20
+    # 852 groups in several tasks, and 2,160 failures against a cap of 20
     docs = []
     for w in (1, 2):
         doc = report_doc(verify("T31", 6, 3, workers=w))
@@ -131,6 +149,15 @@ def test_verify_worker_count_does_not_change_failures():
         docs.append(doc)
     assert docs[0]["groups"] == 852 and docs[0]["tallies"]["fails"] == 2160
     assert docs[1] == docs[0]
+
+
+def test_verify_worker_count_does_not_change_failures():
+    _verify_on_each_worker_count()
+
+
+def test_verify_worker_count_does_not_change_failures_in_small_tasks(monkeypatch):
+    monkeypatch.setattr(search, "TASK_INSTANCES", SMALL_TASK)
+    _verify_on_each_worker_count()
 
 
 def test_falsify_scans_canonical_maps_only():
@@ -191,20 +218,23 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert verify("T31", max_u=3).workers == 1
 
 
-def _falsify_in_child(conn):
-    report = falsify("T31", 6, 3, workers=2)
-    conn.send((report.tally, report.groups, report.first_counterexample, report.witness))
+def _verify_in_child(conn):
+    report = verify("T31", 6, 3, workers=2)
+    pool = search._pool
+    conn.send((report.tally, report.groups, report.failures, pool is not None and pool[1] == os.getpid()))
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
 def test_forked_child_starts_its_own_pool():
     import multiprocessing
 
-    expected = falsify("T31", 6, 3, workers=1)
-    falsify("T31", 6, 3, workers=2)  # the parent now holds a pool
+    # T31 at (6, 3) outgrows the first task, which runs in the caller
+    expected = verify("T31", 6, 3, workers=1)
+    verify("T31", 6, 3, workers=2)
+    assert search._pool is not None and search._pool[1] == os.getpid()
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_falsify_in_child, args=(sender,))
+    child = ctx.Process(target=_verify_in_child, args=(sender,))
     child.start()
     try:
         # on the parent's executor the child would wait forever
@@ -216,7 +246,7 @@ def test_forked_child_starts_its_own_pool():
     finally:
         if child.is_alive():
             child.kill()
-    assert got == (expected.tally, expected.groups, expected.first_counterexample, expected.witness)
+    assert got == (expected.tally, expected.groups, expected.failures, True)
 
 
 def test_import_leaves_pool_modules_unloaded():
@@ -229,6 +259,19 @@ def test_import_leaves_pool_modules_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_that_ends_in_its_first_task_starts_no_pool():
+    # a falsify that stops in its first task, and a verify of one task
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    code = (
+        "import sys; from roughmap import falsify, search, verify; "
+        "report = falsify('T41-1', 5, 3, workers=2); verify('T31', 4, workers=2); "
+        "print(report.found, search._pool, 'concurrent.futures.process' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "None", "False"]
 
 
 def test_failures_past_the_cap_build_no_witness(monkeypatch):
@@ -284,3 +327,4 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
         # per-size tables built under the trace hold its kernel wrappers
         claims._stored_tables.cache_clear()
         claims._listed_relations.cache_clear()
+        claims._listed_blocks.cache_clear()

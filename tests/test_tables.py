@@ -235,14 +235,18 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
     assert len(calls) == 1
     assert claims._stored_tables.cache_info().currsize == 0
     assert claims._listed_relations.cache_info().currsize == 0
+    assert claims._listed_blocks.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_direct_tables_give_the_same_reports(cid, monkeypatch):
-    # above _TABLE_MAX_N nothing is stored; the sweep must not notice
+    # above _TABLE_MAX_N nothing is stored per group; the sweep must not
+    # notice, and it lists each size's partition blocks once
     stored = verify(cid, 4, max_failures=5)
     monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
-    direct = verify(cid, 4, max_failures=5)
+    claims._listed_blocks.cache_clear()
+    direct = verify(cid, 4, max_failures=5, workers=1)
+    assert claims._listed_blocks.cache_info().misses == 4
     assert direct.tally == stored.tally
     assert direct.failures == stored.failures
     assert direct.ill_typed_reason == stored.ill_typed_reason
@@ -388,6 +392,7 @@ def _clear_memos():
     claims._RELATIONS.clear()
     claims._stored_tables.cache_clear()
     claims._listed_relations.cache_clear()
+    claims._listed_blocks.cache_clear()
 
 
 def test_process_wide_memos_do_not_depend_on_earlier_sweeps():
