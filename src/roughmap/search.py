@@ -6,12 +6,13 @@ Within a group a partition is a `claims` handle: up to 7 elements the lex
 index of its relation, above that the packed relation itself; only the
 failures kept are turned back into rgs.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
-space.  Work is sharded by (claim, |U|, |V|, map) groups.  On more than one
-worker, runs of consecutive groups are packed into tasks of about
-TASK_INSTANCES instances.  The first task runs in the calling process, so a
-falsify that stops inside it never waits on the pool and a sweep of one
-task never starts one; the rest are handed to one process pool that lives
-as long as this process and serves every call with the same worker count.
+space.  Work is sharded by (claim, |U|, |V|, map) groups.  On one worker the
+whole sweep is one task; on more, runs of consecutive groups are packed into
+tasks of about TASK_INSTANCES instances.  The first task runs in the calling
+process, so a falsify that stops inside it never waits on the pool and a
+sweep of one task never starts one; the rest are handed to one process pool
+that lives as long as this process and serves every call with the same
+worker count.
 Task results are merged in submission order, the caller's first, so the
 first counterexample, the failure list and every tally are independent of
 the worker count.
@@ -149,25 +150,20 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
 
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
-    of one claim, in order: a pool task, the first task of a sweep on more
-    than one worker, or on one worker the whole sweep.
+    of one claim, in order: the caller's first task, on one worker the
+    whole sweep, or a pool task.
 
     Returns (groups done, tally, failures capped at max_failures, first
     ill-typed reason).  In stop-on-fail mode the task ends at its first
-    failure, and everything after it is left uncounted.  A pool task whose
-    generation is no longer the pool's belongs to a stopped sweep: it ends
-    before its next group, and its result is never read; the parent bumps
-    the generation when a sweep stops early.
+    failure, and everything after it is left uncounted.
     """
-    claim_id, groups, stop_on_fail, max_failures, generation = args
+    claim_id, groups, stop_on_fail, max_failures = args
     claim = get_claim(claim_id)
     holds = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: Optional[str] = None
     done = 0
     for n, m, table in groups:
-        if generation is not None and _generation.value != generation:
-            break
         ctx = GroupContext(size_tables(n), size_tables(m), table)
         done += 1
         handles = ctx.sizes.handles()
@@ -217,40 +213,34 @@ def _tasks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]]) -> 
         yield batch
 
 
-# this process's search pool as (workers, pid, executor, exit hook,
-# generation); a forked child sees its parent's entry under another pid and
-# starts its own
+# this process's search pool as (workers, pid, executor, exit hook); a
+# forked child sees its parent's entry under another pid and starts its own
 _pool: Optional[tuple] = None
-_generation = None  # in a pool worker, the pool's generation (see _run_task)
 
 
-def _start_worker(generation) -> None:
-    global _generation
+def _start_worker() -> None:
     import signal
     # workers ignore Ctrl-C: the parent stops the sweep and drops the pool,
     # and an idle pool must outlive a Ctrl-C at an interactive prompt
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _generation = generation
 
 
 def _get_pool(workers: int):
     global _pool
     if _pool is not None and _pool[:2] == (workers, os.getpid()):
-        return _pool[2], _pool[4]
+        return _pool[2]
     _drop_pool()
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing.util import Finalize
 
-    generation = multiprocessing.Value("q", 0, lock=False)  # written by this process only
-    executor = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(generation,))
+    executor = ProcessPoolExecutor(workers, initializer=_start_worker)
     # shut the pool down at exit while the interpreter is whole: from
     # atexit in the main process, and at the end of a multiprocessing child,
     # which would otherwise wait forever on the pool's workers; priority 20
     # runs before the pool's own queues close theirs (priority 10)
     hook = Finalize(None, _drop_pool, exitpriority=20)
-    _pool = (workers, os.getpid(), executor, hook, generation)
-    return executor, generation
+    _pool = (workers, os.getpid(), executor, hook)
+    return executor
 
 
 def _drop_pool() -> None:
@@ -302,47 +292,41 @@ def _run(
                 return True
         return False
 
-    if workers == 1:
-        merge(*_run_task((claim.id, groups, stop_on_fail, max_failures, None)))
-    else:
-        # the first task runs in this process, merged as a pool task would
-        # be: a falsify that stops inside it never waits on the pool, and a
-        # sweep of one task never starts one
-        tasks = _tasks(claim, groups)
-        stopped = merge(*_run_task((claim.id, next(tasks, []), stop_on_fail, max_failures, None)))
-        second = None if stopped else next(tasks, None)
-        if second is not None:
-            from collections import deque
-            from concurrent.futures.process import BrokenProcessPool
+    # the first task runs in this process, merged as a pool task would be:
+    # on one worker it is the whole sweep, a falsify that stops inside it
+    # never waits on the pool, and a sweep of one task never starts one
+    tasks = _tasks(claim, groups) if workers > 1 else iter([groups])
+    stopped = merge(*_run_task((claim.id, next(tasks, []), stop_on_fail, max_failures)))
+    second = None if stopped else next(tasks, None)
+    if second is not None:
+        from collections import deque
+        from concurrent.futures.process import BrokenProcessPool
 
-            # the rest goes to the pool: a bounded window of in-flight
-            # tasks, merged strictly in submission order; on early stop the
-            # unstarted tail is cancelled, running tasks go stale and end
-            # before their next group, and their results are never read
-            pool, generation = _get_pool(workers)
-            tasks = itertools.chain([second], tasks)
-            pending: deque = deque()
-            try:
-                while True:
-                    while len(pending) < workers * 2:
-                        batch = next(tasks, None)
-                        if batch is None:
-                            break
-                        task = (claim.id, batch, stop_on_fail, max_failures, generation.value)
-                        pending.append(pool.submit(_run_task, task))
-                    if not pending:
+        # the rest goes to the pool: a bounded window of in-flight tasks,
+        # merged strictly in submission order; on early stop the unstarted
+        # tail is cancelled and the running tasks' results are never read
+        pool = _get_pool(workers)
+        tasks = itertools.chain([second], tasks)
+        pending: deque = deque()
+        try:
+            while True:
+                while len(pending) < workers * 2:
+                    batch = next(tasks, None)
+                    if batch is None:
                         break
-                    if merge(*pending.popleft().result()):
-                        generation.value += 1
-                        for fut in pending:
-                            fut.cancel()
-                        break
-            except BrokenProcessPool:
-                _drop_pool()
-                raise WorkerCrashError("a search worker process died") from None
-            except BaseException:
-                _drop_pool()
-                raise
+                    pending.append(pool.submit(_run_task, (claim.id, batch, stop_on_fail, max_failures)))
+                if not pending:
+                    break
+                if merge(*pending.popleft().result()):
+                    for fut in pending:
+                        fut.cancel()
+                    break
+        except BrokenProcessPool:
+            _drop_pool()
+            raise WorkerCrashError("a search worker process died") from None
+        except BaseException:
+            _drop_pool()
+            raise
 
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -1,10 +1,15 @@
 import json
 import os
+import pathlib
 
 import pytest
 
 from roughmap import REGISTRY, search
 from roughmap.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MONOTONICITY = ROOT / "instances" / "monotonicity.json"
+APPROXIMATION = ROOT / "instances" / "approximation.json"
 
 
 def run(capsys, *argv):
@@ -130,14 +135,14 @@ def test_workers_flag(capsys):
 
 
 def test_eval_instance_match(tmp_path, capsys):
-    code, out, _ = run(capsys, "eval", "--input", "instances/monotonicity.json")
+    code, out, _ = run(capsys, "eval", "--input", str(MONOTONICITY))
     assert code == 0
     assert "verdict: fails" in out
     assert "matches recorded outcome" in out
 
 
 def test_eval_instance_mismatch(tmp_path, capsys):
-    doc = json.loads(open("instances/monotonicity.json").read())
+    doc = json.loads(MONOTONICITY.read_text(encoding="utf-8"))
     doc["expected_outcome"] = "holds"
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(doc))
@@ -148,7 +153,7 @@ def test_eval_instance_mismatch(tmp_path, capsys):
 
 def test_eval_show_sections(capsys):
     code, out, _ = run(
-        capsys, "eval", "--input", "instances/approximation.json",
+        capsys, "eval", "--input", str(APPROXIMATION),
         "--show", "relmap,approx,degrees",
     )
     assert code == 0
@@ -160,7 +165,7 @@ def test_eval_show_sections(capsys):
 
 
 def test_eval_without_claim_just_describes(tmp_path, capsys):
-    doc = json.loads(open("instances/monotonicity.json").read())
+    doc = json.loads(MONOTONICITY.read_text(encoding="utf-8"))
     del doc["claim"]
     del doc["expected_outcome"]
     p = tmp_path / "inst.json"
@@ -183,7 +188,7 @@ def test_eval_malformed_json(tmp_path, capsys):
 
 
 def test_eval_invalid_instance(tmp_path, capsys):
-    doc = json.loads(open("instances/monotonicity.json").read())
+    doc = json.loads(MONOTONICITY.read_text(encoding="utf-8"))
     doc["map"]["1"] = "zzz"
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -97,41 +96,51 @@ def test_verify_clean_claim_has_zero_failures():
 # the middle of the first one
 FALSIFY_BOUNDS = {"T31": (6, 3)}
 WORKER_COUNT_CLAIMS = ["T41-1", "L31-2-inc", "T31-refl", "T31"]
+WORKER_COUNT_CASES = [pytest.param(cid, FALSIFY_BOUNDS.get(cid, (5, 3)), id=cid) for cid in WORKER_COUNT_CLAIMS]
+# every claim whose falsify finds a counterexample: at any bounds it stops
+# inside the first task (T31, the deepest, after 12,580 instances and 123
+# groups), so no early stop lands in a pool task at the default task size
+FAILING_CLAIMS = [
+    "T31", "L31-1-fwd", "L31-1-bwd", "L31-2-inc", "L31-3-inc",
+    "L31-3-join", "T41-1", "T41-2", "T43-1", "T43-2",
+]
+FIRST_TASK_CASES = WORKER_COUNT_CASES + [pytest.param(cid, (7, 7), id=f"{cid}-7-7") for cid in FAILING_CLAIMS]
 # on more than one worker the first task of a sweep runs in the caller and
 # the rest on the pool; with tasks this small every failing sweep above
 # stops in a pool task
 SMALL_TASK = 100
 
 
-def _falsify_on_each_worker_count(cid, in_first_task):
-    max_u, max_v = FALSIFY_BOUNDS.get(cid, (5, 3))
+def _falsify_on_each_worker_count(cid, bounds, in_first_task):
+    max_u, max_v = bounds
     reports = [falsify(cid, max_u, max_v, workers=w) for w in (1, 2, 8)]
     first = reports[0]
     if first.found:
         claim = get_claim(cid)
-        tasks = search._tasks(claim, search._groups(claim, max_u, max_v, True))
-        ends = list(itertools.accumulate(len(batch) for batch in tasks))
+        first_task = len(next(search._tasks(claim, search._groups(claim, max_u, max_v, True))))
         if in_first_task:
             # the groups after the failing one in its task must go uncounted
-            assert first.groups < ends[0]
+            assert first.groups < first_task
         else:
-            assert first.groups > ends[0]
+            assert first.groups > first_task
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.first_counterexample == first.first_counterexample
         assert other.witness == first.witness
         assert other.groups == first.groups
+    return first
 
 
-@pytest.mark.parametrize("cid", WORKER_COUNT_CLAIMS)
-def test_worker_count_does_not_change_results(cid):
-    _falsify_on_each_worker_count(cid, in_first_task=True)
+@pytest.mark.parametrize("cid, bounds", FIRST_TASK_CASES)
+def test_worker_count_does_not_change_results(cid, bounds):
+    report = _falsify_on_each_worker_count(cid, bounds, in_first_task=True)
+    assert report.found == (cid in FAILING_CLAIMS)
 
 
-@pytest.mark.parametrize("cid", WORKER_COUNT_CLAIMS)
-def test_worker_count_does_not_change_results_found_in_a_pool_task(cid, monkeypatch):
+@pytest.mark.parametrize("cid, bounds", WORKER_COUNT_CASES)
+def test_worker_count_does_not_change_results_found_in_a_pool_task(cid, bounds, monkeypatch):
     monkeypatch.setattr(search, "TASK_INSTANCES", SMALL_TASK)
-    _falsify_on_each_worker_count(cid, in_first_task=False)
+    _falsify_on_each_worker_count(cid, bounds, in_first_task=False)
 
 
 def _verify_on_each_worker_count():
@@ -274,6 +283,22 @@ def test_sweep_that_ends_in_its_first_task_starts_no_pool():
     assert out.stdout.split() == ["True", "None", "False"]
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_pool_shares_no_memory_with_its_workers():
+    # a task tuple carries everything its worker reads: a sweep that
+    # reaches the pool makes no shared value, so it imports no ctypes
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    code = (
+        "import sys; from roughmap import search, verify; "
+        "verify('T31', 6, 3, workers=2); "
+        "print(search._pool is not None, "
+        "[m for m in ('ctypes', 'multiprocessing.sharedctypes') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "[]"]
+
+
 def test_failures_past_the_cap_build_no_witness(monkeypatch):
     from roughmap import claims
 
@@ -292,20 +317,6 @@ def test_failures_past_the_cap_build_no_witness(monkeypatch):
     for raw, witness in report.failures:
         assert evaluate("T41-1", raw.to_instance()).witness == witness
     assert len(built) == 6
-
-
-class _Generation:
-    value = 1
-
-
-def test_stale_pool_task_ends_before_its_next_group(monkeypatch):
-    # the pool's generation moved on: the task's sweep has stopped
-    monkeypatch.setattr(search, "_generation", _Generation)
-    groups = [(4, 2, (0, 0, 1, 1)), (4, 2, (0, 1, 0, 1))]
-    done, tally, fails, reason = search._run_task(("T31", groups, True, 1, 0))
-    assert (done, tally.total, fails, reason) == (0, 0, [], None)
-    done, tally, _, _ = search._run_task(("T31", groups, True, 1, 1))
-    assert done == 2 and tally.total == 2 * bell(4)
 
 
 def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monkeypatch):

@@ -185,7 +185,7 @@ def _group_instances(claim, n):
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_cached_group_equals_evaluation_from_scratch(cid):
     groups = _groups(cid)
-    done, tally, fails, reason = _run_task((cid, groups, False, 10**9, None))
+    done, tally, fails, reason = _run_task((cid, groups, False, 10**9))
     assert done == len(groups)
 
     claims._stored_tables.cache_clear()  # fresh per-size tables as well
