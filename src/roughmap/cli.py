@@ -81,19 +81,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list from: relmap, approx, degrees (default: all)",
     )
 
-    fa = sub.add_parser("falsify", help="search for the first counterexample to a claim")
-    fa.add_argument("claim")
-    fa.add_argument("--max-u", type=_at_least_one, required=True, metavar="N")
-    fa.add_argument("--max-v", type=_at_least_one, required=True, metavar="M")
-    fa.add_argument("--json", dest="json_path", metavar="FILE")
-    fa.add_argument("--workers", type=_at_least_one, default=None, metavar="K")
-
-    ve = sub.add_parser("verify", help="sweep the whole bounded space for a claim")
-    ve.add_argument("claim")
-    ve.add_argument("--max-u", type=_at_least_one, required=True, metavar="N")
-    ve.add_argument("--max-v", type=_at_least_one, default=None, metavar="M")
-    ve.add_argument("--json", dest="json_path", metavar="FILE")
-    ve.add_argument("--workers", type=_at_least_one, default=None, metavar="K")
+    for mode, text in (
+        ("falsify", "search for the first counterexample to a claim"),
+        ("verify", "sweep the whole bounded space for a claim"),
+    ):
+        se = sub.add_parser(mode, help=text)
+        se.add_argument("claim")
+        se.add_argument("--max-u", type=_at_least_one, required=True, metavar="N")
+        # verify's max |V| defaults to its max |U|
+        se.add_argument("--max-v", type=_at_least_one, required=mode == "falsify", metavar="M")
+        se.add_argument("--json", dest="json_path", metavar="FILE")
+        se.add_argument("--workers", type=_at_least_one, default=1, metavar="K")
 
     sub.add_parser("list-claims", help="print the claim registry")
 
@@ -201,50 +199,41 @@ def _print_counterexample(report: SearchReport) -> None:
     print("  witness: " + text.replace("\n", "\n  "))
 
 
-def _cmd_falsify(args) -> int:
+def _exit_code(mode: str, found: bool, expected_status: str) -> int:
+    """The README's exit-code table for a finished search: 0 when the space
+    agreed with the registry, 1 for "look at this", 3 when falsify
+    exhausts its bounds on an open claim."""
+    if found:
+        expected = ("refuted", "open") if mode == "falsify" else ("refuted",)
+        return 0 if expected_status in expected else 1
+    if mode == "verify":
+        return 0
+    return {"refuted": 1, "open": 3}.get(expected_status, 0)
+
+
+def _cmd_search(args) -> int:
     claim = _resolve_claim(args.claim)
     if claim is None:
         return 2
-    report = falsify(claim, args.max_u, args.max_v, workers=args.workers)
+    mode = args.command
+    # read at call time, so a patched module attribute is the one called
+    run = falsify if mode == "falsify" else verify
+    report = run(claim, args.max_u, args.max_v, workers=args.workers)
     _print_search_head(report, claim)
-    if report.found:
-        print("counterexample found:")
-        _print_counterexample(report)
-    else:
-        print("no counterexample within bounds")
-    _print_tallies(report)
-    if args.json_path:
-        write_json(args.json_path, report_doc(report))
-        print(f"  report written to {args.json_path}")
-    if report.found:
-        return 1 if claim.expected_status in ("proved", "ill-typed") else 0
-    if claim.expected_status == "refuted":
-        return 1
-    if claim.expected_status == "open":
-        return 3
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    claim = _resolve_claim(args.claim)
-    if claim is None:
-        return 2
-    max_v = args.max_v if args.max_v is not None else args.max_u
-    report = verify(claim, args.max_u, max_v, workers=args.workers)
-    _print_search_head(report, claim)
-    if report.found:
+    if mode == "falsify":
+        print("counterexample found:" if report.found else "no counterexample within bounds")
+    elif report.found:
         shown = len(report.failures)
         print(f"{report.tally.fails} failing instance(s); first (showing {shown} in any report):")
-        _print_counterexample(report)
     else:
         print("zero failures across the full space")
+    if report.found:
+        _print_counterexample(report)
     _print_tallies(report)
     if args.json_path:
         write_json(args.json_path, report_doc(report))
         print(f"  report written to {args.json_path}")
-    if not report.found:
-        return 0
-    return 0 if claim.expected_status == "refuted" else 1
+    return _exit_code(mode, report.found, claim.expected_status)
 
 
 def _show_relmap(parsed: ParsedInstance) -> None:
@@ -369,8 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "replay-paper": _cmd_replay,
         "eval": _cmd_eval,
-        "falsify": _cmd_falsify,
-        "verify": _cmd_verify,
+        "falsify": _cmd_search,
+        "verify": _cmd_search,
         "list-claims": _cmd_list_claims,
         "count": _cmd_count,
     }

@@ -34,20 +34,13 @@ EQUIVALENCE = REFLEXIVE | SYMMETRIC | TRANSITIVE
 
 
 def fiber_masks(table, m):
-    """Preimage mask of every codomain element, as a length-m tuple."""
+    """Preimage mask of every value 0..m-1 of a table, as a length-m tuple:
+    a map's fibers, or a partition's blocks by block id when the table is
+    its rgs."""
     fibers = [0] * m
     for i, v in enumerate(table):
         fibers[v] |= 1 << i
     return tuple(fibers)
-
-
-def block_masks(rgs):
-    """Mask of every block of a partition, indexed by block id."""
-    nblocks = max(rgs) + 1
-    blocks = [0] * nblocks
-    for i, b in enumerate(rgs):
-        blocks[b] |= 1 << i
-    return tuple(blocks)
 
 
 def partition_relation(rgs):
@@ -55,7 +48,7 @@ def partition_relation(rgs):
     every element of its block.  Any table of block ids works, not only an
     rgs: a map table gives ker f."""
     n = len(rgs)
-    blocks = block_masks(rgs)
+    blocks = fiber_masks(rgs, max(rgs) + 1)
     packed = 0
     for i, b in enumerate(rgs):
         packed |= blocks[b] << i * n
@@ -98,37 +91,19 @@ def relation_rgs(packed, m):
 
 
 def classify(packed, m):
-    """Reflexive/symmetric/transitive flags of a relation, as an int."""
-    full = (1 << m) - 1
-    rows = [(packed >> i * m) & full for i in range(m)]
-    flags = REFLEXIVE | SYMMETRIC | TRANSITIVE
+    """Reflexive/symmetric/transitive flags of a relation, as an int: it is
+    reflexive when it holds the diagonal, symmetric when it equals its
+    converse, and transitive when it equals its closure."""
+    diagonal = converse = 0
     for i in range(m):
-        if not (rows[i] >> i) & 1:
-            flags &= ~REFLEXIVE
-            break
-    for i in range(m):
-        ri = rows[i]
-        for j in range(i + 1, m):
-            if ((ri >> j) & 1) != ((rows[j] >> i) & 1):
-                flags &= ~SYMMETRIC
-                break
-        else:
-            continue
-        break
-    for i in range(m):
-        ri = rows[i]
-        row = ri
-        j = 0
-        while row:
-            if (row & 1) and rows[j] & ~ri:
-                flags &= ~TRANSITIVE
-                break
-            row >>= 1
-            j += 1
-        else:
-            continue
-        break
-    return flags
+        diagonal |= 1 << i * (m + 1)
+    for v, w in pairs(packed, m):
+        converse |= 1 << w * m + v
+    return (
+        (REFLEXIVE if packed & diagonal == diagonal else 0)
+        | (SYMMETRIC if converse == packed else 0)
+        | (TRANSITIVE if closure(packed, m) == packed else 0)
+    )
 
 
 def closure(packed, m):

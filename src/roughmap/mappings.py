@@ -165,7 +165,7 @@ def relmap(f: SurjMap, p: Partition) -> BinRelation:
         raise MixedUniverseError("partition not over the map's domain")
     sizes = [fiber.bit_count() for fiber in f.fibers]
     packed = 0
-    for block in kernels.block_masks(p.rgs):
+    for block in kernels.fiber_masks(p.rgs, p.block_count):
         packed |= kernels.contribution(sizes, kernels.fiber_counts(f.fibers, block))
     return BinRelation(f.codomain, packed)
 

@@ -115,13 +115,6 @@ class SearchReport:
         return self.tally.fails > 0
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ROUGHMAP_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _map_tables(claim: Claim, n: int, max_v: int, canonical: bool) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(m, table) pairs for one |U| in canonical order."""
     if claim.map_constraint == "bijective":
@@ -257,18 +250,16 @@ def _run(
     max_u: int,
     max_v: int,
     mode: str,
-    workers: Optional[int],
+    workers: int,
     max_failures: int,
 ) -> SearchReport:
     if max_u < 1 or max_v < 1:
         raise ValueError("bounds must be at least 1")
     if max_failures < 1:
         raise ValueError("max_failures must be at least 1")
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValueError("workers must be at least 1")
     start = time.perf_counter()
-    if workers is None:
-        workers = default_workers()
     # a process pool forks all its workers at once; more than one per CPU
     # only adds processes
     workers = min(workers, os.cpu_count() or 1)
@@ -332,7 +323,7 @@ def _run(
     return report
 
 
-def falsify(claim, max_u: int, max_v: int, workers: Optional[int] = None) -> SearchReport:
+def falsify(claim, max_u: int, max_v: int, workers: int = 1) -> SearchReport:
     """Scan in canonical order until the first failing instance.
 
     Maps are enumerated one per codomain-relabeling orbit.  The returned
@@ -346,7 +337,7 @@ def verify(
     claim,
     max_u: int,
     max_v: Optional[int] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     max_failures: int = DEFAULT_MAX_FAILURES,
 ) -> SearchReport:
     """Sweep the entire bounded space, no early stop, all maps (no

@@ -332,7 +332,7 @@ class Partition:
     def blocks(self) -> tuple[Subset, ...]:
         if self._blocks is None:
             self._blocks = tuple(
-                Subset(self.universe, m) for m in kernels.block_masks(self.rgs)
+                Subset(self.universe, m) for m in kernels.fiber_masks(self.rgs, self.block_count)
             )
         return self._blocks
 

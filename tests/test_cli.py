@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from roughmap import REGISTRY, search
-from roughmap.cli import main
+from roughmap.cli import _exit_code, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MONOTONICITY = ROOT / "instances" / "monotonicity.json"
@@ -95,6 +95,24 @@ def test_verify_exit_codes(capsys):
         code, _, err = run(capsys, "verify", "T31", "--max-u", "3", flag, "-3")
         assert code == 2
         assert "must be at least 1" in err
+
+
+# the README's exit-code table, row by row: (mode, found) -> code per
+# expected status
+EXIT_TABLE = {
+    ("falsify", True): {"refuted": 0, "open": 0, "proved": 1, "ill-typed": 1},
+    ("falsify", False): {"refuted": 1, "open": 3, "proved": 0, "ill-typed": 0},
+    ("verify", True): {"refuted": 0, "open": 1, "proved": 1, "ill-typed": 1},
+    ("verify", False): {"refuted": 0, "open": 0, "proved": 0, "ill-typed": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "mode, found, status, code",
+    [(mode, found, status, code) for (mode, found), row in EXIT_TABLE.items() for status, code in row.items()],
+)
+def test_exit_code_follows_the_readme_table(mode, found, status, code):
+    assert _exit_code(mode, found, status) == code
 
 
 def test_unknown_claim_prints_registry(capsys):

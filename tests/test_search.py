@@ -12,7 +12,6 @@ from roughmap.enumeration import (
     iter_rgs,
     surjection_count,
 )
-from roughmap.search import default_workers
 
 REFUTED = [cid for cid, c in REGISTRY.items() if c.expected_status == "refuted"]
 
@@ -195,15 +194,6 @@ def test_t31_transitivity_falls_at_six():
     assert evaluate("T31", raw.to_instance()).outcome is Outcome.FAILS
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("ROUGHMAP_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("ROUGHMAP_WORKERS", "4")
-    assert default_workers() == 4
-    monkeypatch.setenv("ROUGHMAP_WORKERS", "junk")
-    assert default_workers() == 1
-
-
 @pytest.mark.parametrize("run", [falsify, verify])
 def test_failure_cap_below_one_is_rejected(run):
     # a zero cap would sweep on past the first failure and report none
@@ -223,8 +213,6 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     report = verify("T31", max_u=3, workers=3)
     assert report.workers == 1
-    monkeypatch.setenv("ROUGHMAP_WORKERS", "3")
-    assert verify("T31", max_u=3).workers == 1
 
 
 def _verify_in_child(conn):

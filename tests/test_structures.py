@@ -90,19 +90,23 @@ def test_relation_pairs_round_trip():
 
 
 def test_relation_classify_against_oracle():
-    u = Universe(4)
-    # a few hand-picked shapes plus the identity
+    # a few hand-picked shapes on 4 elements plus the identity, and every
+    # relation on 1 to 3 elements
     cases = [
-        set(),
-        {(0, 0), (1, 1), (2, 2), (3, 3)},
-        {(0, 1), (1, 0)},
-        {(0, 1), (1, 2), (0, 2)},
-        {(0, 1), (1, 2)},
-        {(i, j) for i in range(4) for j in range(4)},
+        (4, set()),
+        (4, {(0, 0), (1, 1), (2, 2), (3, 3)}),
+        (4, {(0, 1), (1, 0)}),
+        (4, {(0, 1), (1, 2), (0, 2)}),
+        (4, {(0, 1), (1, 2)}),
+        (4, {(i, j) for i in range(4) for j in range(4)}),
     ]
-    for pairs in cases:
-        c = BinRelation.from_pairs(u, pairs).classify()
-        refl, sym, trans = oracles.naive_classify(pairs, 4)
+    for m in range(1, 4):
+        square = [(i, j) for i in range(m) for j in range(m)]
+        for packed in range(1 << m * m):
+            cases.append((m, {pair for k, pair in enumerate(square) if packed >> k & 1}))
+    for m, pairs in cases:
+        c = BinRelation.from_pairs(Universe(m), pairs).classify()
+        refl, sym, trans = oracles.naive_classify(pairs, m)
         assert (c.reflexive, c.symmetric, c.transitive) == (refl, sym, trans)
         assert c.equivalence == (refl and sym and trans)
 
