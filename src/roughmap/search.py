@@ -18,7 +18,18 @@ first counterexample, the failure list and every tally are independent of
 the worker count.
 
 falsify enumerates one map per codomain-relabeling orbit (relabeling V
-commutes with every claim); verify enumerates all maps.
+commutes with every claim); verify enumerates all maps.  Relabeling V
+permutes every table a group's GroupContext builds and changes no verdict,
+so verify builds each group's context on its table's canonical form t0,
+the first-appearance relabeling that falsify walks, and the groups of one
+orbit share their eager tables (`images`, `contributions`, `relmaps`).  A
+task's orbit memo maps t0 to the eager tables of its first group with that
+t0, and later groups take them as their twin.  The memo covers one (n, m)
+slice and is emptied when the slice changes; it holds those three tables,
+never a context, and only on stored size tables (n <= claims._TABLE_MAX_N);
+falsify keeps none.  Witnesses, unlike verdicts, name V's labels, so a kept
+failure whose table is not its own t0 takes its witness from the reference
+`claims.evaluate`: at most max_failures of them per task.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .claims import Claim, GroupContext, Instance, Outcome, get_claim, evaluate_raw, size_tables
+from .claims import Claim, GroupContext, Instance, Outcome, evaluate, evaluate_raw, get_claim, size_tables
 # iter_rgs is not called here; perfbench/tracing.py wraps it with the other enumeration streams
 from .enumeration import bell, iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
 from .errors import WorkerCrashError
@@ -141,14 +152,22 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
             yield n, m, table
 
 
+def _canonical(table: tuple[int, ...]) -> tuple[int, ...]:
+    """The table relabeled so its values first appear in order 0, 1, 2, ...:
+    the member of its codomain-relabeling orbit that falsify walks."""
+    labels: dict = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in table)
+
+
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
     of one claim, in order: the caller's first task, on one worker the
     whole sweep, or a pool task.
 
     Returns (groups done, tally, failures capped at max_failures, first
-    ill-typed reason).  In stop-on-fail mode the task ends at its first
-    failure, and everything after it is left uncounted.
+    ill-typed reason); a cap of 0 keeps none and builds no witness.  In
+    stop-on-fail mode the task ends at its first failure, and everything
+    after it is left uncounted.
     """
     claim_id, groups, stop_on_fail, max_failures = args
     claim = get_claim(claim_id)
@@ -156,8 +175,18 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     fails: list[tuple[RawInstance, dict]] = []
     reason: Optional[str] = None
     done = 0
+    # the orbit memo: canonical table -> eager tables, for one (n, m) slice
+    twins: dict = {}
+    slice_ = None
     for n, m, table in groups:
-        ctx = GroupContext(size_tables(n), size_tables(m), table)
+        if (n, m) != slice_:
+            slice_, twins = (n, m), {}
+        # falsify walks canonical tables only, so no two of its groups share one
+        t0 = table if stop_on_fail else _canonical(table)
+        twin = twins.get(t0)
+        ctx = GroupContext(size_tables(n), size_tables(m), t0, twin)
+        if twin is None and ctx.eager is not None and not stop_on_fail:
+            twins[t0] = ctx.eager
         done += 1
         handles = ctx.sizes.handles()
         seconds = handles if claim.partitions == 2 else (None,)
@@ -177,7 +206,10 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
                 failed += 1
                 if len(fails) < max_failures:
                     parts = (ctx.sizes.rgs(h1),) if h2 is None else (ctx.sizes.rgs(h1), ctx.sizes.rgs(h2))
-                    fails.append((RawInstance(n, m, table, parts, xmask), verdict.witness))
+                    raw = RawInstance(n, m, table, parts, xmask)
+                    # the verdict does not depend on V's labels, the witness does
+                    witness = verdict.witness if t0 == table else evaluate(claim, raw.to_instance()).witness
+                    fails.append((raw, witness))
                 if stop_on_fail:
                     return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
     return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
@@ -305,7 +337,9 @@ def _run(
                     batch = next(tasks, None)
                     if batch is None:
                         break
-                    pending.append(pool.submit(_run_task, (claim.id, batch, stop_on_fail, max_failures)))
+                    # a task keeps at most the failures the report still has room for
+                    room = max_failures - len(report.failures)
+                    pending.append(pool.submit(_run_task, (claim.id, batch, stop_on_fail, room)))
                 if not pending:
                     break
                 if merge(*pending.popleft().result()):

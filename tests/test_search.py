@@ -168,6 +168,98 @@ def test_verify_worker_count_does_not_change_failures_in_small_tasks(monkeypatch
     _verify_on_each_worker_count()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_pool_tasks_keep_only_the_failures_the_report_has_room_for(monkeypatch):
+    # each pool task is handed the room left in the report when it is
+    # submitted, so once 20 failures are kept the later tasks build no witness
+    caps = []
+    get_pool = search._get_pool
+
+    class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, args):
+            caps.append(args[3])
+            return self.pool.submit(fn, args)
+
+    monkeypatch.setattr(search, "_get_pool", lambda workers: Recording(get_pool(workers)))
+    report = verify("T31", 6, 3, workers=2)
+    assert report.failures == verify("T31", 6, 3, workers=1).failures
+    assert caps == sorted(caps, reverse=True) and caps[0] <= 20 and caps[-1] == 0
+
+
+def test_task_with_no_room_counts_its_failures_and_keeps_none():
+    groups = list(search._groups(get_claim("T41-1"), 4, 2, False))
+    done, tally, fails, _ = search._run_task(("T41-1", groups, False, 0))
+    assert (done, fails) == (len(groups), [])
+    assert tally == verify("T41-1", 4, 2).tally
+
+
+# at these bounds every claim whose falsify finds a counterexample fails
+# also in tables that are not their orbit's canonical form: the second
+# half of the surjections onto two values relabel the first half
+ORBIT_BOUNDS = {"T31": (6, 3)}
+
+
+@pytest.mark.parametrize("cid", FAILING_CLAIMS)
+def test_failures_in_relabeled_tables_carry_the_witness_evaluate_gives(cid, monkeypatch):
+    # with no cap every failure is kept, and on 2 workers tiny tasks start
+    # inside an orbit, so a task's first group of an orbit is not canonical
+    max_u, max_v = ORBIT_BOUNDS.get(cid, (4, 2))
+    monkeypatch.setattr(search, "TASK_INSTANCES", SMALL_TASK)
+    reports = [verify(cid, max_u, max_v, workers=w, max_failures=10**9) for w in (1, 2)]
+    assert reports[1].failures == reports[0].failures
+    relabeled = 0
+    for raw, witness in reports[0].failures:
+        relabeled += search._canonical(raw.table) != raw.table
+        assert evaluate(cid, raw.to_instance()).witness == witness, raw
+    assert 0 < relabeled < len(reports[0].failures)
+
+
+def test_groups_of_one_orbit_share_the_tables_of_a_fresh_context(monkeypatch):
+    # verify builds each group's context on its table's canonical form t0;
+    # a group gets a twin exactly when an earlier group of its (n, m) slice
+    # had the same t0, and what it takes equals a fresh context of t0
+    from roughmap import claims
+
+    calls = []
+    real = search.GroupContext
+
+    def spy(sizes, vsizes, table, twin=None):
+        ctx = real(sizes, vsizes, table, twin)
+        calls.append((ctx, twin))
+        return ctx
+
+    def relations(ctx):
+        return [(rel.packed, rel.flags) for rel in ctx.relmaps]
+
+    monkeypatch.setattr(search, "GroupContext", spy)
+    # T31-refl: maps that miss values share t0 across m; T42-1: every
+    # bijection relabels the identity
+    for cid, max_u, max_v in [("T31-refl", 4, 3), ("T42-1", 4, 4), ("L31-2-inc", 4, 3)]:
+        calls.clear()
+        report = verify(cid, max_u, max_v, workers=1)
+        assert len(calls) == report.groups
+        seen = set()
+        for ctx, twin in calls:
+            key = ctx.n, ctx.m, ctx.table
+            assert ctx.table == search._canonical(ctx.table)
+            assert (twin is not None) == (key in seen), key
+            seen.add(key)
+            if twin is not None:
+                fresh = real(ctx.sizes, ctx.vsizes, ctx.table)
+                assert ctx.images == fresh.images
+                assert ctx.contributions == fresh.contributions
+                assert relations(ctx) == relations(fresh)
+        assert len(seen) < len(calls)
+    # above _TABLE_MAX_N a context keeps no eager tables, and none is shared
+    monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+    calls.clear()
+    verify("T31-refl", 4, 3, workers=1)
+    assert calls and all(twin is None and ctx.eager is None for ctx, twin in calls)
+
+
 def test_falsify_scans_canonical_maps_only():
     # the falsify stream uses one representative per codomain relabeling
     report = falsify("T31", max_u=4, max_v=3)
@@ -327,3 +419,30 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
         claims._stored_tables.cache_clear()
         claims._listed_relations.cache_clear()
         claims._listed_blocks.cache_clear()
+
+
+def test_pinned_sweeps_pass_the_benchmark_check(monkeypatch):
+    # the benchmark's sweeps that have no committed report are pinned in
+    # perfbench/workloads.PINS (tallies, groups, first counterexample and a
+    # digest of the report document, witnesses and failure list included);
+    # perfbench/checks.check_sweep compares a sweep with its pin
+    import json
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from checks import check_sweep, load_evidence
+    from workloads import PINS, WORKLOADS
+
+    pinned = {}
+    for workload in WORKLOADS.values():
+        for sweep in workload.sweeps + (workload.refute or ()):
+            if sweep.name in PINS:
+                pinned[sweep.name] = sweep, workload.workers
+    assert sorted(pinned) == sorted(PINS)
+    problems = []
+    for sweep, workers in pinned.values():
+        run = verify if sweep.mode == "verify" else falsify
+        report = run(sweep.claim, sweep.max_u, sweep.max_v, workers=workers)
+        text = json.dumps(report_doc(report), indent=2, ensure_ascii=False)
+        problems += check_sweep(sweep, report, text, load_evidence([sweep], os.path.join(root, "reports")))
+    assert problems == []

@@ -117,6 +117,18 @@ def test_stored_pair_rows_name_the_kernel_results(n):
         assert (None if union is None else blocks_of_rgs(parts[union])) == naive_union(b1, b2, n)
 
 
+def test_stored_join_rows_at_seven_elements_name_the_closure():
+    # the stored join rows merge block masks; the test above checks every
+    # pair up to 5 elements against closure(R1 | R2), this one whole rows at
+    # 7: the one-block and the all-singleton partitions, and sampled ones
+    tables = claims._SizeTables(7)
+    relations = tables.relations
+    rows = [0, len(relations) - 1] + random.Random(7).sample(range(1, len(relations) - 1), 8)
+    for i in rows:
+        for j in tables.handles():
+            assert relations[tables.join(i, j)] == kernels.closure(relations[i] | relations[j], 7), (i, j)
+
+
 def test_stored_pair_results_are_the_listed_partitions():
     tables = claims.size_tables(4)
     handles = range(len(tables.relations))
