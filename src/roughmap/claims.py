@@ -346,18 +346,21 @@ class _SizeTables:
     equivalence, reads None.  The meet and union rows are & and | on the
     packed relations; the join rows merge block masks, which at 7 elements
     fills a row about 7 times faster than closure(R1 | R2).
+
+    `maps` is GroupContext's memo: the tables it fills per map, keyed by
+    table, for the maps into one size of V, `maps_into`.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.direct = direct = _DirectTables(n)
-        self.kern = direct.kern
+        self.kern = kern = kernels.select(n)
         self.relations = _listed_relations(n)
         self.index = {r: i for i, r in enumerate(self.relations)}
-        self.blocks = [direct.blocks[r] for r in self.relations]
+        self.blocks = [kern.relation_blocks(r, n) for r in self.relations]
         count = len(self.relations)
         self._approx, self._meet, self._join, self._union = ([None] * count for _ in range(4))
         self._by_blocks = None  # partition's set of block masks -> handle, for the join rows
+        self.maps_into, self.maps = None, {}
 
     handle, rgs = _DirectTables.handle, _DirectTables.rgs
 
@@ -438,21 +441,23 @@ class GroupContext:
     form size_tables picks and evaluate() as _DirectTables.
 
     On _SizeTables the three tables filled when the group starts, `images`,
-    `contributions` and `relmaps`, are also kept as the tuple `eager`, and
-    a context given a `twin`, the `eager` of an earlier context with the
-    same table and the same sizes of U and V, takes them from it and builds
-    none.  A twin is read, never written.  On _DirectTables `eager` is None
-    and a twin is ignored.  A verify sweep builds every group's context on
-    its table's canonical form, so groups whose tables differ only by a
-    relabeling of V share these tables (see `search`).
+    `contributions` and `relmaps`, are read, never written, so contexts of
+    one table share them: `sizes.maps` keeps them by table for the maps
+    into one size of V, and is emptied when a context for another size is
+    built.  It outlives the sweep that filled it; fresh size tables start
+    it empty.  A verify sweep builds every group's context on its table's
+    canonical form, so groups whose tables differ only by a relabeling of V
+    share these tables (see `search`).  The fiber-condition and
+    approximation slots stay per context: shared, they would keep every
+    map's rows filled at once.
     """
 
     __slots__ = (
         "n", "m", "table", "kern", "fibers", "surjective", "sizes", "vsizes", "images",
-        "contributions", "relmaps", "eager", "_relations", "_ker", "_fiber_ok", "_approx",
+        "contributions", "relmaps", "_relations", "_ker", "_fiber_ok", "_approx",
     )
 
-    def __init__(self, sizes, vsizes, table: tuple[int, ...], twin: Optional[tuple] = None):
+    def __init__(self, sizes, vsizes, table: tuple[int, ...]):
         self.sizes, self.vsizes = sizes, vsizes
         self.n = n = sizes.n
         self.m = m = vsizes.n
@@ -463,16 +468,17 @@ class GroupContext:
         self._ker = None  # handle of ker f, found by the first fiber_ok
         self._relations = _RELATIONS.setdefault(m, {})
         if type(sizes) is _SizeTables:
-            if twin is None:
+            if sizes.maps_into != m:
+                sizes.maps_into, sizes.maps = m, {}
+            hit = sizes.maps.get(table)
+            if hit is None:
                 self._fill_tables()
                 # a search group reads every partition's f(R)
-                twin = self.images, self.contributions, [self.relmap(h) for h in sizes.handles()]
-            self.eager = twin
-            self.images, self.contributions, self.relmaps = twin
+                hit = sizes.maps[table] = self.images, self.contributions, [self.relmap(h) for h in sizes.handles()]
+            self.images, self.contributions, self.relmaps = hit
             self._fiber_ok = [None] * len(self.relmaps)
             self._approx = [_TODO] * len(self.relmaps)
         else:
-            self.eager = None
             fibers, image_mask = self.fibers, self.kern.image_mask
             fiber_sizes = [f.bit_count() for f in fibers]
             self.images = _Cached(lambda x: image_mask(table, x))

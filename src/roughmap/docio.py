@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import __version__ as _version
 from .claims import REGISTRY, Claim, Instance, get_claim

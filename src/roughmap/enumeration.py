@@ -72,6 +72,13 @@ def iter_canonical_surjections(n: int, m: int) -> Iterator[tuple[int, ...]]:
             yield t
 
 
+def canonical_table(table: tuple[int, ...]) -> tuple[int, ...]:
+    """The representative of a table's orbit: its values relabeled so they
+    first appear in order 0, 1, 2, ..."""
+    labels: dict = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in table)
+
+
 # ------------------------------------------------------------------ counting
 
 def bell(n: int) -> int:

@@ -21,13 +21,9 @@ falsify enumerates one map per codomain-relabeling orbit (relabeling V
 commutes with every claim); verify enumerates all maps.  Relabeling V
 permutes every table a group's GroupContext builds and changes no verdict,
 so verify builds each group's context on its table's canonical form t0,
-the first-appearance relabeling that falsify walks, and the groups of one
-orbit share their eager tables (`images`, `contributions`, `relmaps`).  A
-task's orbit memo maps t0 to the eager tables of its first group with that
-t0, and later groups take them as their twin.  The memo covers one (n, m)
-slice and is emptied when the slice changes; it holds those three tables,
-never a context, and only on stored size tables (n <= claims._TABLE_MAX_N);
-falsify keeps none.  Witnesses, unlike verdicts, name V's labels, so a kept
+the first-appearance relabeling that falsify walks (its own tables are
+canonical already), and GroupContext builds the tables of each t0 once
+(see its docstring).  Witnesses, unlike verdicts, name V's labels, so a kept
 failure whose table is not its own t0 takes its witness from the reference
 `claims.evaluate`: at most max_failures of them per task.
 """
@@ -41,8 +37,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .claims import Claim, GroupContext, Instance, Outcome, evaluate, evaluate_raw, get_claim, size_tables
+from .enumeration import bell, canonical_table, iter_canonical_surjections, iter_canonical_tables
 # iter_rgs is not called here; perfbench/tracing.py wraps it with the other enumeration streams
-from .enumeration import bell, iter_canonical_surjections, iter_canonical_tables, iter_rgs, iter_surjections, iter_tables
+from .enumeration import iter_rgs, iter_surjections, iter_tables
 from .errors import WorkerCrashError
 from .mappings import SurjMap
 from .structures import Partition, Subset, Universe
@@ -109,8 +106,6 @@ class SearchReport:
     max_u: int
     max_v: int
     tally: Tally
-    first_counterexample: Optional[RawInstance] = None
-    witness: Optional[dict] = None
     failures: list[tuple[RawInstance, dict]] = field(default_factory=list)
     ill_typed_reason: Optional[str] = None
     groups: int = 0
@@ -124,6 +119,15 @@ class SearchReport:
     @property
     def found(self) -> bool:
         return self.tally.fails > 0
+
+    # a sweep that finds a failure keeps at least one: max_failures >= 1
+    @property
+    def first_counterexample(self) -> Optional[RawInstance]:
+        return self.failures[0][0] if self.failures else None
+
+    @property
+    def witness(self) -> Optional[dict]:
+        return self.failures[0][1] if self.failures else None
 
 
 def _map_tables(claim: Claim, n: int, max_v: int, canonical: bool) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -152,13 +156,6 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
             yield n, m, table
 
 
-def _canonical(table: tuple[int, ...]) -> tuple[int, ...]:
-    """The table relabeled so its values first appear in order 0, 1, 2, ...:
-    the member of its codomain-relabeling orbit that falsify walks."""
-    labels: dict = {}
-    return tuple(labels.setdefault(v, len(labels)) for v in table)
-
-
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
     of one claim, in order: the caller's first task, on one worker the
@@ -175,18 +172,10 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     fails: list[tuple[RawInstance, dict]] = []
     reason: Optional[str] = None
     done = 0
-    # the orbit memo: canonical table -> eager tables, for one (n, m) slice
-    twins: dict = {}
-    slice_ = None
     for n, m, table in groups:
-        if (n, m) != slice_:
-            slice_, twins = (n, m), {}
-        # falsify walks canonical tables only, so no two of its groups share one
-        t0 = table if stop_on_fail else _canonical(table)
-        twin = twins.get(t0)
-        ctx = GroupContext(size_tables(n), size_tables(m), t0, twin)
-        if twin is None and ctx.eager is not None and not stop_on_fail:
-            twins[t0] = ctx.eager
+        # falsify walks canonical tables only
+        t0 = table if stop_on_fail else canonical_table(table)
+        ctx = GroupContext(size_tables(n), size_tables(m), t0)
         done += 1
         handles = ctx.sizes.handles()
         seconds = handles if claim.partitions == 2 else (None,)
@@ -309,8 +298,6 @@ def _run(
         if fails:
             space = max_failures - len(report.failures)
             report.failures.extend(fails[:space])
-            if report.first_counterexample is None:
-                report.first_counterexample, report.witness = fails[0]
             if stop_on_fail:
                 return True
         return False

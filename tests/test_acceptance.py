@@ -301,3 +301,12 @@ def test_c10_readme_quick_start_runs_as_documented():
         "{(a, a), (b, b), (c, c)}",
         ("{2}", "{1, 2, 3}"),
     ]
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python is >=3.10: grammar newer than that, such as except*,
+    # fails here on any newer interpreter too
+    paths = [path for top in ("src", "tests", "scripts", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -1,5 +1,6 @@
 from roughmap.enumeration import (
     bell,
+    canonical_table,
     canonical_table_count,
     iter_canonical_surjections,
     iter_canonical_tables,
@@ -76,6 +77,19 @@ def test_canonical_surjections_are_orbit_minima():
             got = set(iter_canonical_surjections(n, m))
             want = oracles.orbit_minima(iter_surjections(n, m), m)
             assert got == want
+
+
+def test_canonical_table_is_the_orbit_minimum_and_the_streams_its_fixed_points():
+    for n in range(1, 7):
+        for m in range(1, 5):
+            for t in iter_tables(n, m):
+                rep = canonical_table(t)
+                assert rep == min(oracles.relabel_orbit(t, m))
+                assert canonical_table(rep) == rep
+            fixed = [t for t in iter_tables(n, m) if canonical_table(t) == t]
+            assert list(iter_canonical_tables(n, m)) == fixed
+            fixed = [t for t in iter_surjections(n, m) if canonical_table(t) == t]
+            assert list(iter_canonical_surjections(n, m)) == fixed
 
 
 def test_orbits_cover_everything_exactly_once():

@@ -8,8 +8,11 @@ from roughmap import Outcome, REGISTRY, evaluate, falsify, get_claim, search, ve
 from roughmap.docio import report_doc
 from roughmap.enumeration import (
     bell,
+    canonical_table,
     iter_canonical_surjections,
+    iter_canonical_tables,
     iter_rgs,
+    stirling2,
     surjection_count,
 )
 
@@ -212,52 +215,81 @@ def test_failures_in_relabeled_tables_carry_the_witness_evaluate_gives(cid, monk
     assert reports[1].failures == reports[0].failures
     relabeled = 0
     for raw, witness in reports[0].failures:
-        relabeled += search._canonical(raw.table) != raw.table
+        relabeled += canonical_table(raw.table) != raw.table
         assert evaluate(cid, raw.to_instance()).witness == witness, raw
     assert 0 < relabeled < len(reports[0].failures)
 
 
-def test_groups_of_one_orbit_share_the_tables_of_a_fresh_context(monkeypatch):
-    # verify builds each group's context on its table's canonical form t0;
-    # a group gets a twin exactly when an earlier group of its (n, m) slice
-    # had the same t0, and what it takes equals a fresh context of t0
-    from roughmap import claims
-
+def _contexts_of(monkeypatch, cid, max_u, max_v):
+    """The contexts a 1-worker verify builds, in order."""
     calls = []
     real = search.GroupContext
 
-    def spy(sizes, vsizes, table, twin=None):
-        ctx = real(sizes, vsizes, table, twin)
-        calls.append((ctx, twin))
-        return ctx
-
-    def relations(ctx):
-        return [(rel.packed, rel.flags) for rel in ctx.relmaps]
+    def spy(sizes, vsizes, table):
+        calls.append(real(sizes, vsizes, table))
+        return calls[-1]
 
     monkeypatch.setattr(search, "GroupContext", spy)
-    # T31-refl: maps that miss values share t0 across m; T42-1: every
-    # bijection relabels the identity
+    report = verify(cid, max_u, max_v, workers=1)
+    monkeypatch.setattr(search, "GroupContext", real)
+    assert len(calls) == report.groups
+    return calls
+
+
+def _relations(ctx):
+    return [(rel.packed, rel.flags) for rel in ctx.relmaps]
+
+
+def test_contexts_of_one_canonical_table_share_its_tables(monkeypatch):
+    # verify builds each group's context on its table's canonical form t0,
+    # and the contexts of one (n, m, t0) share the tables of the first, which
+    # equal those of a context on fresh size tables
+    from roughmap import claims
+
+    # T31-refl: maps that miss values; T42-1: every bijection relabels the identity
     for cid, max_u, max_v in [("T31-refl", 4, 3), ("T42-1", 4, 4), ("L31-2-inc", 4, 3)]:
-        calls.clear()
-        report = verify(cid, max_u, max_v, workers=1)
-        assert len(calls) == report.groups
-        seen = set()
-        for ctx, twin in calls:
+        contexts = _contexts_of(monkeypatch, cid, max_u, max_v)
+        first = {}
+        for ctx in contexts:
+            assert ctx.table == canonical_table(ctx.table)
             key = ctx.n, ctx.m, ctx.table
-            assert ctx.table == search._canonical(ctx.table)
-            assert (twin is not None) == (key in seen), key
-            seen.add(key)
-            if twin is not None:
-                fresh = real(ctx.sizes, ctx.vsizes, ctx.table)
-                assert ctx.images == fresh.images
-                assert ctx.contributions == fresh.contributions
-                assert relations(ctx) == relations(fresh)
-        assert len(seen) < len(calls)
-    # above _TABLE_MAX_N a context keeps no eager tables, and none is shared
+            hit = first.setdefault(key, ctx)
+            assert ctx.relmaps is hit.relmaps and ctx.images is hit.images, key
+        assert len(first) < len(contexts)
+        assert len({id(ctx.relmaps) for ctx in first.values()}) == len(first)
+        for (n, m, table), ctx in first.items():
+            fresh = claims.GroupContext(claims._SizeTables(n), ctx.vsizes, table)
+            assert ctx.images == fresh.images
+            assert ctx.contributions == fresh.contributions
+            assert _relations(ctx) == _relations(fresh)
+
+
+def test_maps_into_two_sizes_of_v_share_no_tables(monkeypatch):
+    # T31-refl takes every map, so a table t0 that uses fewer values than m
+    # comes back for each larger m, with other contributions and f(R)
+    from roughmap import claims
+
+    by_table = {}
+    for ctx in _contexts_of(monkeypatch, "T31-refl", 4, 3):
+        by_table.setdefault((ctx.n, ctx.table), {}).setdefault(ctx.m, ctx)
+    assert any(len(by_m) == 3 for by_m in by_table.values())
+    for by_m in by_table.values():
+        assert len({id(ctx.relmaps) for ctx in by_m.values()}) == len(by_m)
+        assert len({id(ctx.contributions) for ctx in by_m.values()}) == len(by_m)
+    # the memo keeps the maps into the last size of V only
+    sizes = claims.size_tables(4)
+    assert sizes.maps_into == 3
+    assert set(sizes.maps) == set(iter_canonical_tables(4, 3))
+
+
+def test_contexts_on_direct_tables_share_nothing(monkeypatch):
+    from roughmap import claims
+
     monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
-    calls.clear()
-    verify("T31-refl", 4, 3, workers=1)
-    assert calls and all(twin is None and ctx.eager is None for ctx, twin in calls)
+    contexts = _contexts_of(monkeypatch, "T31-refl", 4, 3)
+    assert len({ctx.table for ctx in contexts}) < len(contexts)
+    assert len({id(ctx.relmaps) for ctx in contexts}) == len(contexts)
+    assert len({id(ctx.images) for ctx in contexts}) == len(contexts)
 
 
 def test_falsify_scans_canonical_maps_only():
@@ -400,20 +432,34 @@ def test_failures_past_the_cap_build_no_witness(monkeypatch):
 
 
 def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monkeypatch):
-    # perfbench's --trace 1 gate: evaluations = instances, contexts = groups
+    # perfbench's --trace 1 gate: evaluations = instances, contexts = groups;
+    # and on fresh size tables a verify computes f(R) of every partition
+    # once per distinct (n, m, t0), a falsify once per group
     from roughmap import claims
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     from tracing import Tracer, installed
 
+    cases = [
+        (verify, "T31", 6, 3, 27_138),
+        (verify, "L31-2-inc", 5, 2, 977),
+        (verify, "T41-1", 4, 3, 240),
+        (falsify, "T31", 6, 4, 12_651),
+    ]
     try:
-        for cid, max_u, max_v in [("T31", 4, 3), ("L31-2-inc", 4, 2), ("T41-1", 4, 3)]:
+        for run, cid, max_u, max_v, lookups in cases:
+            claims._stored_tables.cache_clear()
             tracer = Tracer()
             with installed(tracer):
-                report = verify(cid, max_u, max_v, workers=1)
+                report = run(cid, max_u, max_v, workers=1)
             assert tracer.calls["claims.evaluate_raw"] == report.instances
             assert tracer.calls["claims.GroupContext"] == report.groups
+            assert tracer.counters["claims.relmap_lookups"] == lookups
+            if run is verify:
+                # the maps are surjective; the canonical ones n -> m are the rgs of m blocks
+                slices = [(n, m) for n in range(1, max_u + 1) for m in range(1, min(n, max_v) + 1)]
+                assert lookups == sum(bell(n) * stirling2(n, m) for n, m in slices)
     finally:
         # per-size tables built under the trace hold its kernel wrappers
         claims._stored_tables.cache_clear()
