@@ -219,25 +219,21 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # which gives the same partition), and the union R1 | R2 when that is an
 # equivalence.  R1 ⊆ R2 when R1 ∧ R2 = R1, and the fiber condition when
 # ker f ∧ R = ker f.  Evaluators name a partition by a handle of the size
-# tables, which size_tables picks: for a sweep up to _TABLE_MAX_N elements
+# tables, which size_tables picks: up to _TABLE_MAX_N elements
 # _SizeTables, whose handle is the relation's index into `relations`, the
 # partitions in lex order of their rgs, and whose rows are filled lazily;
-# for a sweep above it, and for any single evaluate(), _DirectTables, whose
-# handle is the relation itself and which computes every answer on each
-# call.  On both, `index` maps a partition's relation to its handle, and
-# `handle` and `rgs` convert at the boundary.
+# above it _DirectTables, whose handle is the relation itself and which
+# computes every answer on each call.  On both, `index` maps a partition's
+# relation to its handle, and `handle` and `rgs` convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
+# Every memo of the engine lives on the tables of the size its key names,
+# which size_tables keeps one per size, so size_tables.cache_clear() gives
+# a fresh engine; a single evaluate() builds its own and leaves no state.
 
 # at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
 # (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
 _TABLE_MAX_N = 7
 _TODO = object()  # an approximation slot not filled yet
-
-# process-wide memos, shared by every group: block contributions keyed by
-# the fiber sizes, then by the per-fiber counts packed into one int; and
-# relations on V keyed by m, then by the packed relation
-_CONTRIBUTIONS: dict = {}
-_RELATIONS: dict = {}
 
 
 class _Computed:
@@ -275,16 +271,9 @@ class _Relation:
         self.flags = kern.classify(packed, m)
 
 
-@lru_cache(maxsize=1)
 def _listed_relations(n: int) -> list:
     """The relation of every partition of n elements, in lex order of the rgs."""
     return [kernels.partition_relation(rgs) for rgs in iter_rgs(n)]
-
-
-@lru_cache(maxsize=1)
-def _listed_blocks(n: int) -> dict:
-    """The block masks of every partition of n elements, keyed by its relation."""
-    return {r: kernels.relation_blocks(r, n) for r in _listed_relations(n)}
 
 
 class _DirectTables:
@@ -294,17 +283,19 @@ class _DirectTables:
 
     Nothing is kept per group: a search group reads each (partition,
     subset) approximation once, so keeping them would hold up to
-    2·B(n)·2**n masks per group and reuse none.  Only `handles()`, which a
-    sweep reads in every group, lists the partitions once per size, and
-    their block masks with them, which every group of the sweep reads; a
-    single evaluate() lists nothing.
+    2·B(n)·2**n masks per group and reuse none.  What every group reads is
+    kept for as long as the tables: the partitions, listed on the first
+    `handles()`, their block masks (`blocks`) and the relations on V met so
+    far with their classification (`classified`).
     """
 
     def __init__(self, n: int):
         self.n = n
         kern = self.kern = kernels.select(n)
         self.relations = self.index = _Computed(lambda r: r)
-        self.blocks = _Computed(lambda r: kern.relation_blocks(r, n))
+        self.blocks = _Cached(lambda r: kern.relation_blocks(r, n))
+        self.classified = {}
+        self._listed = None
 
     def handle(self, rgs):
         return self.index[self.kern.partition_relation(rgs)]
@@ -313,8 +304,9 @@ class _DirectTables:
         return self.kern.relation_rgs(self.relations[h], self.n)
 
     def handles(self) -> list:  # in lex order
-        self.blocks = _listed_blocks(self.n)
-        return _listed_relations(self.n)
+        if self._listed is None:
+            self._listed = _listed_relations(self.n)
+        return self._listed
 
     def approx(self, r: int):
         """(lower, upper) approximations over r, each indexed by subset mask."""
@@ -347,8 +339,11 @@ class _SizeTables:
     packed relations; the join rows merge block masks, which at 7 elements
     fills a row about 7 times faster than closure(R1 | R2).
 
-    `maps` is GroupContext's memo: the tables it fills per map, keyed by
-    table, for the maps into one size of V, `maps_into`.
+    GroupContext's memos on U live here: `maps`, the tables it fills per
+    map, keyed by table, for the maps into one size of V, `maps_into`, and
+    `block_contributions`, keyed by fiber sizes, then by a block's per-fiber
+    counts packed into one int.  As on _DirectTables, `classified` keeps
+    the relations on V of this size met so far, with their classification.
     """
 
     def __init__(self, n: int):
@@ -361,6 +356,7 @@ class _SizeTables:
         self._approx, self._meet, self._join, self._union = ([None] * count for _ in range(4))
         self._by_blocks = None  # partition's set of block masks -> handle, for the join rows
         self.maps_into, self.maps = None, {}
+        self.block_contributions, self.classified = {}, {}
 
     handle, rgs = _DirectTables.handle, _DirectTables.rgs
 
@@ -418,14 +414,11 @@ class _SizeTables:
         return (self._union[i] or self._fill(self._union, int.__or__, i))[j]
 
 
-@lru_cache(maxsize=_TABLE_MAX_N)
-def _stored_tables(n: int) -> _SizeTables:
-    return _SizeTables(n)
-
-
+@lru_cache(maxsize=None)
 def size_tables(n: int):
-    """Approximation and partition-pair tables for a sweep over size n."""
-    return _stored_tables(n) if n <= _TABLE_MAX_N else _DirectTables(n)
+    """Approximation and partition-pair tables for a sweep over size n, one
+    object per size for the process: every memo of the engine hangs off it."""
+    return _SizeTables(n) if n <= _TABLE_MAX_N else _DirectTables(n)
 
 
 class GroupContext:
@@ -444,12 +437,13 @@ class GroupContext:
     `contributions` and `relmaps`, are read, never written, so contexts of
     one table share them: `sizes.maps` keeps them by table for the maps
     into one size of V, and is emptied when a context for another size is
-    built.  It outlives the sweep that filled it; fresh size tables start
-    it empty.  A verify sweep builds every group's context on its table's
+    built.  A verify sweep builds every group's context on its table's
     canonical form, so groups whose tables differ only by a relabeling of V
     share these tables (see `search`).  The fiber-condition and
     approximation slots stay per context: shared, they would keep every
-    map's rows filled at once.
+    map's rows filled at once.  The memos a context fills belong to the
+    size tables and live as long as they do: `sizes.maps` and
+    `sizes.block_contributions` on U, `vsizes.classified` on V.
     """
 
     __slots__ = (
@@ -466,7 +460,7 @@ class GroupContext:
         self.fibers = self.kern.fiber_masks(table, m)
         self.surjective = all(f != 0 for f in self.fibers)
         self._ker = None  # handle of ker f, found by the first fiber_ok
-        self._relations = _RELATIONS.setdefault(m, {})
+        self._relations = vsizes.classified
         if type(sizes) is _SizeTables:
             if sizes.maps_into != m:
                 sizes.maps_into, sizes.maps = m, {}
@@ -497,7 +491,7 @@ class GroupContext:
         """
         table, n = self.table, self.n
         sizes = tuple(f.bit_count() for f in self.fibers)
-        memo = _CONTRIBUTIONS.setdefault(sizes, {})
+        memo = self.sizes.block_contributions.setdefault(sizes, {})
         width = n.bit_length()
         full = (1 << width) - 1
         images = [0] * (1 << n)

@@ -154,17 +154,18 @@ def _cmd_list_claims(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.partitions is not None:
-        n = args.partitions
-        print(f"partitions of {n}: {bell(n)}")
-    elif args.surjections is not None:
-        n, m = args.surjections
-        count = surjection_count(n, m)
-        note = " (no surjections onto a larger codomain)" if m > n else ""
-        print(f"surjections {n} -> {m}: {count}{note}")
-    else:
-        n = args.subsets
-        print(f"subsets of {n}: {subset_count(n)}")
+    try:  # each line is built before it is printed
+        if args.partitions is not None:
+            print(f"partitions of {args.partitions}: {bell(args.partitions)}")
+        elif args.surjections is not None:
+            n, m = args.surjections
+            note = " (no surjections onto a larger codomain)" if m > n else ""
+            print(f"surjections {n} -> {m}: {surjection_count(n, m)}{note}")
+        else:
+            print(f"subsets of {args.subsets}: {subset_count(args.subsets)}")
+    except ValueError:  # more digits than Python converts to text
+        print(f"count: the result has more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 2
     return 0
 
 

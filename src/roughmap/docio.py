@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__ as _version
-from .claims import REGISTRY, Claim, Instance, get_claim
+from .claims import REGISTRY, Claim, Instance, Outcome, get_claim
 from .errors import (
     BadImageError,
     IoError,
@@ -225,11 +225,12 @@ def parse_instance_doc(doc: dict) -> ParsedInstance:
         ru = _Resolver(u, "subset_x")
         x = Subset.from_elements(u, {ru(e) for e in sx})
     claim_id = doc.get("claim")
-    if claim_id is not None and claim_id not in REGISTRY:
+    if claim_id is not None and (not isinstance(claim_id, str) or claim_id not in REGISTRY):
         raise ValidationError("claim", f"unknown claim id {claim_id!r}")
-    return ParsedInstance(
-        Instance(f, parts, x), claim_id, names, doc.get("expected_outcome")
-    )
+    expected = doc.get("expected_outcome")
+    if expected is not None and expected not in [o.value for o in Outcome]:
+        raise ValidationError("expected_outcome", f"must be holds, fails, ill-typed or vacuous, got {expected!r}")
+    return ParsedInstance(Instance(f, parts, x), claim_id, names, expected)
 
 
 def parse_instance(text: str) -> ParsedInstance:

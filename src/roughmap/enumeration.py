@@ -11,7 +11,6 @@ codomain indices.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import factorial
 from typing import Iterator, Optional
@@ -94,14 +93,16 @@ def bell(n: int) -> int:
     return row[-1]
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
-    """Partitions of an n-element set into exactly m blocks."""
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0 or m > n:
+    """Partitions of an n-element set into exactly m blocks (row by row)."""
+    if not 0 <= m <= n:
         return 0
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+    row = [1] + [0] * m  # S(0, k)
+    for _ in range(n):
+        for k in range(m, 0, -1):  # downwards, so row[k - 1] is still S(i-1, k-1)
+            row[k] = k * row[k] + row[k - 1]
+        row[0] = 0
+    return row[m]
 
 
 def surjection_count(n: int, m: int) -> int:

@@ -179,13 +179,13 @@ def select(n: int, m: int | None = None):
     """The kernel module for a universe of size n (codomain size m).
 
     Returns this module.  The engine fetches its kernels through this call
-    (`claims.GroupContext`, `claims._DirectTables`), so the per-layer
-    benchmark trace (`perfbench/tracing.py`) can wrap it to count and time
-    kernel calls; the public API calls the kernels directly.  The partition
-    lattice has no kernel of its own: the engine names a partition by its
-    packed relation, or by that relation's index, and computes the meet
-    with &, the union with | and the join with closure; refinement, the
-    fiber condition and the union test are read from those.
+    (`claims.GroupContext`, `claims._SizeTables`, `claims._DirectTables`),
+    so the per-layer benchmark trace (`perfbench/tracing.py`) can wrap it to
+    count and time kernel calls; the public API calls the kernels directly.
+    The partition lattice has no kernel of its own: the engine names a
+    partition by its packed relation, or by that relation's index, and
+    computes the meet with &, the union with | and the join with closure;
+    refinement, the fiber condition and the union test are read from those.
     """
     return _this
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -50,6 +51,23 @@ def test_count_commands(capsys):
         code, out, err = run(capsys, "count", *argv)
         assert code == 2 and out == ""
         assert "must be at least 1" in err
+
+
+def test_count_too_long_to_print_is_an_input_error(capsys):
+    # 2**14300 and 3**10000 have more digits than Python turns into text by
+    # default; S(2000, 3) is found row by row, with no recursion limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (("--subsets", "14300"), ("--surjections", "10000", "3")):
+            code, out, err = run(capsys, "count", *argv)
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and "more than 4300 digits" in err
+        code, out, err = run(capsys, "count", "--surjections", "2000", "3")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out.startswith("surjections 2000 -> 3: 1747871251722651609659974619")
 
 
 def test_falsify_exit_codes(capsys):
@@ -212,6 +230,19 @@ def test_eval_invalid_instance(tmp_path, capsys):
     p.write_text(json.dumps(doc))
     code, _, err = run(capsys, "eval", "--input", str(p))
     assert code == 2
+
+
+@pytest.mark.parametrize("field, value", [("claim", ["T41-1"]), ("expected_outcome", "maybe"), ("expected_outcome", 3)])
+def test_eval_rejects_a_bad_claim_or_recorded_outcome(tmp_path, capsys, field, value):
+    # a claim id that is no string, and a recorded outcome that is none of
+    # the four, are input errors, not a traceback or a MISMATCH
+    doc = json.loads(MONOTONICITY.read_text(encoding="utf-8"))
+    doc[field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"eval: {field}: ") and err.count("\n") == 1
 
 
 def test_eval_report_reruns_counterexample(tmp_path, capsys):

@@ -112,3 +112,17 @@ def test_counts_against_independent_formulas():
             assert surjection_count(n, m) == oracles.surj_ie(n, m)
     assert bell(7) == 877
     assert surjection_count(6, 2) == 62
+
+
+def test_stirling2_follows_its_recurrence():
+    # S(0, 0) = 1, S(n, 0) = S(0, m) = 0 otherwise, S(n, m) = 0 for m > n and
+    # S(n, m) = m·S(n-1, m) + S(n-1, m-1); computed row by row, so a deep
+    # row needs no recursion
+    for n in range(13):
+        for m in range(14):
+            if n == 0 or m == 0:
+                want = int(n == m)
+            else:
+                want = m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+            assert stirling2(n, m) == want, (n, m)
+    assert stirling2(2000, 3) == (3**2000 - 3 * 2**2000 + 3) // 6

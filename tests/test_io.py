@@ -89,6 +89,9 @@ def test_parse_validates_claim_id():
         (lambda d: d.update(partitions={"R": [["1"], ["3", "4"]]}), "partitions"),
         (lambda d: d.update(subset_x=["z"]), "subset_x"),
         (lambda d: d.update(universe_u=True), "universe_u"),
+        (lambda d: d.update(claim=["T41-1"]), "claim"),
+        (lambda d: d.update(expected_outcome="maybe"), "expected_outcome"),
+        (lambda d: d.update(expected_outcome=3), "expected_outcome"),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate, field):

@@ -285,8 +285,12 @@ def test_maps_into_two_sizes_of_v_share_no_tables(monkeypatch):
 def test_contexts_on_direct_tables_share_nothing(monkeypatch):
     from roughmap import claims
 
+    claims.size_tables.cache_clear()  # else sizes keep the stored form they had
     monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
-    contexts = _contexts_of(monkeypatch, "T31-refl", 4, 3)
+    try:
+        contexts = _contexts_of(monkeypatch, "T31-refl", 4, 3)
+    finally:
+        claims.size_tables.cache_clear()
     assert len({ctx.table for ctx in contexts}) < len(contexts)
     assert len({id(ctx.relmaps) for ctx in contexts}) == len(contexts)
     assert len({id(ctx.images) for ctx in contexts}) == len(contexts)
@@ -449,7 +453,7 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
     ]
     try:
         for run, cid, max_u, max_v, lookups in cases:
-            claims._stored_tables.cache_clear()
+            claims.size_tables.cache_clear()
             tracer = Tracer()
             with installed(tracer):
                 report = run(cid, max_u, max_v, workers=1)
@@ -462,9 +466,7 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
                 assert lookups == sum(bell(n) * stirling2(n, m) for n, m in slices)
     finally:
         # per-size tables built under the trace hold its kernel wrappers
-        claims._stored_tables.cache_clear()
-        claims._listed_relations.cache_clear()
-        claims._listed_blocks.cache_clear()
+        claims.size_tables.cache_clear()
 
 
 def test_pinned_sweeps_pass_the_benchmark_check(monkeypatch):

@@ -79,7 +79,7 @@ def test_approximation_rows_match_oracle(form, n):
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pair_rows_match_oracle(form, n):
-    claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
+    claims.size_tables.cache_clear()  # rows filled here, not by earlier tests
     tables = FORMS[form](n)
     parts = list(iter_rgs(n))
     assert [tables.rgs(h) for h in tables.handles()] == parts
@@ -98,7 +98,7 @@ def test_pair_rows_match_oracle(form, n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stored_pair_rows_name_the_kernel_results(n):
-    claims._stored_tables.cache_clear()  # rows filled here, not by earlier tests
+    claims.size_tables.cache_clear()  # rows filled here, not by earlier tests
     tables = claims.size_tables(n)
     parts = [tables.rgs(i) for i in tables.handles()]
     assert parts == list(iter_rgs(n))
@@ -200,7 +200,7 @@ def test_cached_group_equals_evaluation_from_scratch(cid):
     done, tally, fails, reason = _run_task((cid, groups, False, 10**9))
     assert done == len(groups)
 
-    claims._stored_tables.cache_clear()  # fresh per-size tables as well
+    claims.size_tables.cache_clear()  # fresh per-size tables as well
     outcomes = Counter()
     want_fails = []
     want_reason = None
@@ -222,11 +222,17 @@ def test_cached_group_equals_evaluation_from_scratch(cid):
     assert reason == want_reason
 
 
+def _module_state():
+    return {k: repr(v) for k, v in vars(claims).items() if not k.startswith("__")}
+
+
 def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
-    # a single instance at 7 elements: f(R) of R1, R2 and their meet, and no
-    # per-size tables or partition list, where a sweep's group builds f(R)
-    # for all 877 partitions; an approximation claim on a 7 -> 7 bijection
-    # also reads the rows of V over f(R) without the tables of V
+    # a single instance at 7 elements: f(R) of R1, R2 and their meet, where
+    # a sweep's group builds f(R) for all 877 partitions; an approximation
+    # claim on a 7 -> 7 bijection also reads the rows of V over f(R)
+    # without the tables of V.  Each evaluate() builds its own tables and
+    # fills only their memos: after the reset, size_tables stays empty and
+    # no other module attribute of claims reads differently
     calls = []
     relmap = GroupContext.relmap
 
@@ -235,30 +241,35 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
         return relmap(ctx, h)
 
     monkeypatch.setattr(GroupContext, "relmap", counted)
-    _clear_memos()
+    claims.size_tables.cache_clear()
+    before = _module_state()
     u = Universe(7)
     f = SurjMap(u, Universe(3), (0, 0, 1, 1, 2, 2, 2))
     r1, r2 = Partition(u, (0, 1, 0, 2, 1, 3, 3)), Partition(u, (0, 0, 1, 1, 2, 2, 0))
-    evaluate("L31-2-inc", Instance(f, (r1, r2)))
+    assert evaluate("L31-2-inc", Instance(f, (r1, r2))).outcome is Outcome.HOLDS
     assert len(calls) <= 3
     calls.clear()
     g = SurjMap(u, Universe(7), (3, 0, 6, 1, 5, 2, 4))
     evaluate("T41-1", Instance(g, (r1,), Subset(u, 0b0100110)))
     assert len(calls) == 1
-    assert claims._stored_tables.cache_info().currsize == 0
-    assert claims._listed_relations.cache_info().currsize == 0
-    assert claims._listed_blocks.cache_info().currsize == 0
+    assert claims.size_tables.cache_info().currsize == 0
+    assert _module_state() == before
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     # above _TABLE_MAX_N nothing is stored per group; the sweep must not
-    # notice, and it lists each size's partition blocks once
+    # notice, and it builds one table per size, whose partition blocks every
+    # group reads; the cache is cleared on both sides of the patch, or a
+    # size would keep the form it had before
     stored = verify(cid, 4, max_failures=5)
+    claims.size_tables.cache_clear()
     monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
-    claims._listed_blocks.cache_clear()
-    direct = verify(cid, 4, max_failures=5, workers=1)
-    assert claims._listed_blocks.cache_info().misses == 4
+    try:
+        direct = verify(cid, 4, max_failures=5, workers=1)
+        assert claims.size_tables.cache_info().misses == 4
+    finally:
+        claims.size_tables.cache_clear()
     assert direct.tally == stored.tally
     assert direct.failures == stored.failures
     assert direct.ill_typed_reason == stored.ill_typed_reason
@@ -399,21 +410,13 @@ def _settled_t31():
     return doc
 
 
-def _clear_memos():
-    claims._CONTRIBUTIONS.clear()
-    claims._RELATIONS.clear()
-    claims._stored_tables.cache_clear()
-    claims._listed_relations.cache_clear()
-    claims._listed_blocks.cache_clear()
-
-
 def test_process_wide_memos_do_not_depend_on_earlier_sweeps():
-    _clear_memos()
+    claims.size_tables.cache_clear()
     fresh = _settled_t31()
-    _clear_memos()
+    claims.size_tables.cache_clear()
     verify("L31-3-join", 4, 3, workers=1)
     verify("T41-1", 4, 3, workers=1)
     # maps that miss values, so fiber sizes T31 never sees come first
     verify("T31-refl", 4, 3, workers=1)
-    assert claims._CONTRIBUTIONS and claims._RELATIONS
+    assert claims.size_tables(4).block_contributions and claims.size_tables(3).classified
     assert _settled_t31() == fresh
