@@ -154,18 +154,20 @@ def _cmd_list_claims(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    try:  # each line is built before it is printed
-        if args.partitions is not None:
-            print(f"partitions of {args.partitions}: {bell(args.partitions)}")
-        elif args.surjections is not None:
-            n, m = args.surjections
-            note = " (no surjections onto a larger codomain)" if m > n else ""
-            print(f"surjections {n} -> {m}: {surjection_count(n, m)}{note}")
-        else:
-            print(f"subsets of {args.subsets}: {subset_count(args.subsets)}")
+    if args.partitions is not None:
+        head, count, note = f"partitions of {args.partitions}", bell(args.partitions), ""
+    elif args.surjections is not None:
+        n, m = args.surjections
+        note = " (no surjections onto a larger codomain)" if m > n else ""
+        head, count = f"surjections {n} -> {m}", surjection_count(n, m)
+    else:
+        head, count, note = f"subsets of {args.subsets}", subset_count(args.subsets), ""
+    try:
+        text = str(count)
     except ValueError:  # more digits than Python converts to text
         print(f"count: the result has more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 2
+    print(f"{head}: {text}{note}")
     return 0
 
 

@@ -226,13 +226,27 @@ def _module_state():
     return {k: repr(v) for k, v in vars(claims).items() if not k.startswith("__")}
 
 
+def _spy(monkeypatch, module, name) -> Counter:
+    """Replace module.name by a wrapper that counts its calls by argument."""
+    calls = Counter()
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[args] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
     # a single instance at 7 elements: f(R) of R1, R2 and their meet, where
     # a sweep's group builds f(R) for all 877 partitions; an approximation
     # claim on a 7 -> 7 bijection also reads the rows of V over f(R)
-    # without the tables of V.  Each evaluate() builds its own tables and
-    # fills only their memos: after the reset, size_tables stays empty and
-    # no other module attribute of claims reads differently
+    # without the tables of V, and neither lists a partition.  Each
+    # evaluate() builds its own tables and fills only their memos: after
+    # the reset, size_tables stays empty and no other module attribute of
+    # claims reads differently
     calls = []
     relmap = GroupContext.relmap
 
@@ -241,6 +255,7 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
         return relmap(ctx, h)
 
     monkeypatch.setattr(GroupContext, "relmap", counted)
+    listed = _spy(monkeypatch, claims, "_listed_relations")
     claims.size_tables.cache_clear()
     before = _module_state()
     u = Universe(7)
@@ -252,6 +267,7 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
     g = SurjMap(u, Universe(7), (3, 0, 6, 1, 5, 2, 4))
     evaluate("T41-1", Instance(g, (r1,), Subset(u, 0b0100110)))
     assert len(calls) == 1
+    assert not listed
     assert claims.size_tables.cache_info().currsize == 0
     assert _module_state() == before
 
@@ -259,17 +275,24 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     # above _TABLE_MAX_N nothing is stored per group; the sweep must not
-    # notice, and it builds one table per size, whose partition blocks every
-    # group reads; the cache is cleared on both sides of the patch, or a
-    # size would keep the form it had before
+    # notice, and it builds one table per size, which lists the partitions
+    # once and each partition's block masks at most once for every group
+    # (relation_rgs, which names a witness, reads the blocks afresh); the
+    # cache is cleared on both sides of the patch, or a size would keep the
+    # form it had before
     stored = verify(cid, 4, max_failures=5)
     claims.size_tables.cache_clear()
     monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+    listed = _spy(monkeypatch, claims, "_listed_relations")
+    blocks = _spy(monkeypatch, kernels, "relation_blocks")
+    named = _spy(monkeypatch, kernels, "relation_rgs")
     try:
         direct = verify(cid, 4, max_failures=5, workers=1)
         assert claims.size_tables.cache_info().misses == 4
     finally:
         claims.size_tables.cache_clear()
+    assert listed == Counter({(n,): 1 for n in range(1, 5)})
+    assert max((blocks - named).values(), default=0) <= 1
     assert direct.tally == stored.tally
     assert direct.failures == stored.failures
     assert direct.ill_typed_reason == stored.ill_typed_reason
