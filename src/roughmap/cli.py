@@ -11,7 +11,6 @@ interrupted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -20,6 +19,7 @@ from .approx import approximations
 from .claims import Claim, evaluate, get_claim, list_claims
 from .docio import (
     ParsedInstance,
+    decode_json,
     parse_instance_doc,
     raw_to_instance,
     render_instance_text,
@@ -321,17 +321,12 @@ def _cmd_eval(args) -> int:
         print(f"eval: cannot read {args.input}: {e}", file=sys.stderr)
         return 2
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        print(f"eval: line {e.lineno}, column {e.colno}: {e.msg}", file=sys.stderr)
-        return 2
-    if isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA:
-        embedded = doc.get("first_counterexample")
-        if embedded is None:
-            print("report has no embedded counterexample; nothing to re-check")
-            return 0
-        doc = embedded
-    try:
+        doc = decode_json(text)
+        if isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA:
+            doc = doc.get("first_counterexample")
+            if doc is None:
+                print("report has no embedded counterexample; nothing to re-check")
+                return 0
         parsed = parse_instance_doc(doc)
     except (ParseError, ValidationError) as e:
         print(f"eval: {e}", file=sys.stderr)

@@ -233,13 +233,18 @@ def parse_instance_doc(doc: dict) -> ParsedInstance:
     return ParsedInstance(Instance(f, parts, x), claim_id, names, expected)
 
 
-def parse_instance(text: str) -> ParsedInstance:
-    """Decode and validate an instance document from JSON text."""
+def decode_json(text: str):
+    """The value of a JSON text; a syntax error is a ParseError naming its
+    line and column."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return parse_instance_doc(doc)
+
+
+def parse_instance(text: str) -> ParsedInstance:
+    """Decode and validate an instance document from JSON text."""
+    return parse_instance_doc(decode_json(text))
 
 
 # ----------------------------------------------------------------- emitting

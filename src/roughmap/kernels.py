@@ -63,6 +63,14 @@ def pairs(packed, m):
         packed ^= low
 
 
+def elements(mask):
+    """The elements of a subset mask in increasing order, one step per element."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def relation_blocks(packed, m):
     """Mask of every block of an equivalence relation, in order of each
     block's least element (the block ids of `relation_rgs`)."""

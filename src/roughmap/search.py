@@ -130,30 +130,18 @@ class SearchReport:
         return self.failures[0][1] if self.failures else None
 
 
-def _map_tables(claim: Claim, n: int, max_v: int, canonical: bool) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(m, table) pairs for one |U| in canonical order."""
-    if claim.map_constraint == "bijective":
-        if n <= max_v:
-            tables = [tuple(range(n))] if canonical else itertools.permutations(range(n))
-            for t in tables:
-                yield n, tuple(t)
-        return
-    if claim.map_constraint == "surjective":
-        for m in range(1, min(n, max_v) + 1):
-            src = iter_canonical_surjections(n, m) if canonical else iter_surjections(n, m)
-            for t in src:
-                yield m, t
-        return
-    for m in range(1, max_v + 1):
-        src = iter_canonical_tables(n, m) if canonical else iter_tables(n, m)
-        for t in src:
-            yield m, t
-
-
 def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(n, m, table) groups in canonical order; a bijection is a surjection
+    onto m = n."""
+    if claim.map_constraint == "any":
+        stream = iter_canonical_tables if canonical else iter_tables
+    else:
+        stream = iter_canonical_surjections if canonical else iter_surjections
     for n in range(1, max_u + 1):
-        for m, table in _map_tables(claim, n, max_v, canonical):
-            yield n, m, table
+        last = max_v if claim.map_constraint == "any" else min(n, max_v)
+        for m in range(n if claim.map_constraint == "bijective" else 1, last + 1):
+            for table in stream(n, m):
+                yield n, m, table
 
 
 def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:

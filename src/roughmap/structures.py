@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import kernels
+from .enumeration import canonical_table
 from .errors import (
     BadElementError,
     BadLabelsError,
@@ -95,13 +96,7 @@ class Subset:
         return cls(universe, universe.full_mask)
 
     def elements(self) -> Iterator[int]:
-        mask = self.mask
-        i = 0
-        while mask:
-            if mask & 1:
-                yield i
-            mask >>= 1
-            i += 1
+        return kernels.elements(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -308,13 +303,7 @@ class Partition:
         if -1 in owner:
             missing = universe.label(owner.index(-1))
             raise NotAPartitionError(f"element {missing} not covered by any block")
-        relabel: dict[int, int] = {}
-        rgs = []
-        for bi in owner:
-            if bi not in relabel:
-                relabel[bi] = len(relabel)
-            rgs.append(relabel[bi])
-        return cls(universe, rgs)
+        return cls(universe, canonical_table(owner))
 
     @classmethod
     def identity(cls, universe: Universe) -> "Partition":

@@ -14,14 +14,7 @@ def pairs(packed: int, m: int) -> list[list[int]]:
 
 
 def elements(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return list(kernels.elements(mask))
 
 
 def _first_pair(packed: int, m: int) -> list[int]:
