@@ -11,6 +11,7 @@ interrupted.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -153,7 +154,33 @@ def _cmd_list_claims(args) -> int:
     return 0
 
 
+def _too_long_to_print(args, limit: int) -> bool:
+    """Whether a lower bound on the count already has more than `limit`
+    digits, so that the count need not be computed.
+
+    2^N is its own bound.  B(n) >= k^(n-k) for every k <= n: put k elements
+    in distinct blocks, then place the rest freely.  Likewise m!·S(n, m) >=
+    m!·m^(n-m).  The bound keeps one digit of margin for float rounding.
+    """
+    if args.partitions is not None:
+        n = args.partitions
+        # where k^(n-k) nears 10^limit it peaks at some k < limit, so larger k add nothing
+        log10 = max((n - k) * math.log10(k) for k in range(1, min(n, limit) + 1))
+    elif args.surjections is not None:
+        n, m = args.surjections
+        log10 = math.lgamma(m + 1) / math.log(10) + (n - m) * math.log10(m) if m <= n else 0.0
+    else:
+        log10 = args.subsets * math.log10(2)
+    return log10 >= limit + 1
+
+
 def _cmd_count(args) -> int:
+    # the most digits Python turns into text; none before Python 3.10.7, and 0 means no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"count: the result has more than {limit} digits"
+    if limit and _too_long_to_print(args, limit):
+        print(too_long, file=sys.stderr)
+        return 2
     if args.partitions is not None:
         head, count, note = f"partitions of {args.partitions}", bell(args.partitions), ""
     elif args.surjections is not None:
@@ -165,7 +192,7 @@ def _cmd_count(args) -> int:
     try:
         text = str(count)
     except ValueError:  # more digits than Python converts to text
-        print(f"count: the result has more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        print(too_long, file=sys.stderr)
         return 2
     print(f"{head}: {text}{note}")
     return 0

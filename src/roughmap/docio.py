@@ -213,6 +213,10 @@ def parse_instance_doc(doc: dict) -> ParsedInstance:
     for key in ("universe_u", "universe_v", "map", "partitions"):
         if key not in doc:
             raise ValidationError(key, "missing")
+    size, doc_map = doc["universe_u"], doc["map"]
+    # a map with the wrong number of entries fails before U's labels are built
+    if type(size) is int and size >= 1 and isinstance(doc_map, (list, dict)) and len(doc_map) != size:
+        raise ValidationError("map", f"{len(doc_map)} images for {size} elements")
     u = _parse_universe(doc["universe_u"], "universe_u")
     v = _parse_universe(doc["universe_v"], "universe_v")
     f = _parse_map(doc["map"], u, v)

@@ -2,11 +2,14 @@ import json
 import os
 import pathlib
 import sys
+import time
+from argparse import Namespace
 
 import pytest
 
-from roughmap import REGISTRY, search
+from roughmap import REGISTRY, cli, docio, search
 from roughmap.cli import _exit_code, main
+from roughmap.enumeration import bell, surjection_count
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MONOTONICITY = ROOT / "instances" / "monotonicity.json"
@@ -63,7 +66,9 @@ def test_count_too_long_to_print_is_an_input_error(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        for argv in (("--subsets", "14300"), ("--surjections", "10000", "3")):
+        # 2**14285 has 4301 digits, too close to the limit for the bound: it
+        # is computed and fails when turned into text
+        for argv in (("--subsets", "14300"), ("--surjections", "10000", "3"), ("--subsets", "14285")):
             code, out, err = run(capsys, "count", *argv)
             assert (code, out) == (2, "")
             assert err.count("\n") == 1 and "more than 4300 digits" in err
@@ -72,6 +77,48 @@ def test_count_too_long_to_print_is_an_input_error(capsys):
         sys.set_int_max_str_digits(limit)
     assert (code, err) == (0, "")
     assert out.startswith("surjections 2000 -> 3: 1747871251722651609659974619")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="Python before 3.10.7 converts an int of any length to text",
+)
+def test_count_too_long_to_print_fails_before_it_is_computed(capsys, monkeypatch):
+    # lower bounds on the digit count reject these at once: B(100000) and
+    # the surjections 100000 -> 50 are never computed
+    def uncomputed(*args):
+        raise AssertionError("the count was computed")
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "bell", uncomputed)
+            patched.setattr(cli, "surjection_count", uncomputed)
+            for argv in (("--partitions", "100000"), ("--surjections", "100000", "50")):
+                start = time.perf_counter()
+                code, out, err = run(capsys, "count", *argv)
+                assert time.perf_counter() - start < 2
+                assert (code, out, err) == (2, "", "count: the result has more than 4300 digits\n")
+        code, out, err = run(capsys, "count", "--partitions", "1000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out.startswith("partitions of 1000: 2989901335682408421480422353")
+
+
+def test_count_digit_bound_never_rejects_a_printable_count():
+    # the bound must stay below every count's digit count: a limit equal to
+    # that count is never reported as exceeded
+    counts = [(Namespace(partitions=n, surjections=None, subsets=None), bell(n)) for n in range(1, 301)]
+    counts += [
+        (Namespace(partitions=None, surjections=(n, m), subsets=None), surjection_count(n, m))
+        for n in range(1, 61)
+        for m in range(1, n + 1)
+    ]
+    counts += [(Namespace(partitions=None, surjections=None, subsets=n), 1 << n) for n in range(1, 3001)]
+    for args, count in counts:
+        assert not cli._too_long_to_print(args, len(str(count))), args
 
 
 def test_falsify_exit_codes(capsys):
@@ -223,8 +270,22 @@ def test_eval_missing_file(capsys):
 def test_eval_malformed_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{nope")
-    code, _, err = run(capsys, "eval", "--input", str(p))
-    assert code == 2
+    code, out, err = run(capsys, "eval", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err == "eval: line 1, column 2: Expecting property name enclosed in double quotes\n"
+
+
+def test_eval_rejects_a_map_of_the_wrong_size_before_building_labels(tmp_path, capsys, monkeypatch):
+    # 30,000,000 default labels would be built for nothing
+    def unbuilt(n):
+        raise AssertionError("labels were built")
+
+    monkeypatch.setattr(docio, "default_labels_u", unbuilt)
+    doc = {"schema": "relmap-instance/1", "universe_u": 30_000_000, "universe_v": 2, "map": [], "partitions": [[[0]]]}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--input", str(p))
+    assert (code, out, err) == (2, "", "eval: map: 0 images for 30000000 elements\n")
 
 
 def test_eval_invalid_instance(tmp_path, capsys):

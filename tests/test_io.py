@@ -17,6 +17,7 @@ from roughmap import (
     report_doc,
     verify,
 )
+from roughmap import docio
 from roughmap.docio import (
     INSTANCE_SCHEMA,
     REPORT_SCHEMA,
@@ -63,6 +64,21 @@ def test_parse_accepts_integer_universes_and_indices():
     assert parsed.instance.f.table == (0, 0, 1)
     assert parsed.instance.x is None
     assert parsed.partition_names == ("R",)
+
+
+def test_a_map_of_the_wrong_size_fails_before_labels_are_built(monkeypatch):
+    # an integer universe_u is checked against the map's entry count first,
+    # so a huge size with a short map builds none of its default labels
+    def unbuilt(n):
+        raise AssertionError("labels were built")
+
+    monkeypatch.setattr(docio, "default_labels_u", unbuilt)
+    for doc_map in ([], {}, {"1": "a"}, [0, 1]):
+        doc = {"schema": INSTANCE_SCHEMA, "universe_u": 30_000_000, "universe_v": 2, "map": doc_map, "partitions": [[[0]]]}
+        with pytest.raises(ValidationError) as err:
+            parse_instance_doc(doc)
+        assert err.value.field == "map"
+        assert str(err.value) == f"map: {len(doc_map)} images for 30000000 elements"
 
 
 def test_parse_validates_claim_id():

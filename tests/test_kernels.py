@@ -16,3 +16,8 @@ def test_select_routes_by_size():
 def test_flag_constants_agree():
     flags = (kernels.REFLEXIVE, kernels.SYMMETRIC, kernels.TRANSITIVE, kernels.EQUIVALENCE)
     assert flags == (1, 2, 4, 7)
+
+
+def test_elements_lists_a_mask_bit_by_bit():
+    for mask in range(1 << 12):
+        assert list(kernels.elements(mask)) == [i for i in range(12) if mask >> i & 1]

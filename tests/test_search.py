@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,8 @@ from roughmap.enumeration import (
     iter_canonical_surjections,
     iter_canonical_tables,
     iter_rgs,
+    iter_surjections,
+    iter_tables,
     stirling2,
     surjection_count,
 )
@@ -190,6 +193,29 @@ def test_pool_tasks_keep_only_the_failures_the_report_has_room_for(monkeypatch):
     report = verify("T31", 6, 3, workers=2)
     assert report.failures == verify("T31", 6, 3, workers=1).failures
     assert caps == sorted(caps, reverse=True) and caps[0] <= 20 and caps[-1] == 0
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_groups_walk_the_enumeration_streams(canonical):
+    # a bijection is a surjection onto |V| = |U|, so every claim's maps come
+    # from the table and surjection streams of `enumeration`
+    surjections = iter_canonical_surjections if canonical else iter_surjections
+    tables = iter_canonical_tables if canonical else iter_tables
+    claims = {c.map_constraint: c for c in REGISTRY.values()}
+    assert sorted(claims) == ["any", "bijective", "surjective"]
+    for max_v in range(1, 8):
+        for constraint, claim in claims.items():
+            expected = []
+            for n in range(1, 7):
+                if constraint == "bijective":
+                    if n <= max_v:
+                        perms = [tuple(range(n))] if canonical else permutations(range(n))
+                        expected += [(n, n, p) for p in perms]
+                elif constraint == "surjective":
+                    expected += [(n, m, t) for m in range(1, min(n, max_v) + 1) for t in surjections(n, m)]
+                else:
+                    expected += [(n, m, t) for m in range(1, max_v + 1) for t in tables(n, m)]
+            assert list(search._groups(claim, 6, max_v, canonical)) == expected, (constraint, max_v)
 
 
 def test_task_with_no_room_counts_its_failures_and_keeps_none():
@@ -450,7 +476,10 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
         (verify, "L31-2-inc", 5, 2, 977),
         (verify, "T41-1", 4, 3, 240),
         (falsify, "T31", 6, 4, 12_651),
+        (verify, "T42-1", 5, 5, 75),
+        (falsify, "T42-1", 5, 3, 8),
     ]
+    streams = ("iter_surjections", "iter_canonical_surjections", "iter_tables", "iter_canonical_tables")
     try:
         for run, cid, max_u, max_v, lookups in cases:
             claims.size_tables.cache_clear()
@@ -459,10 +488,14 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
                 report = run(cid, max_u, max_v, workers=1)
             assert tracer.calls["claims.evaluate_raw"] == report.instances
             assert tracer.calls["claims.GroupContext"] == report.groups
+            # every group's table comes from a traced stream, bijections too
+            assert sum(tracer.counters[f"enumeration.{fn}.yielded"] for fn in streams) == report.groups
             assert tracer.counters["claims.relmap_lookups"] == lookups
             if run is verify:
-                # the maps are surjective; the canonical ones n -> m are the rgs of m blocks
-                slices = [(n, m) for n in range(1, max_u + 1) for m in range(1, min(n, max_v) + 1)]
+                # the maps are surjective, bijections onto m = n; the
+                # canonical ones n -> m are the rgs of m blocks
+                low = (lambda n: n) if get_claim(cid).map_constraint == "bijective" else (lambda n: 1)
+                slices = [(n, m) for n in range(1, max_u + 1) for m in range(low(n), min(n, max_v) + 1)]
                 assert lookups == sum(bell(n) * stirling2(n, m) for n, m in slices)
     finally:
         # per-size tables built under the trace hold its kernel wrappers
