@@ -494,8 +494,8 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
             if run is verify:
                 # the maps are surjective, bijections onto m = n; the
                 # canonical ones n -> m are the rgs of m blocks
-                low = (lambda n: n) if get_claim(cid).map_constraint == "bijective" else (lambda n: 1)
-                slices = [(n, m) for n in range(1, max_u + 1) for m in range(low(n), min(n, max_v) + 1)]
+                bijective = get_claim(cid).map_constraint == "bijective"
+                slices = [(n, m) for n in range(1, max_u + 1) for m in range(n if bijective else 1, min(n, max_v) + 1)]
                 assert lookups == sum(bell(n) * stirling2(n, m) for n, m in slices)
     finally:
         # per-size tables built under the trace hold its kernel wrappers
