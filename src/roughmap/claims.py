@@ -339,11 +339,14 @@ class _SizeTables:
     packed relations; the join rows merge block masks, which at 7 elements
     fills a row about 7 times faster than closure(R1 | R2).
 
-    GroupContext's memos on U live here: `maps`, the tables it fills per
-    map, keyed by table, for the maps into one size of V, `maps_into`, and
-    `block_contributions`, keyed by fiber sizes, then by a block's per-fiber
-    counts packed into one int.  As on _DirectTables, `classified` keeps
-    the relations on V of this size met so far, with their classification.
+    GroupContext's memos on U live here: `maps`, what it builds per map
+    (fibers, surjectivity, images, contributions and f(R) of every
+    partition), keyed by table, for the maps into one size of V,
+    `maps_into`, and `block_contributions`, keyed by fiber sizes, then by a
+    block's per-fiber counts packed into one int, count_width bits each;
+    both levels fill themselves, the second with kernels.contribution.  As
+    on _DirectTables, `classified` keeps the relations on V of this size
+    met so far, with their classification.
     """
 
     def __init__(self, n: int):
@@ -356,7 +359,9 @@ class _SizeTables:
         self._approx, self._meet, self._join, self._union = ([None] * count for _ in range(4))
         self._by_blocks = None  # partition's set of block masks -> handle, for the join rows
         self.maps_into, self.maps = None, {}
-        self.block_contributions, self.classified = {}, {}
+        self.count_width = n.bit_length()  # bits per fiber of a block's packed counts
+        self.block_contributions = _Cached(self._contributions_of)
+        self.classified = {}
 
     handle, rgs = _DirectTables.handle, _DirectTables.rgs
 
@@ -413,6 +418,13 @@ class _SizeTables:
     def union(self, i: int, j: int) -> Optional[int]:
         return (self._union[i] or self._fill(self._union, int.__or__, i))[j]
 
+    def _contributions_of(self, sizes: tuple) -> _Cached:
+        """The block contributions of a map with these fiber sizes, keyed
+        by a block's per-fiber counts, packed count_width bits each."""
+        width = self.count_width
+        full = (1 << width) - 1
+        return _Cached(lambda counts: contribution(sizes, [counts >> v * width & full for v in range(len(sizes))]))
+
 
 @lru_cache(maxsize=None)
 def size_tables(n: int):
@@ -435,11 +447,16 @@ class GroupContext:
 
     On _SizeTables the three tables filled when the group starts, `images`,
     `contributions` and `relmaps`, are read, never written, so contexts of
-    one table share them: `sizes.maps` keeps them by table for the maps
-    into one size of V, and is emptied when a context for another size is
-    built.  A verify sweep builds every group's context on its table's
-    canonical form, so groups whose tables differ only by a relabeling of V
-    share these tables (see `search`).  The fiber-condition and
+    one table share them: `sizes.maps` keeps them by table, with the map's
+    `fibers` and `surjective`, for the maps into one size of V, and is
+    emptied when a context for another size is built; a context that finds
+    its table there takes all five from it.  They are built as list
+    operations (`_build`): images and contributions double once per
+    element of U, and f(R) of every partition comes from one pass over the
+    partitions' block masks, the helper `relmap(h)` calls for one.  A
+    verify sweep builds every group's context on its table's canonical
+    form, so groups whose tables differ only by a relabeling of V share
+    these tables (see `search`).  The fiber-condition and
     approximation slots stay per context: shared, they would keep every
     map's rows filled at once.  The memos a context fills belong to the
     size tables and live as long as they do: `sizes.maps` and
@@ -457,8 +474,6 @@ class GroupContext:
         self.m = m = vsizes.n
         self.table = table = tuple(table)
         self.kern = kernels.select(n, m)
-        self.fibers = self.kern.fiber_masks(table, m)
-        self.surjective = all(f != 0 for f in self.fibers)
         self._ker = None  # handle of ker f, found by the first fiber_ok
         self._relations = vsizes.classified
         if type(sizes) is _SizeTables:
@@ -466,14 +481,14 @@ class GroupContext:
                 sizes.maps_into, sizes.maps = m, {}
             hit = sizes.maps.get(table)
             if hit is None:
-                self._fill_tables()
-                # a search group reads every partition's f(R)
-                hit = sizes.maps[table] = self.images, self.contributions, [self.relmap(h) for h in sizes.handles()]
-            self.images, self.contributions, self.relmaps = hit
+                hit = sizes.maps[table] = self._build()
+            self.fibers, self.surjective, self.images, self.contributions, self.relmaps = hit
             self._fiber_ok = [None] * len(self.relmaps)
             self._approx = [_TODO] * len(self.relmaps)
         else:
-            fibers, image_mask = self.fibers, self.kern.image_mask
+            fibers = self.fibers = self.kern.fiber_masks(table, m)
+            self.surjective = all(fibers)
+            image_mask = self.kern.image_mask
             fiber_sizes = [f.bit_count() for f in fibers]
             self.images = _Cached(lambda x: image_mask(table, x))
             self.contributions = _Cached(lambda block: contribution(fiber_sizes, fiber_counts(fibers, block)))
@@ -482,43 +497,49 @@ class GroupContext:
             self._fiber_ok = _Cached(lambda h: None)
             self._approx = _Cached(lambda h: _TODO)
 
-    def _fill_tables(self) -> None:
-        """images[x] = f(x) and contributions[x] for every mask x of U.
+    def _build(self) -> tuple:
+        """The map's entry of `sizes.maps`: its fibers, whether it is
+        surjective, images[x] = f(x) and contributions[x] for every mask x
+        of U, and f(R) of every partition, in handle order.
 
-        Each mask adds its lowest element to the rest: one more value in the
-        image, one more element counted in that value's fiber.  The counts
-        |F_v ∩ x| ride in one int, n.bit_length() bits per fiber.
+        The masks double once per element i: the masks with i are those
+        without it plus i, so their images add the value f(i) and their
+        counts |F_v ∩ x| one element of the fiber of f(i).  The counts ride
+        in one int, sizes.count_width bits per fiber, which keys the block
+        contributions of the fiber sizes.
         """
-        table, n = self.table, self.n
-        sizes = tuple(f.bit_count() for f in self.fibers)
-        memo = self.sizes.block_contributions.setdefault(sizes, {})
-        width = n.bit_length()
-        full = (1 << width) - 1
-        images = [0] * (1 << n)
-        counts = [0] * (1 << n)
-        contributions = [0] * (1 << n)
-        for x in range(1, 1 << n):
-            low = x & -x
-            v = table[low.bit_length() - 1]
-            images[x] = images[x ^ low] | 1 << v
-            c = counts[x] = counts[x ^ low] + (1 << v * width)
-            hit = memo.get(c)
+        table, sizes = self.table, self.sizes
+        fibers = self.fibers = self.kern.fiber_masks(table, self.m)
+        self.surjective = all(fibers)
+        width = sizes.count_width
+        images, counts = [0], [0]
+        for v in table:
+            bit, one = 1 << v, 1 << v * width
+            images += [y | bit for y in images]
+            counts += [c + one for c in counts]
+        memo = sizes.block_contributions[tuple(f.bit_count() for f in fibers)]
+        self.contributions = list(map(memo.__getitem__, counts))
+        return fibers, self.surjective, images, self.contributions, self._relmaps(sizes.blocks)
+
+    def _relmaps(self, partitions) -> list:
+        """f(R) of each partition, given by its block masks: the OR of its
+        blocks' contributions, classified once per relation on V."""
+        contributions, relations = self.contributions, self._relations
+        kern, m = self.kern, self.m
+        out = []
+        for blocks in partitions:
+            packed = 0
+            for block in blocks:
+                packed |= contributions[block]
+            hit = relations.get(packed)
             if hit is None:
-                hit = memo[c] = contribution(sizes, [(c >> i * width) & full for i in range(len(sizes))])
-            contributions[x] = hit
-        self.images = images
-        self.contributions = contributions
+                hit = relations[packed] = _Relation(kern, m, packed)
+            out.append(hit)
+        return out
 
     def relmap(self, h) -> _Relation:
         """The image relation f(R) of the partition h, computed (`relmaps` keeps it)."""
-        packed = 0
-        contributions = self.contributions
-        for block in self.sizes.blocks[h]:
-            packed |= contributions[block]
-        hit = self._relations.get(packed)
-        if hit is None:
-            hit = self._relations[packed] = _Relation(self.kern, self.m, packed)
-        return hit
+        return self._relmaps((self.sizes.blocks[h],))[0]
 
     def fiber_ok(self, h) -> bool:
         """True when every fiber of f lies inside one block of partition h:

@@ -98,34 +98,55 @@ def relation_rgs(packed, m):
     return tuple(rgs)
 
 
+def diagonal(m):
+    """The identity relation on m elements, packed: bit v*(m+1) for each v.
+    The pairs double with each step, so it takes O(log m) big-int steps."""
+    step = m + 1
+    out, count = (1, 1) if m else (0, 0)
+    while count < m:
+        more = min(count, m - count)
+        out |= (out & ((1 << more * step) - 1)) << count * step
+        count += more
+    return out
+
+
 def classify(packed, m):
     """Reflexive/symmetric/transitive flags of a relation, as an int: it is
     reflexive when it holds the diagonal, symmetric when it equals its
     converse, and transitive when it equals its closure."""
-    diagonal = converse = 0
-    for i in range(m):
-        diagonal |= 1 << i * (m + 1)
+    diag = diagonal(m)
+    converse = 0
     for v, w in pairs(packed, m):
         converse |= 1 << w * m + v
     return (
-        (REFLEXIVE if packed & diagonal == diagonal else 0)
+        (REFLEXIVE if packed & diag == diag else 0)
         | (SYMMETRIC if converse == packed else 0)
         | (TRANSITIVE if closure(packed, m) == packed else 0)
     )
 
 
 def closure(packed, m):
-    """Transitive closure (Warshall over the rows)."""
-    full = (1 << m) - 1
-    rows = [(packed >> i * m) & full for i in range(m)]
-    for k in range(m):
+    """Transitive closure (Warshall over the rows).
+
+    Only the rows that hold a pair take part: an empty row adds nothing as
+    a pivot and gains nothing as a target.  They are cut off the top of the
+    relation one at a time, so a sparse relation on a large V costs a few
+    big-int steps per row it holds, not m of them.
+    """
+    index, rows = [], []
+    rest = packed
+    while rest:
+        i = (rest.bit_length() - 1) // m
+        index.append(i)
+        rows.append(rest >> i * m)
+        rest &= (1 << i * m) - 1
+    for k, bit in enumerate([1 << i for i in index]):
         rk = rows[k]
-        bit = 1 << k
-        for i in range(m):
-            if rows[i] & bit:
-                rows[i] |= rk
+        for j, row in enumerate(rows):
+            if row & bit:
+                rows[j] = row | rk
     out = 0
-    for i, row in enumerate(rows):
+    for i, row in zip(index, rows):
         out |= row << i * m
     return out
 

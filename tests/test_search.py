@@ -464,12 +464,29 @@ def test_failures_past_the_cap_build_no_witness(monkeypatch):
 def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monkeypatch):
     # perfbench's --trace 1 gate: evaluations = instances, contexts = groups;
     # and on fresh size tables a verify computes f(R) of every partition
-    # once per distinct (n, m, t0), a falsify once per group
+    # once per distinct (n, m, t0), a falsify once per group: the spies
+    # count the partitions the build computes f(R) for and the tables it
+    # builds them on
     from roughmap import claims
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     from tracing import Tracer, installed
+
+    computed, built = [], []
+    relmaps, build = claims.GroupContext._relmaps, claims.GroupContext._build
+
+    def counted_relmaps(ctx, partitions):
+        out = relmaps(ctx, partitions)
+        computed.append(len(out))
+        return out
+
+    def counted_build(ctx):
+        built.append((ctx.n, ctx.m, ctx.table))
+        return build(ctx)
+
+    monkeypatch.setattr(claims.GroupContext, "_relmaps", counted_relmaps)
+    monkeypatch.setattr(claims.GroupContext, "_build", counted_build)
 
     cases = [
         (verify, "T31", 6, 3, 27_138),
@@ -481,8 +498,10 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
     ]
     streams = ("iter_surjections", "iter_canonical_surjections", "iter_tables", "iter_canonical_tables")
     try:
-        for run, cid, max_u, max_v, lookups in cases:
+        for run, cid, max_u, max_v, partitions in cases:
             claims.size_tables.cache_clear()
+            computed.clear()
+            built.clear()
             tracer = Tracer()
             with installed(tracer):
                 report = run(cid, max_u, max_v, workers=1)
@@ -490,13 +509,14 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
             assert tracer.calls["claims.GroupContext"] == report.groups
             # every group's table comes from a traced stream, bijections too
             assert sum(tracer.counters[f"enumeration.{fn}.yielded"] for fn in streams) == report.groups
-            assert tracer.counters["claims.relmap_lookups"] == lookups
+            assert sum(computed) == partitions
+            assert len(set(built)) == len(built)
             if run is verify:
                 # the maps are surjective, bijections onto m = n; the
                 # canonical ones n -> m are the rgs of m blocks
                 bijective = get_claim(cid).map_constraint == "bijective"
                 slices = [(n, m) for n in range(1, max_u + 1) for m in range(n if bijective else 1, min(n, max_v) + 1)]
-                assert lookups == sum(bell(n) * stirling2(n, m) for n, m in slices)
+                assert partitions == sum(bell(n) * stirling2(n, m) for n, m in slices)
     finally:
         # per-size tables built under the trace hold its kernel wrappers
         claims.size_tables.cache_clear()

@@ -39,7 +39,7 @@ from roughmap import (
 )
 from roughmap import claims, kernels
 from roughmap.claims import GroupContext, Instance
-from roughmap.enumeration import iter_rgs
+from roughmap.enumeration import iter_canonical_tables, iter_rgs
 from roughmap.search import RawInstance, Tally, _run_task
 
 from oracles import (
@@ -166,6 +166,30 @@ def test_images_match_direct_image(n, m):
         images = GroupContext(claims.size_tables(n), claims.size_tables(m), table).images
         for x in range(1 << n):
             assert images[x] == _mask({table[i] for i in _elements(x, n)}), (table, x)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_group_tables_match_the_kernels_at_the_largest_stored_sizes(n):
+    # every canonical table into m <= n values, so also the maps that miss
+    # values, built on fresh size tables of U: the images and contributions
+    # of every mask, and f(R) of every partition, the object relmap(h)
+    # returns for it (all tables at 6 elements, every 40th at 7)
+    sample = 1 if n == 6 else 40
+    for m in range(1, n + 1):
+        sizes, vsizes = claims._SizeTables(n), claims.size_tables(m)
+        for k, table in enumerate(iter_canonical_tables(n, m)):
+            ctx = GroupContext(sizes, vsizes, table)
+            fibers = kernels.fiber_masks(table, m)
+            fiber_sizes = [f.bit_count() for f in fibers]
+            assert ctx.fibers == fibers and ctx.surjective == all(fibers)
+            assert ctx.images == [kernels.image_mask(table, x) for x in range(1 << n)], table
+            counts = [tuple(kernels.fiber_counts(fibers, x)) for x in range(1 << n)]
+            # the kernel's contribution, once per count vector
+            want = {c: kernels.contribution(fiber_sizes, c) for c in set(counts)}
+            assert ctx.contributions == [want[c] for c in counts], table
+            if k % sample == 0:
+                for h in sizes.handles():
+                    assert ctx.relmaps[h] is ctx.relmap(h), (table, h)
 
 
 # two groups of every claim, at n = 4 and n = 5: surjections (onto 2 values,
