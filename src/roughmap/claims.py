@@ -607,7 +607,8 @@ def _eval_t31(ctx, h1, h2, xmask):
 def _reflexivity_mismatch(ctx, rel, reflexive: bool) -> dict:
     m = ctx.m
     if ctx.surjective:
-        v = next(v for v in range(m) if not (rel.packed >> v * (m + 1)) & 1)
+        held = kernels.rows(rel.packed, m)
+        v = next(v for v in range(m) if not held.get(v, 0) >> v & 1)
     else:
         v = next(v for v in range(m) if ctx.fibers[v] == 0)
     return {

@@ -344,7 +344,7 @@ def _cmd_eval(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"eval: cannot read {args.input}: {e}", file=sys.stderr)
         return 2
     try:

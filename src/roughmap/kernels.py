@@ -7,6 +7,7 @@ Conventions:
 * a binary relation over a size-m universe is one `packed` int with the
   pair (v, w) at bit v*m + w, so its pairs in row-major order are its set
   bits from the lowest up, and set algebra on relations is int algebra;
+  row v, the w with (v, w) in it, is bits v*m..v*m+m-1, as `rows` cuts it;
 * a partition is a restricted-growth string `rgs` (tuple of ints,
   rgs[0] == 0 and rgs[i] <= 1 + max(rgs[:i])), block ids 0..nblocks-1, or
   its equivalence relation, packed: `partition_relation` and
@@ -98,31 +99,30 @@ def relation_rgs(packed, m):
     return tuple(rgs)
 
 
-def diagonal(m):
-    """The identity relation on m elements, packed: bit v*(m+1) for each v.
-    The pairs double with each step, so it takes O(log m) big-int steps."""
-    step = m + 1
-    out, count = (1, 1) if m else (0, 0)
-    while count < m:
-        more = min(count, m - count)
-        out |= (out & ((1 << more * step) - 1)) << count * step
-        count += more
+def rows(packed, m):
+    """The rows that hold a pair, {v: mask of every w with (v, w) in it} in
+    increasing v, cut from `bin(packed)` in one pass: the cost follows the
+    int's bit length, not m big-int shifts."""
+    text = bin(packed)[2:]
+    size = len(text)
+    out = {}
+    for v in range((size - 1) // m + 1):
+        row = text[max(size - (v + 1) * m, 0) : size - v * m]
+        if "1" in row:
+            out[v] = int(row, 2)
     return out
 
 
 def classify(packed, m):
-    """Reflexive/symmetric/transitive flags of a relation, as an int: it is
-    reflexive when it holds the diagonal, symmetric when it equals its
-    converse, and transitive when it equals its closure."""
-    diag = diagonal(m)
-    converse = 0
-    for v, w in pairs(packed, m):
-        converse |= 1 << w * m + v
-    return (
-        (REFLEXIVE if packed & diag == diag else 0)
-        | (SYMMETRIC if converse == packed else 0)
-        | (TRANSITIVE if closure(packed, m) == packed else 0)
-    )
+    """Reflexive/symmetric/transitive flags of a relation, as an int, read
+    from its rows: reflexive when all m are present and row v holds v, and
+    for each pair (v, w), symmetric when row w holds v and transitive when
+    row w lies inside row v."""
+    held = rows(packed, m)
+    reflexive = len(held) == m and all(row >> v & 1 for v, row in held.items())
+    symmetric = all(held.get(w, 0) >> v & 1 for v, row in held.items() for w in elements(row))
+    transitive = all(not held.get(w, 0) & ~row for row in held.values() for w in elements(row))
+    return REFLEXIVE * reflexive | SYMMETRIC * symmetric | TRANSITIVE * transitive
 
 
 def closure(packed, m):

@@ -164,8 +164,7 @@ class BinRelation:
 
     @classmethod
     def identity(cls, universe: Universe) -> "BinRelation":
-        size = universe.size
-        return cls(universe, sum(1 << i * (size + 1) for i in range(size)))
+        return Partition.identity(universe).to_relation()
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered pairs, ascending lexicographically."""

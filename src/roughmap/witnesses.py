@@ -79,17 +79,16 @@ def subset_not_equal(left_name, left, right_name, right) -> dict:
     }
 
 
-def _broken_axiom(packed: int, m: int, relation) -> tuple[str, list[int]]:
-    # the first equivalence axiom the relation breaks, and the items breaking it
+def _broken_axiom(held: dict, m: int, relation) -> tuple[str, list[int]]:
+    # the first equivalence axiom the rows break, and the items breaking it
     for v in range(m):
-        if not (packed >> v * (m + 1)) & 1:
+        if not held.get(v, 0) >> v & 1:
             return "reflexivity", [v]
     for a, b in relation:
-        if not (packed >> b * m + a) & 1:
+        if not held.get(b, 0) >> a & 1:
             return "symmetry", [a, b]
-    full = (1 << m) - 1
     for a, b in relation:
-        missing = (packed >> b * m) & ~(packed >> a * m) & full
+        missing = held.get(b, 0) & ~held[a]
         if missing:
             return "transitivity", [a, b, (missing & -missing).bit_length() - 1]
     raise AssertionError("relation is an equivalence")
@@ -97,5 +96,5 @@ def _broken_axiom(packed: int, m: int, relation) -> tuple[str, list[int]]:
 
 def not_equivalence(packed: int, m: int) -> dict:
     relation = pairs(packed, m)
-    condition, items = _broken_axiom(packed, m, relation)
+    condition, items = _broken_axiom(kernels.rows(packed, m), m, relation)
     return {"kind": "not-equivalence", "condition": condition, "items": items, "relation": relation}

@@ -267,6 +267,14 @@ def test_eval_missing_file(capsys):
     assert code == 2
 
 
+def test_eval_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "eval", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"eval: cannot read {p}: ") and err.count("\n") == 1
+
+
 def test_eval_malformed_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{nope")

@@ -89,6 +89,12 @@ def test_relation_pairs_round_trip():
         assert pair not in ident
 
 
+def test_relation_identity_is_every_pair_of_an_element_with_itself():
+    for m in range(1, 51):
+        u = Universe(m)
+        assert BinRelation.identity(u) == BinRelation.from_pairs(u, {(v, v) for v in range(m)})
+
+
 def test_relation_classify_against_oracle():
     # a few hand-picked shapes on 4 elements plus the identity, and every
     # relation on 1 to 3 elements
