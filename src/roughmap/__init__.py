@@ -8,142 +8,67 @@ induces an image relation that keeps a pair (f(x), f(y)) only when x and
 y are equivalent and cut equal exact fractions out of their fibers; the
 claims registry pins down what that construction does and does not
 preserve, and the search module hunts for counterexamples exhaustively.
+
+Submodules load on first use: `import roughmap` imports none of them, and
+reading a public name (`roughmap.Partition`, `from roughmap import verify`)
+imports the one submodule that defines it, and what that one imports.
 """
+
+from sys import modules as _modules
 
 __version__ = "0.1.0"
 
-from . import kernels
-from .structures import (
-    BinRelation,
-    Classification,
-    Partition,
-    Subset,
-    Universe,
-    make_universe,
-    partition_from_blocks,
-)
-from .mappings import (
-    DegreeRatio,
-    SurjMap,
-    degree_table,
-    fiber_condition,
-    including_degree,
-    make_map,
-    relmap,
-)
-from .approx import (
-    approximations,
-    boundary,
-    is_definable,
-    lower_approx,
-    upper_approx,
-)
-from .enumeration import (
-    bell,
-    stirling2,
-    surjection_count,
-)
-from .claims import (
-    Claim,
-    GroupContext,
-    Instance,
-    Outcome,
-    REGISTRY,
-    Verdict,
-    evaluate,
-    get_claim,
-    list_claims,
-)
-from .search import RawInstance, SearchReport, Tally, falsify, verify
-from .replay import ReplayReport, replay_examples
-from .docio import (
-    ParsedInstance,
-    emit_instance_doc,
-    parse_instance,
-    parse_instance_doc,
-    render_relation,
-    render_subset,
-    report_doc,
-)
-from . import errors
-from .errors import (
-    BadElementError,
-    BadImageError,
-    BadInstanceError,
-    BadLabelsError,
-    EmptyReferenceError,
-    EmptyUniverseError,
-    IoError,
-    MixedUniverseError,
-    NotAPartitionError,
-    NotEquivalenceError,
-    ParseError,
-    RoughmapError,
-    ValidationError,
-    WorkerCrashError,
-)
+# each submodule and the public names it defines
+_EXPORTS = {
+    "kernels": (),
+    "errors": (
+        "RoughmapError", "EmptyUniverseError", "BadLabelsError", "MixedUniverseError",
+        "NotAPartitionError", "NotEquivalenceError", "BadElementError", "BadImageError",
+        "EmptyReferenceError", "BadInstanceError", "ParseError", "ValidationError",
+        "IoError", "WorkerCrashError",
+    ),
+    "structures": (
+        "Universe", "Subset", "BinRelation", "Partition", "Classification",
+        "make_universe", "partition_from_blocks",
+    ),
+    "mappings": (
+        "SurjMap", "DegreeRatio", "make_map", "including_degree", "degree_table",
+        "fiber_condition", "relmap",
+    ),
+    "approx": ("lower_approx", "upper_approx", "approximations", "is_definable", "boundary"),
+    "enumeration": ("bell", "stirling2", "surjection_count"),
+    "witnesses": (),
+    "claims": (
+        "Claim", "Instance", "Verdict", "Outcome", "GroupContext", "REGISTRY",
+        "evaluate", "get_claim", "list_claims",
+    ),
+    "search": ("RawInstance", "SearchReport", "Tally", "falsify", "verify"),
+    "replay": ("ReplayReport", "replay_examples"),
+    "docio": (
+        "ParsedInstance", "parse_instance", "parse_instance_doc", "emit_instance_doc",
+        "render_relation", "render_subset", "report_doc",
+    ),
+    "cli": (),
+}
 
-__all__ = [
-    "__version__",
-    "kernels",
-    "errors",
-    "RoughmapError",
-    "EmptyUniverseError",
-    "BadLabelsError",
-    "MixedUniverseError",
-    "NotAPartitionError",
-    "NotEquivalenceError",
-    "BadElementError",
-    "BadImageError",
-    "EmptyReferenceError",
-    "BadInstanceError",
-    "ParseError",
-    "ValidationError",
-    "IoError",
-    "WorkerCrashError",
-    "Universe",
-    "Subset",
-    "BinRelation",
-    "Partition",
-    "Classification",
-    "make_universe",
-    "partition_from_blocks",
-    "SurjMap",
-    "DegreeRatio",
-    "make_map",
-    "including_degree",
-    "degree_table",
-    "fiber_condition",
-    "relmap",
-    "lower_approx",
-    "upper_approx",
-    "approximations",
-    "is_definable",
-    "boundary",
-    "bell",
-    "stirling2",
-    "surjection_count",
-    "Claim",
-    "Instance",
-    "Verdict",
-    "Outcome",
-    "GroupContext",
-    "REGISTRY",
-    "evaluate",
-    "get_claim",
-    "list_claims",
-    "RawInstance",
-    "SearchReport",
-    "Tally",
-    "falsify",
-    "verify",
-    "ReplayReport",
-    "replay_examples",
-    "ParsedInstance",
-    "parse_instance",
-    "parse_instance_doc",
-    "emit_instance_doc",
-    "render_relation",
-    "render_subset",
-    "report_doc",
-]
+# public name -> the submodule that defines it; a submodule is its own
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines `name` and keep the value."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__name__}.{module}"
+    __import__(path)  # importlib.import_module would import importlib: about 1 ms of start-up
+    value = _modules[path]
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

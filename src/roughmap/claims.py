@@ -423,7 +423,9 @@ class _SizeTables:
         by a block's per-fiber counts, packed count_width bits each."""
         width = self.count_width
         full = (1 << width) - 1
-        return _Cached(lambda counts: contribution(sizes, [counts >> v * width & full for v in range(len(sizes))]))
+        return _Cached(
+            lambda counts: contribution(sizes, {v: c for v in range(len(sizes)) if (c := counts >> v * width & full)})
+        )
 
 
 @lru_cache(maxsize=None)
@@ -491,7 +493,7 @@ class GroupContext:
             image_mask = self.kern.image_mask
             fiber_sizes = [f.bit_count() for f in fibers]
             self.images = _Cached(lambda x: image_mask(table, x))
-            self.contributions = _Cached(lambda block: contribution(fiber_sizes, fiber_counts(fibers, block)))
+            self.contributions = _Cached(lambda block: contribution(fiber_sizes, fiber_counts(table, block)))
             self.relmaps = _Cached(self.relmap)
             # unread handles read as unfilled, as in the lists above
             self._fiber_ok = _Cached(lambda h: None)

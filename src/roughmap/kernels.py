@@ -57,11 +57,14 @@ def partition_relation(rgs):
 
 
 def pairs(packed, m):
-    """The pairs (v, w) of a relation in row-major order, one step per pair."""
-    while packed:
-        low = packed & -packed
-        yield divmod(low.bit_length() - 1, m)
-        packed ^= low
+    """The pairs (v, w) of a relation in row-major order: its set bits from
+    the lowest up, found in its binary text, read once, so a sparse
+    relation on a large V does not pay one big-int step per pair."""
+    text = bin(packed)[:1:-1]  # bit i at index i
+    i = text.find("1")
+    while i >= 0:
+        yield divmod(i, m)
+        i = text.find("1", i + 1)
 
 
 def elements(mask):
@@ -151,14 +154,19 @@ def closure(packed, m):
     return out
 
 
-def fiber_counts(fibers, block):
-    """|F_v ∩ B| of a block mask B for every fiber F_v."""
-    return [(f & block).bit_count() for f in fibers]
+def fiber_counts(table, block):
+    """{v: |F_v ∩ B|} for the fibers F_v a block mask B meets, counted
+    through a map table over B's own elements."""
+    counts = {}
+    for i in elements(block):
+        v = table[i]
+        counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
 def contribution(sizes, counts) -> int:
     """Packed pairs a block B adds to f(R), from the fiber sizes |F_v| and
-    the counts |F_v ∩ B|.
+    the counts {v: |F_v ∩ B|} of the fibers B meets (`fiber_counts`).
 
     f(R) is the union over R's blocks B of a contribution that depends only
     on B and the map: the pairs (v, w) of values whose fibers B meets and
@@ -167,16 +175,14 @@ def contribution(sizes, counts) -> int:
     """
     m = len(sizes)
     classes: dict = {}  # equal fractions -> mask of their values
-    for v, c in enumerate(counts):
-        if c:
-            g = gcd(c, sizes[v])
-            key = (c // g, sizes[v] // g)
-            classes[key] = classes.get(key, 0) | 1 << v
+    for v, c in counts.items():
+        g = gcd(c, sizes[v])
+        key = (c // g, sizes[v] // g)
+        classes[key] = classes.get(key, 0) | 1 << v
     out = 0
     for values in classes.values():
-        for v in range(m):
-            if (values >> v) & 1:
-                out |= values << v * m
+        for v in elements(values):
+            out |= values << v * m
     return out
 
 

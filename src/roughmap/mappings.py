@@ -166,7 +166,7 @@ def relmap(f: SurjMap, p: Partition) -> BinRelation:
     sizes = [fiber.bit_count() for fiber in f.fibers]
     packed = 0
     for block in kernels.fiber_masks(p.rgs, p.block_count):
-        packed |= kernels.contribution(sizes, kernels.fiber_counts(f.fibers, block))
+        packed |= kernels.contribution(sizes, kernels.fiber_counts(f.table, block))
     return BinRelation(f.codomain, packed)
 
 

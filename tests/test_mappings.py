@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from roughmap import (
+    GroupContext,
     BadImageError,
     DegreeRatio,
     EmptyReferenceError,
@@ -17,6 +19,7 @@ from roughmap import (
     partition_from_blocks,
     relmap,
 )
+from roughmap import claims, kernels
 
 import oracles
 
@@ -114,6 +117,24 @@ def test_relmap_matches_set_oracle_exhaustively():
                         table, m, oracles.blocks_of_rgs(p.rgs)
                     )
                     assert got == want, (table, p.rgs)
+
+
+def test_relmap_matches_oracle_on_random_maps_up_to_forty_values():
+    # f(R) of maps with and without empty fibers onto m <= 40 values, and
+    # partitions from singletons to one block, as mappings.relmap and the
+    # engine's direct tables compute it: from each block's own elements
+    rng = random.Random(23)
+    for _ in range(60):
+        m = rng.randrange(1, 41)
+        n = rng.randrange(1, 41)
+        table = tuple(rng.randrange(m) for _ in range(n))
+        ids = [rng.randrange(rng.randrange(1, n + 1)) for _ in range(n)]
+        u, v = Universe(n), Universe(m)
+        p = partition_from_blocks(u, [[x for x in range(n) if ids[x] == b] for b in set(ids)])
+        want = oracles.naive_relmap(table, m, oracles.blocks_of_rgs(p.rgs))
+        assert set(relmap(SurjMap(u, v, table), p).pairs()) == want, (table, p.rgs)
+        ctx = GroupContext(claims._DirectTables(n), claims._DirectTables(m), table)
+        assert set(kernels.pairs(ctx.relmap(ctx.sizes.handle(p.rgs)).packed, m)) == want, (table, p.rgs)
 
 
 def test_degree_table_matches_fraction_oracle():
