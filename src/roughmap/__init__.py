@@ -9,66 +9,34 @@ y are equivalent and cut equal exact fractions out of their fibers; the
 claims registry pins down what that construction does and does not
 preserve, and the search module hunts for counterexamples exhaustively.
 
-Submodules load on first use: `import roughmap` imports none of them, and
-reading a public name (`roughmap.Partition`, `from roughmap import verify`)
-imports the one submodule that defines it, and what that one imports.
+Records are namedtuples or plain classes and annotations use the builtin
+forms, so the import loads neither `dataclasses` nor `typing`: with the
+modules they import, those were about a third of a fresh interpreter's
+`import roughmap`.
 """
-
-from sys import modules as _modules
 
 __version__ = "0.1.0"
 
-# each submodule and the public names it defines
-_EXPORTS = {
-    "kernels": (),
-    "errors": (
-        "RoughmapError", "EmptyUniverseError", "BadLabelsError", "MixedUniverseError",
-        "NotAPartitionError", "NotEquivalenceError", "BadElementError", "BadImageError",
-        "EmptyReferenceError", "BadInstanceError", "ParseError", "ValidationError",
-        "IoError", "WorkerCrashError",
-    ),
-    "structures": (
-        "Universe", "Subset", "BinRelation", "Partition", "Classification",
-        "make_universe", "partition_from_blocks",
-    ),
-    "mappings": (
-        "SurjMap", "DegreeRatio", "make_map", "including_degree", "degree_table",
-        "fiber_condition", "relmap",
-    ),
-    "approx": ("lower_approx", "upper_approx", "approximations", "is_definable", "boundary"),
-    "enumeration": ("bell", "stirling2", "surjection_count"),
-    "witnesses": (),
-    "claims": (
-        "Claim", "Instance", "Verdict", "Outcome", "GroupContext", "REGISTRY",
-        "evaluate", "get_claim", "list_claims",
-    ),
-    "search": ("RawInstance", "SearchReport", "Tally", "falsify", "verify"),
-    "replay": ("ReplayReport", "replay_examples"),
-    "docio": (
-        "ParsedInstance", "parse_instance", "parse_instance_doc", "emit_instance_doc",
-        "render_relation", "render_subset", "report_doc",
-    ),
-    "cli": (),
-}
+from . import errors, kernels
+from .errors import (
+    RoughmapError, EmptyUniverseError, BadLabelsError, MixedUniverseError, NotAPartitionError,
+    NotEquivalenceError, BadElementError, BadImageError, EmptyReferenceError, BadInstanceError,
+    ParseError, ValidationError, IoError, WorkerCrashError,
+)
+from .structures import Universe, Subset, BinRelation, Partition, Classification, make_universe, partition_from_blocks
+from .mappings import SurjMap, DegreeRatio, make_map, including_degree, degree_table, fiber_condition, relmap
+from .approx import lower_approx, upper_approx, approximations, is_definable, boundary
+from .enumeration import bell, stirling2, surjection_count
+from .claims import Claim, Instance, Verdict, Outcome, GroupContext, REGISTRY, evaluate, get_claim, list_claims
+from .search import RawInstance, SearchReport, Tally, falsify, verify
+from .replay import ReplayReport, replay_examples
+from .docio import (
+    ParsedInstance, parse_instance, parse_instance_doc, emit_instance_doc, render_relation, render_subset, report_doc,
+)
 
-# public name -> the submodule that defines it; a submodule is its own
-_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
-
-__all__ = ["__version__", *_HOME]
-
-
-def __getattr__(name: str):
-    """Import the submodule that defines `name` and keep the value."""
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    path = f"{__name__}.{module}"
-    __import__(path)  # importlib.import_module would import importlib: about 1 ms of start-up
-    value = _modules[path]
-    if name != module:
-        value = globals()[name] = getattr(value, name)
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+# the names imported above; of the submodules that importing binds here,
+# only kernels and errors are public
+__all__ = [
+    "__version__", "kernels", "errors",
+    *(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, type(kernels))),
+]

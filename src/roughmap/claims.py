@@ -19,10 +19,9 @@ each claim: "refuted" (a counterexample is documented), "proved",
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Union
 
 from . import kernels
 from .kernels import contribution, fiber_counts
@@ -47,28 +46,22 @@ class Outcome(Enum):
     VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: Outcome
-    witness: Optional[dict] = None
-    reason: Optional[str] = None
+class Verdict(namedtuple("Verdict", "outcome witness reason")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.outcome is Outcome.FAILS and self.witness is None:
+    def __new__(cls, outcome: Outcome, witness: dict | None = None, reason: str | None = None):
+        if outcome is Outcome.FAILS and witness is None:
             raise ValueError("Fails needs a witness")
-        if self.outcome is Outcome.ILL_TYPED and self.reason is None:
+        if outcome is Outcome.ILL_TYPED and reason is None:
             raise ValueError("IllTyped needs a reason")
+        return super().__new__(cls, outcome, witness, reason)
 
 
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    statement: str
-    partitions: int  # 1 or 2
-    needs_subset: bool
-    map_constraint: str  # any | surjective | bijective
-    expected_status: str  # refuted | proved | ill-typed | open
-    note: str = ""
+# partitions: 1 or 2; map_constraint: any | surjective | bijective;
+# expected_status: refuted | proved | ill-typed | open
+Claim = namedtuple(
+    "Claim", "id statement partitions needs_subset map_constraint expected_status note", defaults=("",)
+)
 
 
 _OPEN_NOTE = "no established status; search results at bounded sizes are findings"
@@ -165,7 +158,7 @@ REGISTRY: dict[str, Claim] = {
 }
 
 
-def get_claim(claim: Union[str, Claim]) -> Claim:
+def get_claim(claim: str | Claim) -> Claim:
     if isinstance(claim, Claim):
         return claim
     try:
@@ -178,20 +171,18 @@ def list_claims() -> list[Claim]:
     return list(REGISTRY.values())
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "f partitions x")):
     """Concrete data a claim is evaluated on."""
 
-    f: SurjMap
-    partitions: tuple[Partition, ...]
-    x: Optional[Subset] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.partitions:
-            if p.universe is not self.f.domain:
+    def __new__(cls, f: SurjMap, partitions: tuple[Partition, ...], x: Subset | None = None):
+        for p in partitions:
+            if p.universe is not f.domain:
                 raise BadInstanceError("partition not over the map's domain")
-        if self.x is not None and self.x.universe is not self.f.domain:
+        if x is not None and x.universe is not f.domain:
             raise BadInstanceError("subset X not over the map's domain")
+        return super().__new__(cls, f, partitions, x)
 
 
 def check_shape(claim: Claim, inst: Instance) -> None:
@@ -319,7 +310,7 @@ class _DirectTables:
     def join(self, r1: int, r2: int) -> int:
         return self.kern.closure(r1 | r2, self.n)
 
-    def union(self, r1: int, r2: int) -> Optional[int]:
+    def union(self, r1: int, r2: int) -> int | None:
         """R1 ∪ R2 when it is an equivalence, else None: it is reflexive and
         symmetric, so one exactly when it is its own closure, the join."""
         r = r1 | r2
@@ -415,7 +406,7 @@ class _SizeTables:
     def join(self, i: int, j: int) -> int:
         return (self._join[i] or self._join_row(i))[j]
 
-    def union(self, i: int, j: int) -> Optional[int]:
+    def union(self, i: int, j: int) -> int | None:
         return (self._union[i] or self._fill(self._union, int.__or__, i))[j]
 
     def _contributions_of(self, sizes: tuple) -> _Cached:
@@ -816,13 +807,13 @@ _EVALUATORS = {
 assert set(_EVALUATORS) == set(REGISTRY)
 
 
-def evaluate_raw(claim_id: str, ctx: GroupContext, h1, h2=None, xmask: Optional[int] = None):
+def evaluate_raw(claim_id: str, ctx: GroupContext, h1, h2=None, xmask: int | None = None):
     """Evaluate on raw encodings, partitions as handles of ctx.sizes; shape
     is the caller's responsibility.  A failure comes back as a _Failure."""
     return _EVALUATORS[claim_id](ctx, h1, h2, xmask)
 
 
-def evaluate(claim: Union[str, Claim], inst: Instance) -> Verdict:
+def evaluate(claim: str | Claim, inst: Instance) -> Verdict:
     """Verdict of a claim on an instance; raises BadInstance on shape mismatch."""
     claim = get_claim(claim)
     check_shape(claim, inst)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__, search
 from .approx import approximations
@@ -124,7 +124,7 @@ def _shape_text(c: Claim) -> str:
     return f"{parts}, {constraint[c.map_constraint]}"
 
 
-def _resolve_claim(claim_id: str) -> Optional[Claim]:
+def _resolve_claim(claim_id: str) -> Claim | None:
     try:
         return get_claim(claim_id)
     except BadInstanceError:
@@ -374,7 +374,7 @@ def _cmd_eval(args) -> int:
     return code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,8 +9,8 @@ diagonal pairs first, e.g. "{(a, a), (b, b), (a, b), (b, a)}".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import __version__ as _version
 from .claims import REGISTRY, Claim, Instance, Outcome, get_claim
@@ -106,15 +106,13 @@ def render_witness(witness: dict, u: Universe, v: Universe) -> str:
 
 # ------------------------------------------------------------------ parsing
 
-@dataclass
-class ParsedInstance:
-    instance: Instance
-    claim_id: Optional[str]
-    partition_names: tuple[str, ...]
-    expected_outcome: Optional[str] = None
+class ParsedInstance(
+    namedtuple("ParsedInstance", "instance claim_id partition_names expected_outcome", defaults=(None,))
+):
+    __slots__ = ()
 
     @property
-    def claim(self) -> Optional[Claim]:
+    def claim(self) -> Claim | None:
         return get_claim(self.claim_id) if self.claim_id else None
 
 
@@ -141,7 +139,7 @@ class _Resolver:
         self.field = field
         self.by_label = {lab: i for i, lab in enumerate(universe.labels or ())}
 
-    def __call__(self, value, field: Optional[str] = None) -> int:
+    def __call__(self, value, field: str | None = None) -> int:
         field = field or self.field
         if isinstance(value, bool):
             raise ValidationError(field, f"{value!r} is not an element")
@@ -160,7 +158,7 @@ class _Resolver:
 def _parse_map(doc_map, u: Universe, v: Universe) -> SurjMap:
     ru = _Resolver(u, "map")
     rv = _Resolver(v, "map")
-    table: list[Optional[int]] = [None] * u.size
+    table: list[int | None] = [None] * u.size
     if isinstance(doc_map, dict):
         for key, val in doc_map.items():
             table[ru(key)] = rv(val)
@@ -277,9 +275,9 @@ def default_labels_v(m: int) -> list[str]:
 
 def emit_instance_doc(
     inst: Instance,
-    claim_id: Optional[str] = None,
-    partition_names: Optional[Sequence[str]] = None,
-    expected_outcome: Optional[str] = None,
+    claim_id: str | None = None,
+    partition_names: Sequence[str] | None = None,
+    expected_outcome: str | None = None,
 ) -> dict:
     u, v = inst.f.domain, inst.f.codomain
     lab_u = list(u.labels) if u.labels else default_labels_u(u.size)
@@ -314,7 +312,7 @@ def render_partition(p: Partition) -> str:
     return "{" + ", ".join(render_subset(b) for b in p.blocks()) + "}"
 
 
-def render_instance_text(inst: Instance, partition_names: Optional[Sequence[str]] = None) -> list[str]:
+def render_instance_text(inst: Instance, partition_names: Sequence[str] | None = None) -> list[str]:
     """Short per-line description of an instance, for report bodies."""
     u, v = inst.f.domain, inst.f.codomain
     if partition_names is None:

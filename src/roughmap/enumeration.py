@@ -11,14 +11,14 @@ codomain indices.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 from math import factorial
-from typing import Iterator, Optional
 
 
 # ---------------------------------------------------------------- partitions
 
-def iter_rgs(n: int, max_blocks: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def iter_rgs(n: int, max_blocks: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of an n-element set as rgs tuples, lex order.
 
     With max_blocks set, strings never use more than that many values.

@@ -57,22 +57,19 @@ def partition_relation(rgs):
 
 
 def pairs(packed, m):
-    """The pairs (v, w) of a relation in row-major order: its set bits from
-    the lowest up, found in its binary text, read once, so a sparse
-    relation on a large V does not pay one big-int step per pair."""
-    text = bin(packed)[:1:-1]  # bit i at index i
-    i = text.find("1")
-    while i >= 0:
-        yield divmod(i, m)
-        i = text.find("1", i + 1)
+    """The pairs (v, w) of a relation in row-major order."""
+    return (divmod(i, m) for i in elements(packed))
 
 
 def elements(mask):
-    """The elements of a subset mask in increasing order, one step per element."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The elements of a subset mask in increasing order: its set bits,
+    found in its binary text, read once, so a sparse mask of many bits
+    (a relation on a large V) does not pay one big-int step per element."""
+    text = bin(mask)[:1:-1]  # bit i at index i
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
 
 
 def relation_blocks(packed, m):

@@ -8,8 +8,8 @@ meets y's class; that exactness is why no floats appear anywhere here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Optional, Sequence
 
 from . import kernels
 from .errors import BadImageError, EmptyReferenceError, MixedUniverseError
@@ -95,7 +95,7 @@ class SurjMap:
     def from_pairs(
         cls, domain: Universe, codomain: Universe, pairs: Iterable[tuple[int, int]]
     ) -> "SurjMap":
-        table: list[Optional[int]] = [None] * domain.size
+        table: list[int | None] = [None] * domain.size
         for x, y in pairs:
             domain.check_element(x)
             codomain.check_element(y)

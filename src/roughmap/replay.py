@@ -10,7 +10,7 @@ the positive statements T42-1 and T42-2 on one instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .approx import approximations
 from .claims import Instance, evaluate
@@ -20,21 +20,16 @@ from .mappings import SurjMap, relmap
 from .structures import Partition, Subset, Universe
 
 
-@dataclass(frozen=True)
-class ReplayCheck:
-    instance: str
-    name: str
-    expected: str
-    actual: str
+class ReplayCheck(namedtuple("ReplayCheck", "instance name expected actual")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass
-class ReplayReport:
-    checks: list[ReplayCheck]
+class ReplayReport(namedtuple("ReplayReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

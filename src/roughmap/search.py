@@ -33,8 +33,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .claims import Claim, GroupContext, Instance, Outcome, evaluate, evaluate_raw, get_claim, size_tables
 from .enumeration import bell, canonical_table, iter_canonical_surjections, iter_canonical_tables
@@ -54,17 +54,13 @@ _VACUOUS = Outcome.VACUOUS
 _ILL_TYPED = Outcome.ILL_TYPED
 
 
-@dataclass(frozen=True)
-class RawInstance:
-    """Picklable instance encoding; labels are attached only at the IO layer."""
+class RawInstance(namedtuple("RawInstance", "n m table partitions xmask", defaults=(None,))):
+    """Picklable instance encoding; labels are attached only at the IO layer.
+    The table and each partition's rgs are tuples of ints."""
 
-    n: int
-    m: int
-    table: tuple[int, ...]
-    partitions: tuple[tuple[int, ...], ...]
-    xmask: Optional[int] = None
+    __slots__ = ()
 
-    def to_instance(self, u: Optional[Universe] = None, v: Optional[Universe] = None) -> Instance:
+    def to_instance(self, u: Universe | None = None, v: Universe | None = None) -> Instance:
         u = u or Universe(self.n)
         v = v or Universe(self.m)
         f = SurjMap(u, v, self.table)
@@ -73,12 +69,15 @@ class RawInstance:
         return Instance(f, parts, x)
 
 
-@dataclass
 class Tally:
-    holds: int = 0
-    fails: int = 0
-    ill_typed: int = 0
-    vacuous: int = 0
+    def __init__(self, holds: int = 0, fails: int = 0, ill_typed: int = 0, vacuous: int = 0):
+        self.holds, self.fails, self.ill_typed, self.vacuous = holds, fails, ill_typed, vacuous
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Tally) and self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        return f"Tally({', '.join(f'{k}={v}' for k, v in self.as_dict().items())})"
 
     def add(self, other: "Tally") -> None:
         self.holds += other.holds
@@ -99,18 +98,17 @@ class Tally:
         }
 
 
-@dataclass
 class SearchReport:
-    claim_id: str
-    mode: str  # falsify | verify
-    max_u: int
-    max_v: int
-    tally: Tally
-    failures: list[tuple[RawInstance, dict]] = field(default_factory=list)
-    ill_typed_reason: Optional[str] = None
-    groups: int = 0
-    elapsed_s: float = 0.0
-    workers: int = 1
+    def __init__(self, claim_id: str, mode: str, max_u: int, max_v: int, tally: Tally, workers: int = 1):
+        self.claim_id = claim_id
+        self.mode = mode  # falsify | verify
+        self.max_u, self.max_v = max_u, max_v
+        self.tally = tally
+        self.failures: list[tuple[RawInstance, dict]] = []
+        self.ill_typed_reason: str | None = None
+        self.groups = 0
+        self.elapsed_s = 0.0
+        self.workers = workers
 
     @property
     def instances(self) -> int:
@@ -122,11 +120,11 @@ class SearchReport:
 
     # a sweep that finds a failure keeps at least one: max_failures >= 1
     @property
-    def first_counterexample(self) -> Optional[RawInstance]:
+    def first_counterexample(self) -> RawInstance | None:
         return self.failures[0][0] if self.failures else None
 
     @property
-    def witness(self) -> Optional[dict]:
+    def witness(self) -> dict | None:
         return self.failures[0][1] if self.failures else None
 
 
@@ -144,7 +142,7 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
                 yield n, m, table
 
 
-def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], Optional[str]]:
+def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], str | None]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
     of one claim, in order: the caller's first task, on one worker the
     whole sweep, or a pool task.
@@ -158,7 +156,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     claim = get_claim(claim_id)
     holds = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
-    reason: Optional[str] = None
+    reason: str | None = None
     done = 0
     for n, m, table in groups:
         # falsify walks canonical tables only
@@ -217,7 +215,7 @@ def _tasks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]]) -> 
 
 # this process's search pool as (workers, pid, executor, exit hook); a
 # forked child sees its parent's entry under another pid and starts its own
-_pool: Optional[tuple] = None
+_pool: tuple | None = None
 
 
 def _start_worker() -> None:
@@ -278,7 +276,7 @@ def _run(
 
     report = SearchReport(claim.id, mode, max_u, max_v, Tally(), workers=workers)
 
-    def merge(done: int, tally: Tally, fails: list, reason: Optional[str]) -> bool:
+    def merge(done: int, tally: Tally, fails: list, reason: str | None) -> bool:
         report.groups += done
         report.tally.add(tally)
         if reason is not None and report.ill_typed_reason is None:
@@ -345,7 +343,7 @@ def falsify(claim, max_u: int, max_v: int, workers: int = 1) -> SearchReport:
 def verify(
     claim,
     max_u: int,
-    max_v: Optional[int] = None,
+    max_v: int | None = None,
     workers: int = 1,
     max_failures: int = DEFAULT_MAX_FAILURES,
 ) -> SearchReport:

@@ -7,7 +7,7 @@ after construction and compare by universe identity plus payload.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import kernels
 from .enumeration import canonical_table
@@ -26,7 +26,7 @@ class Universe:
 
     __slots__ = ("size", "labels")
 
-    def __init__(self, size: int, labels: Optional[Sequence[str]] = None):
+    def __init__(self, size: int, labels: Sequence[str] | None = None):
         if size < 1:
             raise EmptyUniverseError("universe must have at least one element")
         if labels is not None:
@@ -58,7 +58,7 @@ class Universe:
         return f"Universe(size={self.size})"
 
 
-def make_universe(size: int, labels: Optional[Sequence[str]] = None) -> Universe:
+def make_universe(size: int, labels: Sequence[str] | None = None) -> Universe:
     """Universe with elements 0..size-1 and optional distinct labels."""
     return Universe(size, labels)
 

@@ -37,7 +37,8 @@ def _packed(pairs, m):
 
 def test_rows_match_a_split_row_by_row():
     # bit lengths that are not a multiple of m, and empty rows at the top,
-    # and pairs lists the pairs in the order a bit scan finds them
+    # and elements and pairs list the set bits in the order a bit scan
+    # finds them
     rng = random.Random(3)
     for _ in range(2000):
         m = rng.randrange(1, 20)
@@ -47,7 +48,9 @@ def test_rows_match_a_split_row_by_row():
         got = kernels.rows(packed, m)
         assert got == {v: row for v, row in want.items() if row}
         assert list(got) == sorted(got)
-        assert list(kernels.pairs(packed, m)) == [divmod(b, m) for b in range(packed.bit_length()) if packed >> b & 1]
+        bits = [b for b in range(packed.bit_length()) if packed >> b & 1]
+        assert list(kernels.elements(packed)) == bits
+        assert list(kernels.pairs(packed, m)) == [divmod(b, m) for b in bits]
 
 
 def _flags(refl, sym, trans):

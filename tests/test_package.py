@@ -1,69 +1,32 @@
-"""The package loads its submodules on first use: what a fresh interpreter
-holds after an import, that each submodule imports on its own, and that
-every public name resolves to the object its submodule defines."""
+"""The package's public surface: `__all__` names each public object once,
+and a star import binds exactly those, of the submodules only kernels and
+errors, and importing it loads neither `dataclasses` nor `typing`."""
 
-import importlib
 import os
 import subprocess
 import sys
 
-import pytest
-
 import roughmap
-
-PACKAGE = os.path.dirname(roughmap.__file__)
-SUBMODULES = sorted(name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py") and name != "__init__.py")
+from roughmap import errors, kernels
 
 
-def _fresh(code: str) -> str:
-    """stdout of `code` run in a new interpreter without site-packages."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stderr == ""
-    return out.stdout
-
-
-def test_import_loads_only_what_is_read():
-    out = _fresh(
-        "import sys, roughmap; roughmap.kernels.select(6, 4); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'roughmap')); "
-        "print([m for m in ('dataclasses', 'enum', 'json') if m in sys.modules])"
-    )
-    assert out.split("\n")[:2] == ["['roughmap', 'roughmap.kernels']", "[]"]
-
-
-@pytest.mark.parametrize("name", SUBMODULES)
-def test_each_submodule_imports_first(name):
-    # no fixed import order in the package hides an import cycle
-    assert _fresh(f"import roughmap.{name}, sys; print('roughmap.{name}' in sys.modules)") == "True\n"
-
-
-def test_submodule_is_an_attribute_after_a_bare_import():
-    assert _fresh("import roughmap; print(roughmap.search.verify is roughmap.verify)") == "True\n"
-
-
-def test_every_public_name_resolves_to_its_submodule_attribute():
-    assert len(SUBMODULES) == 12
-    assert set(SUBMODULES) <= set(roughmap.__all__)
+def test_star_import_binds_exactly_the_public_names():
+    assert len(set(roughmap.__all__)) == len(roughmap.__all__) == 62
     star: dict = {}
     exec("from roughmap import *", star)
-    listed = dir(roughmap)
-    for name in roughmap.__all__:
-        assert name in listed, name
-        if name == "__version__":
-            assert star[name] == roughmap.__version__
-            continue
-        if name in SUBMODULES:
-            want = importlib.import_module(f"roughmap.{name}")
-        else:
-            want = getattr(importlib.import_module(f"roughmap.{roughmap._HOME[name]}"), name)
-        assert getattr(roughmap, name) is want, name
-        assert star[name] is want, name
+    del star["__builtins__"]
+    assert sorted(star) == sorted(roughmap.__all__)
+    assert [v for v in star.values() if isinstance(v, type(roughmap))] == [kernels, errors]
+    for name, value in star.items():
+        assert getattr(roughmap, name) is value, name
 
 
-def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="nope"):
-        getattr(roughmap, "nope")
-    assert not hasattr(roughmap, "nope")
-    with pytest.raises(ImportError):
-        exec("from roughmap import nope", {})
+def test_import_loads_neither_dataclasses_nor_typing():
+    # with what they import, they cost a fresh interpreter about a third
+    # of the package's import
+    src = os.path.dirname(os.path.dirname(roughmap.__file__))
+    code = "import roughmap.cli, sys; print([m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    assert (out.stdout, out.stderr) == ("[]\n", "")
