@@ -46,15 +46,17 @@ class Outcome(Enum):
     VACUOUS = "vacuous"
 
 
-class Verdict(namedtuple("Verdict", "outcome witness reason")):
-    __slots__ = ()
+class Verdict:
+    # slots, not a namedtuple: a sweep reads `outcome` once per instance,
+    # and a namedtuple field is the slower read
+    __slots__ = ("outcome", "witness", "reason")
 
-    def __new__(cls, outcome: Outcome, witness: dict | None = None, reason: str | None = None):
+    def __init__(self, outcome: Outcome, witness: dict | None = None, reason: str | None = None):
         if outcome is Outcome.FAILS and witness is None:
             raise ValueError("Fails needs a witness")
         if outcome is Outcome.ILL_TYPED and reason is None:
             raise ValueError("IllTyped needs a reason")
-        return super().__new__(cls, outcome, witness, reason)
+        self.outcome, self.witness, self.reason = outcome, witness, reason
 
 
 # partitions: 1 or 2; map_constraint: any | surjective | bijective;
