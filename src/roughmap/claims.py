@@ -208,16 +208,20 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # every map of that size; the last two are kept per map, in GroupContext.
 # A partition is its equivalence relation, packed into one int as every
 # relation is (kernels), so the lattice is relation algebra: the meet is
-# R1 & R2, the join closure(R1 | R2) (the stored rows merge block masks,
-# which gives the same partition), and the union R1 | R2 when that is an
+# R1 & R2, the join closure(R1 | R2), and the union R1 | R2 when that is an
 # equivalence.  R1 ⊆ R2 when R1 ∧ R2 = R1, and the fiber condition when
-# ker f ∧ R = ker f.  Evaluators name a partition by a handle of the size
-# tables, which size_tables picks: up to _TABLE_MAX_N elements
-# _SizeTables, whose handle is the relation's index into `relations`, the
-# partitions in lex order of their rgs, and whose rows are filled lazily;
-# above it _DirectTables, whose handle is the relation itself and which
-# computes every answer on each call.  On both, `index` maps a partition's
-# relation to its handle, and `handle` and `rgs` convert at the boundary.
+# ker f ∧ R = ker f.
+#
+# Every per-size answer is a table read by subscript: approx[h] is the pair
+# (lower, upper) of partition h, each indexed by subset mask, and
+# meet[h1][h2], join[h1][h2] and union[h1][h2] name the resulting partition
+# by its handle, a union that is no equivalence by None.  size_tables picks
+# one of two forms per size.  Up to _TABLE_MAX_N elements, _SizeTables: a
+# handle is the relation's index into `relations`, and each table fills a
+# whole row on its first read and keeps it.  Above it, _DirectTables: a
+# handle is the relation itself, and each entry is computed when it is
+# read.  On both, `index` maps a partition's relation to its handle, and
+# `handle` and `rgs` convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 # Every memo of the engine lives on the tables of the size its key names,
 # which size_tables keeps one per size, so size_tables.cache_clear() gives
@@ -270,9 +274,9 @@ def _listed_relations(n: int) -> list:
 
 
 class _DirectTables:
-    """Per-size answers computed by the kernels on every call; a partition's
-    handle is its packed relation, so `relations` and `index` map a handle
-    to itself.
+    """The per-size tables, each entry computed by the kernels when it is
+    read; a partition's handle is its packed relation, so `relations` and
+    `index` map a handle to itself.
 
     Nothing is kept per group: a search group reads each (partition,
     subset) approximation once, so keeping them would hold up to
@@ -286,9 +290,23 @@ class _DirectTables:
         self.n = n
         kern = self.kern = kernels.select(n)
         self.relations = self.index = _Computed(lambda r: r)
-        self.blocks = _Cached(lambda r: kern.relation_blocks(r, n))
+        blocks = self.blocks = _Cached(lambda r: kern.relation_blocks(r, n))
         self.classified = {}
         self._listed = None
+
+        def approx(r):
+            lub, rblocks = kern.lower_upper_masks, blocks[r]
+            return _Computed(lambda x: lub(rblocks, x)[0]), _Computed(lambda x: lub(rblocks, x)[1])
+
+        def equivalence(r):
+            # R1 ∪ R2 is reflexive and symmetric, so an equivalence exactly
+            # when it is its own closure, the join
+            return r if kern.closure(r, n) == r else None
+
+        self.approx = _Computed(approx)
+        self.meet = _Computed(lambda r1: _Computed(r1.__and__))
+        self.join = _Computed(lambda r1: _Computed(lambda r2: kern.closure(r1 | r2, n)))
+        self.union = _Computed(lambda r1: _Computed(lambda r2: equivalence(r1 | r2)))
 
     def handle(self, rgs):
         return self.index[self.kern.partition_relation(rgs)]
@@ -301,36 +319,20 @@ class _DirectTables:
             self._listed = _listed_relations(self.n)
         return self._listed
 
-    def approx(self, r: int):
-        """(lower, upper) approximations over r, each indexed by subset mask."""
-        blocks = self.blocks[r]
-        lub = self.kern.lower_upper_masks
-        return _Computed(lambda x: lub(blocks, x)[0]), _Computed(lambda x: lub(blocks, x)[1])
-
-    meet = staticmethod(int.__and__)
-
-    def join(self, r1: int, r2: int) -> int:
-        return self.kern.closure(r1 | r2, self.n)
-
-    def union(self, r1: int, r2: int) -> int | None:
-        """R1 ∪ R2 when it is an equivalence, else None: it is reflexive and
-        symmetric, so one exactly when it is its own closure, the join."""
-        r = r1 | r2
-        return r if self.kern.closure(r, self.n) == r else None
-
 
 class _SizeTables:
-    """The answers of _DirectTables, stored; a partition's handle is its
-    relation's index into `relations`, the partitions in lex order.
+    """The per-size tables of _DirectTables, stored: each fills a whole row
+    on its first read and keeps it.  A partition's handle is its relation's
+    index into `relations`, the partitions in lex order.
 
-    `blocks` lists each partition's block masks.  Partition i gets its
-    approximation rows (2**n masks each), and each pair operation its row i,
-    when first read, filled whole with one entry per second partition: at
-    most B(n)**2 entries per operation.  An entry is the handle of the
-    resulting relation, so a union that is no partition's relation, no
-    equivalence, reads None.  The meet and union rows are & and | on the
-    packed relations; the join rows merge block masks, which at 7 elements
-    fills a row about 7 times faster than closure(R1 | R2).
+    `blocks` lists each partition's block masks.  An approximation row holds
+    2**n masks each way, and a pair operation's row one entry per second
+    partition, so at most B(n)**2 entries per operation.  A pair entry is
+    the handle of the resulting relation, so a union that is no partition's
+    relation, no equivalence, reads None.  The meet and union rows are & and
+    | on the packed relations (`_row`); the join rows merge block masks,
+    which at 7 elements fills a row about 7 times faster than
+    closure(R1 | R2).
 
     GroupContext's memos on U live here: `maps`, what it builds per map
     (fibers, surjectivity, images, contributions and f(R) of every
@@ -348,36 +350,31 @@ class _SizeTables:
         self.relations = _listed_relations(n)
         self.index = {r: i for i, r in enumerate(self.relations)}
         self.blocks = [kern.relation_blocks(r, n) for r in self.relations]
-        count = len(self.relations)
-        self._approx, self._meet, self._join, self._union = ([None] * count for _ in range(4))
         self._by_blocks = None  # partition's set of block masks -> handle, for the join rows
         self.maps_into, self.maps = None, {}
         self.count_width = n.bit_length()  # bits per fiber of a block's packed counts
         self.block_contributions = _Cached(self._contributions_of)
         self.classified = {}
 
+        def approx(i):
+            lub, blocks = kern.lower_upper_masks, self.blocks[i]
+            return tuple(zip(*[lub(blocks, x) for x in range(1 << n)]))
+
+        self.approx = _Cached(approx)
+        self.meet = _Cached(lambda i: self._row(int.__and__, i))
+        self.join = _Cached(self._join_row)
+        self.union = _Cached(lambda i: self._row(int.__or__, i))
+
     handle, rgs = _DirectTables.handle, _DirectTables.rgs
 
     def handles(self) -> range:
         return range(len(self.relations))
 
-    def approx(self, i: int):
-        hit = self._approx[i]
-        if hit is None:
-            lub = self.kern.lower_upper_masks
-            blocks = self.blocks[i]
-            hit = self._approx[i] = tuple(zip(*[lub(blocks, x) for x in range(1 << self.n)]))
-        return hit
-
-    def _fill(self, rows: list, op, i: int) -> list:
-        """Row i of one pair operation: op on partition i's relation and each
+    def _row(self, op, i: int) -> list:
+        """Row i of a pair operation: op on partition i's relation and each
         partition's in turn, each result named by its handle."""
         first, handle = self.relations[i], self.index.get
-        row = rows[i] = [handle(op(first, r)) for r in self.relations]
-        return row
-
-    def meet(self, i: int, j: int) -> int:
-        return (self._meet[i] or self._fill(self._meet, int.__and__, i))[j]
+        return [handle(op(first, r)) for r in self.relations]
 
     def _join_row(self, i: int) -> list:
         """Row i of the join, by merging blocks: each block of partition j
@@ -388,7 +385,7 @@ class _SizeTables:
         if by_blocks is None:
             by_blocks = self._by_blocks = {frozenset(b): h for h, b in enumerate(self.blocks)}
         first = self.blocks[i]
-        row = self._join[i] = []
+        row = []
         for blocks in self.blocks:
             merged = first
             for b in blocks:
@@ -404,12 +401,6 @@ class _SizeTables:
                     merged = rest
             row.append(by_blocks[frozenset(merged)])
         return row
-
-    def join(self, i: int, j: int) -> int:
-        return (self._join[i] or self._join_row(i))[j]
-
-    def union(self, i: int, j: int) -> int | None:
-        return (self._union[i] or self._fill(self._union, int.__or__, i))[j]
 
     def _contributions_of(self, sizes: tuple) -> _Cached:
         """The block contributions of a map with these fiber sizes, keyed
@@ -544,7 +535,7 @@ class GroupContext:
             ker = self._ker
             if ker is None:
                 ker = self._ker = self.sizes.index[self.kern.partition_relation(self.table)]
-            hit = self._fiber_ok[h] = self.sizes.meet(ker, h) == ker
+            hit = self._fiber_ok[h] = self.sizes.meet[ker][h] == ker
         return hit
 
     def approx(self, h):
@@ -558,7 +549,7 @@ class GroupContext:
         if hit is _TODO:
             rel, vsizes = self.relmaps[h], self.vsizes
             if rel.flags == kernels.EQUIVALENCE:
-                hit = self.sizes.approx(h) + vsizes.approx(vsizes.index[rel.packed])
+                hit = self.sizes.approx[h] + vsizes.approx[vsizes.index[rel.packed]]
             else:
                 hit = None
             self._approx[h] = hit
@@ -624,7 +615,7 @@ def _eval_t31_refl(ctx, h1, h2, xmask):
 
 
 def _eval_l311_fwd(ctx, h1, h2, xmask):
-    if ctx.sizes.meet(h1, h2) != h1:
+    if ctx.sizes.meet[h1][h2] != h1:
         return _VACUOUS
     left = ctx.relmaps[h1].packed
     right = ctx.relmaps[h2].packed
@@ -641,14 +632,14 @@ def _partitions_not_included(ctx, h1, h2) -> dict:
 def _eval_l311_bwd(ctx, h1, h2, xmask):
     if ctx.relmaps[h1].packed & ~ctx.relmaps[h2].packed:
         return _VACUOUS
-    if ctx.sizes.meet(h1, h2) == h1:
+    if ctx.sizes.meet[h1][h2] == h1:
         return _HOLDS
     return _Failure(_partitions_not_included, ctx, h1, h2)
 
 
 def _eval_l312_inc(ctx, h1, h2, xmask):
     relmaps = ctx.relmaps
-    left = relmaps[ctx.sizes.meet(h1, h2)].packed
+    left = relmaps[ctx.sizes.meet[h1][h2]].packed
     right = relmaps[h1].packed & relmaps[h2].packed
     if not left & ~right:
         return _HOLDS
@@ -659,7 +650,7 @@ def _eval_l312_eq(ctx, h1, h2, xmask):
     if not (ctx.fiber_ok(h1) and ctx.fiber_ok(h2)):
         return _VACUOUS
     relmaps = ctx.relmaps
-    left = relmaps[ctx.sizes.meet(h1, h2)].packed
+    left = relmaps[ctx.sizes.meet[h1][h2]].packed
     right = relmaps[h1].packed & relmaps[h2].packed
     if left == right:
         return _HOLDS
@@ -667,7 +658,7 @@ def _eval_l312_eq(ctx, h1, h2, xmask):
 
 
 def _eval_l313_inc(ctx, h1, h2, xmask):
-    union = ctx.sizes.union(h1, h2)
+    union = ctx.sizes.union[h1][h2]
     if union is None:
         return _ILL_UNION
     relmaps = ctx.relmaps
@@ -679,7 +670,7 @@ def _eval_l313_inc(ctx, h1, h2, xmask):
 
 
 def _eval_l313_eq(ctx, h1, h2, xmask):
-    union = ctx.sizes.union(h1, h2)
+    union = ctx.sizes.union[h1][h2]
     if union is None:
         return _ILL_UNION
     if not (ctx.fiber_ok(h1) and ctx.fiber_ok(h2)):
@@ -694,7 +685,7 @@ def _eval_l313_eq(ctx, h1, h2, xmask):
 
 def _eval_l313_join(ctx, h1, h2, xmask):
     relmaps = ctx.relmaps
-    left = relmaps[ctx.sizes.join(h1, h2)].packed
+    left = relmaps[ctx.sizes.join[h1][h2]].packed
     right = relmaps[h1].packed | relmaps[h2].packed
     if not right & ~left:
         return _HOLDS

@@ -83,6 +83,8 @@ class SurjMap:
         if len(table) != domain.size:
             raise BadImageError("image table length differs from domain size")
         for v in table:
+            if type(v) is not int:
+                raise BadImageError(f"image {v!r} is not an int index")
             if not 0 <= v < codomain.size:
                 raise BadImageError(f"image {v} outside codomain of size {codomain.size}")
         self.domain = domain

@@ -49,6 +49,9 @@ class Universe:
         return self.labels[i] if self.labels else str(i + 1)
 
     def check_element(self, i: int) -> None:
+        # bool is an int subclass, so compare the type itself
+        if type(i) is not int:
+            raise BadElementError(f"element {i!r} is not an int index")
         if not 0 <= i < self.size:
             raise BadElementError(f"element {i} outside universe of size {self.size}")
 
@@ -273,6 +276,8 @@ class Partition:
             raise NotAPartitionError("encoding length differs from universe size")
         mx = -1
         for i, b in enumerate(rgs):
+            if type(b) is not int:
+                raise NotAPartitionError(f"block id {b!r} at position {i} is not an int")
             if b < 0 or b > mx + 1:
                 raise NotAPartitionError(
                     f"not a restricted-growth string at position {i}"

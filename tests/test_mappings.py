@@ -84,6 +84,14 @@ def test_map_rejects_bad_tables():
         make_map(u, v, [0, 5])
 
 
+def test_map_rejects_images_that_are_not_ints():
+    # at the parent, (0, 0.5, 1) failed inside fiber_masks with a TypeError
+    u, v = Universe(3), Universe(2)
+    for table in ((0, 0.5, 1), (0, True, 1), (0, "1", 1)):
+        with pytest.raises(BadImageError):
+            SurjMap(u, v, table)
+
+
 def test_from_pairs_requires_totality_and_single_image():
     u, v = Universe(2), Universe(2)
     f = SurjMap.from_pairs(u, v, [(0, 1), (1, 0)])

@@ -68,6 +68,14 @@ def test_subset_rejects_foreign_bits():
         Subset.from_elements(u, [5])
 
 
+def test_subset_rejects_elements_that_are_not_ints():
+    # at the parent, 1 << 1.0 raised a bare TypeError; True passed as 1
+    u = Universe(3)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(BadElementError):
+            Subset.from_elements(u, [bad])
+
+
 def test_relation_rejects_foreign_bits():
     u = Universe(2)
     assert list(BinRelation(u, 0b1111).pairs()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -161,6 +169,15 @@ def test_partition_rejects_non_canonical_rgs():
         Partition(u, (1, 0, 0))
     with pytest.raises(NotAPartitionError):
         Partition(u, (0, 0))
+
+
+def test_partition_rejects_block_ids_that_are_not_ints():
+    # at the parent, (0, 1.0, 0) was accepted and blocks() and relmap then
+    # failed inside a kernel
+    u = Universe(3)
+    for rgs in ((0, 1.0, 0), (0, True, 0), (0, "1", 0)):
+        with pytest.raises(NotAPartitionError):
+            Partition(u, rgs)
 
 
 def test_partition_relation_round_trip():

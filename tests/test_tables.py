@@ -4,13 +4,15 @@ evaluation against evaluation from scratch.
 Per-size tables (approximations, partition pairs) are compared in both
 forms: stored, as a sweep uses them up to claims._TABLE_MAX_N elements,
 with partitions named by their relation's index into the listed
-partitions, and computed on every call, as a sweep uses them above it and
-a single evaluate() at every size, with partitions named by their packed
-relation.  On both the meet is R1 & R2, the union R1 | R2 and the join the
-closure of R1 | R2.  So is the image relation f(R), which GroupContext
-builds for every partition from per-block contributions in a table on the
-stored form and block by block, as it is read, on the direct form; a
-sweep's groups are checked against evaluate() on each instance.
+partitions, and computed entry by entry as they are read, as a sweep uses
+them above it and a single evaluate() at every size, with partitions named
+by their packed relation.  Both are read by subscript: approx[h],
+meet[h1][h2], join[h1][h2] and union[h1][h2].  On both the meet is
+R1 & R2, the union R1 | R2 and the join the closure of R1 | R2.  So is
+the image relation f(R), which GroupContext builds for every partition
+from per-block contributions in a table on the stored form and block by
+block, as it is read, on the direct form; a sweep's groups are checked
+against evaluate() on each instance.
 Refinement, the union test and the fiber condition have no table of their
 own; they are read from the pair rows (R1 ⊆ R2 when meet(R1, R2) = R1, the
 fiber condition when meet(ker f, R) = ker f) and checked against the
@@ -69,7 +71,7 @@ def _elements(mask, n):
 def test_approximation_rows_match_oracle(form, n):
     tables = FORMS[form](n)
     for rgs in iter_rgs(n):
-        lo, hi = tables.approx(tables.handle(rgs))
+        lo, hi = tables.approx[tables.handle(rgs)]
         blocks = blocks_of_rgs(rgs)
         for x in range(1 << n):
             want_lo, want_hi = naive_lower_upper(blocks, _elements(x, n))
@@ -88,10 +90,10 @@ def test_pair_rows_match_oracle(form, n):
         for rgs1, rgs2 in product(parts, parts):
             h1, h2 = tables.handle(rgs1), tables.handle(rgs2)
             b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
-            assert blocks_of_rgs(tables.rgs(tables.meet(h1, h2))) == naive_meet(b1, b2)
-            assert blocks_of_rgs(tables.rgs(tables.join(h1, h2))) == naive_join(b1, b2)
-            assert (tables.meet(h1, h2) == h1) == naive_refines(b1, b2)
-            union = tables.union(h1, h2)
+            assert blocks_of_rgs(tables.rgs(tables.meet[h1][h2])) == naive_meet(b1, b2)
+            assert blocks_of_rgs(tables.rgs(tables.join[h1][h2])) == naive_join(b1, b2)
+            assert (tables.meet[h1][h2] == h1) == naive_refines(b1, b2)
+            union = tables.union[h1][h2]
             want = naive_union(b1, b2, n)
             assert (None if union is None else blocks_of_rgs(tables.rgs(union))) == want
 
@@ -107,10 +109,10 @@ def test_stored_pair_rows_name_the_kernel_results(n):
     for i, j in product(range(len(parts)), repeat=2):
         r1, r2 = relations[i], relations[j]
         b1, b2 = blocks_of_rgs(parts[i]), blocks_of_rgs(parts[j])
-        assert relations[tables.meet(i, j)] == r1 & r2
-        assert relations[tables.join(i, j)] == kernels.closure(r1 | r2, n)
-        assert (tables.meet(i, j) == i) == naive_refines(b1, b2)
-        union = tables.union(i, j)
+        assert relations[tables.meet[i][j]] == r1 & r2
+        assert relations[tables.join[i][j]] == kernels.closure(r1 | r2, n)
+        assert (tables.meet[i][j] == i) == naive_refines(b1, b2)
+        union = tables.union[i][j]
         assert (None if union is None else relations[union]) == (
             r1 | r2 if r1 | r2 in relations else None
         )
@@ -126,7 +128,7 @@ def test_stored_join_rows_at_seven_elements_name_the_closure():
     rows = [0, len(relations) - 1] + random.Random(7).sample(range(1, len(relations) - 1), 8)
     for i in rows:
         for j in tables.handles():
-            assert relations[tables.join(i, j)] == kernels.closure(relations[i] | relations[j], 7), (i, j)
+            assert relations[tables.join[i][j]] == kernels.closure(relations[i] | relations[j], 7), (i, j)
 
 
 def test_stored_pair_results_are_the_listed_partitions():
@@ -134,9 +136,9 @@ def test_stored_pair_results_are_the_listed_partitions():
     handles = range(len(tables.relations))
     assert list(tables.handles()) == list(handles)
     for h1, h2 in product(handles, handles):
-        assert tables.meet(h1, h2) in handles
-        assert tables.join(h1, h2) in handles
-        assert tables.union(h1, h2) in (None, *handles)
+        assert tables.meet[h1][h2] in handles
+        assert tables.join[h1][h2] in handles
+        assert tables.union[h1][h2] in (None, *handles)
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -296,6 +298,30 @@ def test_one_evaluation_reads_only_the_partitions_it_names(monkeypatch):
     assert _module_state() == before
 
 
+def test_stored_tables_fill_each_row_once_on_its_first_read(monkeypatch):
+    # the spies go in before the tables are built, which bind their fills
+    rows = _spy(monkeypatch, claims._SizeTables, "_row")
+    joins = _spy(monkeypatch, claims._SizeTables, "_join_row")
+    masks = _spy(monkeypatch, kernels, "lower_upper_masks")
+    tables = claims._SizeTables(5)
+    assert not (rows or joins or masks)
+
+    def fills():
+        return sum(rows.values()), sum(joins.values()), sum(masks.values())
+
+    handles = tables.handles()
+    for i in handles:
+        for name in ("meet", "join", "union", "approx"):
+            table = getattr(tables, name)
+            before = fills()
+            row = table[i]
+            after = fills()
+            assert after != before and table[i] is row and fills() == after, (name, i)
+    assert rows == Counter({(tables, op, i): 1 for op in (int.__and__, int.__or__) for i in handles})
+    assert joins == Counter({(tables, i): 1 for i in handles})
+    assert masks == Counter({(tables.blocks[i], x): 1 for i in handles for x in range(1 << 5)})
+
+
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     # above _TABLE_MAX_N nothing is stored per group; the sweep must not
@@ -387,11 +413,11 @@ def test_sampled_pairs_match_oracle_above_five_elements(form, n):
     for rgs1, rgs2 in pairs:
         h1, h2 = tables.handle(rgs1), tables.handle(rgs2)
         b1, b2 = blocks_of_rgs(rgs1), blocks_of_rgs(rgs2)
-        assert blocks_of_rgs(tables.rgs(tables.meet(h1, h2))) == naive_meet(b1, b2), (rgs1, rgs2)
-        assert blocks_of_rgs(tables.rgs(tables.join(h1, h2))) == naive_join(b1, b2), (rgs1, rgs2)
-        refines = tables.meet(h1, h2) == h1
+        assert blocks_of_rgs(tables.rgs(tables.meet[h1][h2])) == naive_meet(b1, b2), (rgs1, rgs2)
+        assert blocks_of_rgs(tables.rgs(tables.join[h1][h2])) == naive_join(b1, b2), (rgs1, rgs2)
+        refines = tables.meet[h1][h2] == h1
         assert refines == naive_refines(b1, b2), (rgs1, rgs2)
-        union = tables.union(h1, h2)
+        union = tables.union[h1][h2]
         want = naive_union(b1, b2, n)
         assert (None if union is None else blocks_of_rgs(tables.rgs(union))) == want, (rgs1, rgs2)
         seen[refines, union is None] += 1
