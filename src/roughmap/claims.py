@@ -218,17 +218,28 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # by its handle, a union that is no equivalence by None.  size_tables picks
 # one of two forms per size.  Up to _TABLE_MAX_N elements, _SizeTables: a
 # handle is the relation's index into `relations`, and each table fills a
-# whole row on its first read and keeps it.  Above it, _DirectTables: a
-# handle is the relation itself, and each entry is computed when it is
-# read.  On both, `index` maps a partition's relation to its handle, and
-# `handle` and `rgs` convert at the boundary.
+# whole row once and keeps it.  Above it, _DirectTables: a handle is the
+# relation itself, and each entry is computed when it is read.  On both,
+# `index` maps a partition's relation to its handle, and `handle` and `rgs`
+# convert at the boundary.
 # f(R) is the OR of kernels.contribution over R's blocks, packed on V.
 # Every memo of the engine lives on the tables of the size its key names,
 # which size_tables keeps one per size, so size_tables.cache_clear() gives
 # a fresh engine; a single evaluate() builds its own and leaves no state.
+#
+# On the stored form every read an evaluator makes per instance is a
+# subscript of an exact list (or of a tuple, for an approximation row):
+# 3.11 specializes those, about 5 ns a read, where a _Cached subscript, a
+# dict subclass, costs about 31 ns and a method call about 40 ns (timeit
+# net of its loop, Python 3.11.7 on a 2-vCPU VM).  So the
+# pair tables are lists of rows (a row not filled yet is a _Row), and the
+# evaluators read a context's approximation and fiber-condition slots
+# directly, calling the method that fills a slot only when it is unfilled.
+# _Cached and _Computed stay for the reads made once per context or per
+# group, and for the direct form.
 
-# at 7 elements a pair operation fills at most B(7)**2 = 769,129 slots
-# (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
+# at 7 elements a pair table, filled, is B(7) = 877 list rows of B(7)
+# entries, 769,129 in all (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
 _TABLE_MAX_N = 7
 _TODO = object()  # an approximation slot not filled yet
 
@@ -256,6 +267,22 @@ class _Cached(dict):
     def __missing__(self, x):
         hit = self[x] = self.entry(x)
         return hit
+
+
+class _Row:
+    """Row i of a stored pair table, not filled yet: its first entry read
+    puts the whole row, fill(i), into the table in its place, once."""
+
+    __slots__ = ("table", "i", "fill")
+
+    def __init__(self, table: list, i: int, fill):
+        self.table, self.i, self.fill = table, i, fill
+
+    def __getitem__(self, j):
+        row = self.table[self.i]
+        if row is self:  # a caller may hold on to this placeholder
+            row = self.table[self.i] = self.fill(self.i)
+        return row[j]
 
 
 class _Relation:
@@ -322,8 +349,8 @@ class _DirectTables:
 
 class _SizeTables:
     """The per-size tables of _DirectTables, stored: each fills a whole row
-    on its first read and keeps it.  A partition's handle is its relation's
-    index into `relations`, the partitions in lex order.
+    once and keeps it.  A partition's handle is its relation's index into
+    `relations`, the partitions in lex order.
 
     `blocks` lists each partition's block masks.  An approximation row holds
     2**n masks each way, and a pair operation's row one entry per second
@@ -333,6 +360,12 @@ class _SizeTables:
     | on the packed relations (`_row`); the join rows merge block masks,
     which at 7 elements fills a row about 7 times faster than
     closure(R1 | R2).
+
+    An evaluator reads a pair entry once per instance, so `meet`, `join` and
+    `union` are exact lists, one row per first partition: each row starts as
+    a _Row, which fills it on its first entry read, and then
+    sizes.meet[h1][h2] is two list subscripts.  `approx` is read once per
+    context and partition, so it stays a _Cached, filled on its first read.
 
     GroupContext's memos on U live here: `maps`, what it builds per map
     (fibers, surjectivity, images, contributions and f(R) of every
@@ -361,14 +394,20 @@ class _SizeTables:
             return tuple(zip(*[lub(blocks, x) for x in range(1 << n)]))
 
         self.approx = _Cached(approx)
-        self.meet = _Cached(lambda i: self._row(int.__and__, i))
-        self.join = _Cached(self._join_row)
-        self.union = _Cached(lambda i: self._row(int.__or__, i))
+        self.meet = self._pair_table(lambda i: self._row(int.__and__, i))
+        self.join = self._pair_table(self._join_row)
+        self.union = self._pair_table(lambda i: self._row(int.__or__, i))
 
     handle, rgs = _DirectTables.handle, _DirectTables.rgs
 
     def handles(self) -> range:
         return range(len(self.relations))
+
+    def _pair_table(self, fill) -> list:
+        """A pair table whose row i is fill(i), each row filled on its first entry read."""
+        table = []  # each _Row holds the list it fills in
+        table += [_Row(table, i, fill) for i in self.handles()]
+        return table
 
     def _row(self, op, i: int) -> list:
         """Row i of a pair operation: op on partition i's relation and each
@@ -444,7 +483,13 @@ class GroupContext:
     form, so groups whose tables differ only by a relabeling of V share
     these tables (see `search`).  The fiber-condition and
     approximation slots stay per context: shared, they would keep every
-    map's rows filled at once.  The memos a context fills belong to the
+    map's rows filled at once.  An evaluator reads a slot once per
+    instance, so it reads `_fiber_ok[h]` and `_approx[h]` itself and calls
+    `fiber_ok(h)` or `approx(h)`, the one definition of each fill, only
+    when the slot reads unfilled (None, _TODO).  On _SizeTables the slots
+    are exact lists; on _DirectTables they are _Cached tables that read
+    unfilled until filled, so the same evaluator code serves both.  The
+    memos a context fills belong to the
     size tables and live as long as they do: `sizes.maps` and
     `sizes.block_contributions` on U, `vsizes.classified` on V.
     """
@@ -647,7 +692,11 @@ def _eval_l312_inc(ctx, h1, h2, xmask):
 
 
 def _eval_l312_eq(ctx, h1, h2, xmask):
-    if not (ctx.fiber_ok(h1) and ctx.fiber_ok(h2)):
+    ok = ctx._fiber_ok
+    if not (
+        (ctx.fiber_ok(h1) if (ok1 := ok[h1]) is None else ok1)
+        and (ctx.fiber_ok(h2) if (ok2 := ok[h2]) is None else ok2)
+    ):
         return _VACUOUS
     relmaps = ctx.relmaps
     left = relmaps[ctx.sizes.meet[h1][h2]].packed
@@ -673,7 +722,11 @@ def _eval_l313_eq(ctx, h1, h2, xmask):
     union = ctx.sizes.union[h1][h2]
     if union is None:
         return _ILL_UNION
-    if not (ctx.fiber_ok(h1) and ctx.fiber_ok(h2)):
+    ok = ctx._fiber_ok
+    if not (
+        (ctx.fiber_ok(h1) if (ok1 := ok[h1]) is None else ok1)
+        and (ctx.fiber_ok(h2) if (ok2 := ok[h2]) is None else ok2)
+    ):
         return _VACUOUS
     relmaps = ctx.relmaps
     left = relmaps[union].packed
@@ -699,7 +752,9 @@ def _eval_l32(ctx, h1, h2, xmask):
 
 
 def _eval_t41_1(ctx, h1, h2, xmask):
-    tables = ctx.approx(h1)
+    tables = ctx._approx[h1]
+    if tables is _TODO:
+        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, _, lo_v, _ = tables
@@ -712,7 +767,9 @@ def _eval_t41_1(ctx, h1, h2, xmask):
 
 
 def _eval_t41_2(ctx, h1, h2, xmask):
-    tables = ctx.approx(h1)
+    tables = ctx._approx[h1]
+    if tables is _TODO:
+        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     _, hi_u, _, hi_v = tables
@@ -725,7 +782,9 @@ def _eval_t41_2(ctx, h1, h2, xmask):
 
 
 def _eval_t42_1(ctx, h1, h2, xmask):
-    tables = ctx.approx(h1)
+    tables = ctx._approx[h1]
+    if tables is _TODO:
+        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, _, lo_v, _ = tables
@@ -738,7 +797,9 @@ def _eval_t42_1(ctx, h1, h2, xmask):
 
 
 def _eval_t42_2(ctx, h1, h2, xmask):
-    tables = ctx.approx(h1)
+    tables = ctx._approx[h1]
+    if tables is _TODO:
+        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     _, hi_u, _, hi_v = tables
@@ -751,7 +812,9 @@ def _eval_t42_2(ctx, h1, h2, xmask):
 
 
 def _eval_t43_1(ctx, h1, h2, xmask):
-    tables = ctx.approx(h1)
+    tables = ctx._approx[h1]
+    if tables is _TODO:
+        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, hi_u, lo_v, _ = tables
@@ -765,7 +828,9 @@ def _eval_t43_1(ctx, h1, h2, xmask):
 
 
 def _eval_t43_2(ctx, h1, h2, xmask):
-    tables = ctx.approx(h1)
+    tables = ctx._approx[h1]
+    if tables is _TODO:
+        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, hi_u, _, hi_v = tables

@@ -4,11 +4,12 @@ One JSON schema family covers input instances ("relmap-instance/1") and
 search reports ("relmap-report/1").  Elements may be written as labels or
 as indices; internally everything is an index.  Relations render with the
 diagonal pairs first, e.g. "{(a, a), (b, b), (a, b), (b, a)}".
+`json` (which loads `re`) is imported by the functions that use it, so a
+caller that reads and writes no document does not pay for it.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -101,6 +102,8 @@ def render_witness(witness: dict, u: Universe, v: Universe) -> str:
         else:
             head = f"f is not surjective (nothing maps to {labels(e)}) yet f(R) is reflexive"
         return head + "\n  f(R) = " + render_pairs(witness["relation"], labels)
+    import json
+
     return json.dumps(witness)
 
 
@@ -238,6 +241,8 @@ def parse_instance_doc(doc: dict) -> ParsedInstance:
 def decode_json(text: str):
     """The value of a JSON text; a syntax error is a ParseError naming its
     line and column."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -375,6 +380,8 @@ def report_doc(report: SearchReport) -> dict:
 
 
 def write_json(path: str, doc: dict) -> None:
+    import json
+
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, ensure_ascii=False)

@@ -39,7 +39,7 @@ from roughmap import (
     report_doc,
     verify,
 )
-from roughmap import claims, kernels
+from roughmap import claims, kernels, search
 from roughmap.claims import GroupContext, Instance
 from roughmap.enumeration import iter_canonical_tables, iter_rgs
 from roughmap.search import RawInstance, Tally, _run_task
@@ -309,17 +309,94 @@ def test_stored_tables_fill_each_row_once_on_its_first_read(monkeypatch):
     def fills():
         return sum(rows.values()), sum(joins.values()), sum(masks.values())
 
+    # a pair row fills on its first entry read, in place of its
+    # placeholder, and a placeholder held past that reads the filled row;
+    # an approximation row fills on its first read
     handles = tables.handles()
     for i in handles:
-        for name in ("meet", "join", "union", "approx"):
+        for name in ("meet", "join", "union"):
             table = getattr(tables, name)
+            held = table[i]
             before = fills()
-            row = table[i]
+            entry = held[i]
             after = fills()
-            assert after != before and table[i] is row and fills() == after, (name, i)
+            row = table[i]
+            assert after != before and type(row) is list and row[i] == entry, (name, i)
+            assert held[0] == row[0] and table[i] is row and fills() == after, (name, i)
+        before = fills()
+        row = tables.approx[i]
+        after = fills()
+        assert after != before and tables.approx[i] is row and fills() == after, ("approx", i)
     assert rows == Counter({(tables, op, i): 1 for op in (int.__and__, int.__or__) for i in handles})
     assert joins == Counter({(tables, i): 1 for i in handles})
     assert masks == Counter({(tables.blocks[i], x): 1 for i in handles for x in range(1 << 5)})
+
+
+def _groups_of(cid, n):
+    """A few (n, m, table) groups, n >= 4, that meet the claim's map constraint."""
+    constraint = REGISTRY[cid].map_constraint
+    if constraint == "bijective":
+        return [(n, n, tuple(range(n)))]
+    groups = [(n, 3, (0, 0, 1, 2, 1)[:n]), (n, 2, (0, 1, 0, 1, 1)[:n])]
+    return groups + [(n, 3, (0, 2, 2, 0, 2)[:n])] * (constraint == "any")
+
+
+def test_a_sweep_reads_its_per_instance_tables_as_lists(monkeypatch):
+    # on the stored form every table an evaluator reads per instance is an
+    # exact list, which 3.11 subscripts fastest: the pair tables, each row
+    # they have filled, and each context's approximation and
+    # fiber-condition slots, f(R) list and images
+    contexts = []
+
+    def recorded(*args):
+        contexts.append(GroupContext(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(search, "GroupContext", recorded)
+    claims.size_tables.cache_clear()
+    try:
+        for cid in sorted(REGISTRY):
+            _run_task((cid, _groups_of(cid, 5), False, 0))
+        tables = claims.size_tables(5)
+        for name in ("meet", "join", "union"):
+            table = getattr(tables, name)
+            filled = [row for row in table if type(row) is not claims._Row]
+            assert type(table) is list and len(table) == 52 and filled, name
+            assert all(type(row) is list for row in filled), name
+        assert len(contexts) == sum(len(_groups_of(cid, 5)) for cid in REGISTRY)
+        for ctx in contexts:
+            assert type(ctx.sizes) is claims._SizeTables
+            for slots in (ctx._approx, ctx._fiber_ok, ctx.relmaps, ctx.images):
+                assert type(slots) is list
+    finally:
+        claims.size_tables.cache_clear()
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_verdicts_do_not_depend_on_the_order_slots_fill(form, cid):
+    # a group's instances in reverse handle order, on tables and a context
+    # of their own, give the verdicts of the forward order: each slot and
+    # row fills to the same value whichever instance reads it first
+    claim = REGISTRY[cid]
+    fresh = claims._SizeTables if form == "stored" else claims._DirectTables
+
+    def verdicts(n, m, table, reverse):
+        ctx = GroupContext(fresh(n), fresh(m), table)
+        handles = list(ctx.sizes.handles())
+        seconds = handles if claim.partitions == 2 else [None]
+        xmasks = list(range(1 << n)) if claim.needs_subset else [None]
+        order = list(product(handles, seconds, xmasks))
+        out = {}
+        for key in reversed(order) if reverse else order:
+            verdict = claims.evaluate_raw(cid, ctx, *key)
+            witness = verdict.witness if verdict.outcome is Outcome.FAILS else None
+            out[key] = (verdict.outcome, verdict.reason if verdict.outcome is Outcome.ILL_TYPED else None, witness)
+        return out
+
+    for n, m, table in _groups_of(cid, 4):
+        forward = verdicts(n, m, table, False)
+        assert verdicts(n, m, table, True) == forward, table
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
