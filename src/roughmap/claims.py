@@ -232,16 +232,15 @@ def check_shape(claim: Claim, inst: Instance) -> None:
 # 3.11 specializes those, about 5 ns a read, where a _Cached subscript, a
 # dict subclass, costs about 31 ns and a method call about 40 ns (timeit
 # net of its loop, Python 3.11.7 on a 2-vCPU VM).  So the
-# pair tables are lists of rows (a row not filled yet is a _Row), and the
-# evaluators read a context's approximation and fiber-condition slots
-# directly, calling the method that fills a slot only when it is unfilled.
-# _Cached and _Computed stay for the reads made once per context or per
-# group, and for the direct form.
+# pair tables are lists of rows (a row not filled yet is a _Row).  A context
+# is built for one claim, and the slots that claim reads (approximation
+# rows, the fiber condition) are filled before it is evaluated, so an
+# evaluator reads them as plain values.  _Cached and _Computed stay for the
+# reads made once per context or per group, and for the direct form.
 
 # at 7 elements a pair table, filled, is B(7) = 877 list rows of B(7)
 # entries, 769,129 in all (about 6 MB); at 8 it would be B(8)**2 = 17,139,600
 _TABLE_MAX_N = 7
-_TODO = object()  # an approximation slot not filled yet
 
 
 class _Computed:
@@ -459,7 +458,8 @@ def size_tables(n: int):
 
 
 class GroupContext:
-    """Shared per-(n, m, table) computations for one batch of instances.
+    """Shared per-(n, m, table) computations for one batch of instances of
+    one claim.
 
     The image and the block contribution to f(R) of every mask of U depend
     only on the map; f(R) (`relmaps`), the fiber condition and the
@@ -481,31 +481,34 @@ class GroupContext:
     partitions' block masks, the helper `relmap(h)` calls for one.  A
     verify sweep builds every group's context on its table's canonical
     form, so groups whose tables differ only by a relabeling of V share
-    these tables (see `search`).  The fiber-condition and
-    approximation slots stay per context: shared, they would keep every
-    map's rows filled at once.  An evaluator reads a slot once per
-    instance, so it reads `_fiber_ok[h]` and `_approx[h]` itself and calls
-    `fiber_ok(h)` or `approx(h)`, the one definition of each fill, only
-    when the slot reads unfilled (None, _TODO).  On _SizeTables the slots
-    are exact lists; on _DirectTables they are _Cached tables that read
-    unfilled until filled, so the same evaluator code serves both.  The
-    memos a context fills belong to the
-    size tables and live as long as they do: `sizes.maps` and
+    these tables (see `search`).
+
+    A context is built for one claim, and the slots that claim reads are
+    filled here, before it is evaluated, for the partition handles it will
+    be evaluated on: `_approx[h]`, the rows (lo_U, hi_U, lo_V, hi_V) of
+    partition h, or None when f(R) is not an equivalence, for every subset
+    claim, and `_fiber_ok[h]`, whether ker f ≤ h, for _FIBER_CLAIMS.  A
+    claim that reads neither gets neither.  lo_U[x], hi_U[x] approximate a
+    mask x of U over R; lo_V[y], hi_V[y] a mask y of V over f(R).  On
+    _SizeTables the slots are exact lists over every handle of `sizes`; on
+    _DirectTables dicts over the handles passed.  They stay per context:
+    shared, they would keep every map's rows filled at once.  A built
+    context is never written again.  The memos a context fills belong to
+    the size tables and live as long as they do: `sizes.maps` and
     `sizes.block_contributions` on U, `vsizes.classified` on V.
     """
 
     __slots__ = (
         "n", "m", "table", "kern", "fibers", "surjective", "sizes", "vsizes", "images",
-        "contributions", "relmaps", "_relations", "_ker", "_fiber_ok", "_approx",
+        "contributions", "relmaps", "_relations", "_fiber_ok", "_approx",
     )
 
-    def __init__(self, sizes, vsizes, table: tuple[int, ...]):
+    def __init__(self, sizes, vsizes, table: tuple[int, ...], claim: Claim, handles):
         self.sizes, self.vsizes = sizes, vsizes
         self.n = n = sizes.n
         self.m = m = vsizes.n
         self.table = table = tuple(table)
-        self.kern = kernels.select(n, m)
-        self._ker = None  # handle of ker f, found by the first fiber_ok
+        kern = self.kern = kernels.select(n, m)
         self._relations = vsizes.classified
         if type(sizes) is _SizeTables:
             if sizes.maps_into != m:
@@ -514,19 +517,28 @@ class GroupContext:
             if hit is None:
                 hit = sizes.maps[table] = self._build()
             self.fibers, self.surjective, self.images, self.contributions, self.relmaps = hit
-            self._fiber_ok = [None] * len(self.relmaps)
-            self._approx = [_TODO] * len(self.relmaps)
+            handles, slots = sizes.handles(), list  # exact lists over every handle
         else:
-            fibers = self.fibers = self.kern.fiber_masks(table, m)
+            fibers = self.fibers = kern.fiber_masks(table, m)
             self.surjective = all(fibers)
-            image_mask = self.kern.image_mask
+            image_mask = kern.image_mask
             fiber_sizes = [f.bit_count() for f in fibers]
             self.images = _Cached(lambda x: image_mask(table, x))
             self.contributions = _Cached(lambda block: contribution(fiber_sizes, fiber_counts(table, block)))
             self.relmaps = _Cached(self.relmap)
-            # unread handles read as unfilled, as in the lists above
-            self._fiber_ok = _Cached(lambda h: None)
-            self._approx = _Cached(lambda h: _TODO)
+            slots = lambda values: dict(zip(handles, values))
+        if claim.needs_subset:
+            relmaps, approx, vapprox, vindex = self.relmaps, sizes.approx, vsizes.approx, vsizes.index
+            rows = []
+            for h in handles:
+                rel = relmaps[h]
+                rows.append(approx[h] + vapprox[vindex[rel.packed]] if rel.flags == kernels.EQUIVALENCE else None)
+            self._approx = slots(rows)
+        if claim.id in _FIBER_CLAIMS:
+            # ker f ≤ h exactly when ker f ∧ h = ker f
+            ker = sizes.index[kern.partition_relation(table)]
+            meet = sizes.meet[ker]
+            self._fiber_ok = slots([meet[h] == ker for h in handles])
 
     def _build(self) -> tuple:
         """The map's entry of `sizes.maps`: its fibers, whether it is
@@ -540,8 +552,7 @@ class GroupContext:
         contributions of the fiber sizes.
         """
         table, sizes = self.table, self.sizes
-        fibers = self.fibers = self.kern.fiber_masks(table, self.m)
-        self.surjective = all(fibers)
+        fibers = self.kern.fiber_masks(table, self.m)
         width = sizes.count_width
         images, counts = [0], [0]
         for v in table:
@@ -549,14 +560,13 @@ class GroupContext:
             images += [y | bit for y in images]
             counts += [c + one for c in counts]
         memo = sizes.block_contributions[tuple(f.bit_count() for f in fibers)]
-        self.contributions = list(map(memo.__getitem__, counts))
-        return fibers, self.surjective, images, self.contributions, self._relmaps(sizes.blocks)
+        contributions = list(map(memo.__getitem__, counts))
+        return fibers, all(fibers), images, contributions, self._relmaps(contributions, sizes.blocks)
 
-    def _relmaps(self, partitions) -> list:
+    def _relmaps(self, contributions, partitions) -> list:
         """f(R) of each partition, given by its block masks: the OR of its
         blocks' contributions, classified once per relation on V."""
-        contributions, relations = self.contributions, self._relations
-        kern, m = self.kern, self.m
+        relations, kern, m = self._relations, self.kern, self.m
         out = []
         for blocks in partitions:
             packed = 0
@@ -570,35 +580,7 @@ class GroupContext:
 
     def relmap(self, h) -> _Relation:
         """The image relation f(R) of the partition h, computed (`relmaps` keeps it)."""
-        return self._relmaps((self.sizes.blocks[h],))[0]
-
-    def fiber_ok(self, h) -> bool:
-        """True when every fiber of f lies inside one block of partition h:
-        ker f ≤ h, that is ker f ∧ h = ker f."""
-        hit = self._fiber_ok[h]
-        if hit is None:
-            ker = self._ker
-            if ker is None:
-                ker = self._ker = self.sizes.index[self.kern.partition_relation(self.table)]
-            hit = self._fiber_ok[h] = self.sizes.meet[ker][h] == ker
-        return hit
-
-    def approx(self, h):
-        """(lo_U, hi_U, lo_V, hi_V) for the partition h, or None when f(R)
-        is not an equivalence.
-
-        lo_U[x], hi_U[x] are the approximations of a mask x of U over R;
-        lo_V[y], hi_V[y] those of a mask y of V over f(R).
-        """
-        hit = self._approx[h]
-        if hit is _TODO:
-            rel, vsizes = self.relmaps[h], self.vsizes
-            if rel.flags == kernels.EQUIVALENCE:
-                hit = self.sizes.approx[h] + vsizes.approx[vsizes.index[rel.packed]]
-            else:
-                hit = None
-            self._approx[h] = hit
-        return hit
+        return self._relmaps(self.contributions, (self.sizes.blocks[h],))[0]
 
 
 # --------------------------------------------------------------- evaluators
@@ -693,10 +675,7 @@ def _eval_l312_inc(ctx, h1, h2, xmask):
 
 def _eval_l312_eq(ctx, h1, h2, xmask):
     ok = ctx._fiber_ok
-    if not (
-        (ctx.fiber_ok(h1) if (ok1 := ok[h1]) is None else ok1)
-        and (ctx.fiber_ok(h2) if (ok2 := ok[h2]) is None else ok2)
-    ):
+    if not (ok[h1] and ok[h2]):
         return _VACUOUS
     relmaps = ctx.relmaps
     left = relmaps[ctx.sizes.meet[h1][h2]].packed
@@ -723,10 +702,7 @@ def _eval_l313_eq(ctx, h1, h2, xmask):
     if union is None:
         return _ILL_UNION
     ok = ctx._fiber_ok
-    if not (
-        (ctx.fiber_ok(h1) if (ok1 := ok[h1]) is None else ok1)
-        and (ctx.fiber_ok(h2) if (ok2 := ok[h2]) is None else ok2)
-    ):
+    if not (ok[h1] and ok[h2]):
         return _VACUOUS
     relmaps = ctx.relmaps
     left = relmaps[union].packed
@@ -753,8 +729,6 @@ def _eval_l32(ctx, h1, h2, xmask):
 
 def _eval_t41_1(ctx, h1, h2, xmask):
     tables = ctx._approx[h1]
-    if tables is _TODO:
-        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, _, lo_v, _ = tables
@@ -768,8 +742,6 @@ def _eval_t41_1(ctx, h1, h2, xmask):
 
 def _eval_t41_2(ctx, h1, h2, xmask):
     tables = ctx._approx[h1]
-    if tables is _TODO:
-        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     _, hi_u, _, hi_v = tables
@@ -783,8 +755,6 @@ def _eval_t41_2(ctx, h1, h2, xmask):
 
 def _eval_t42_1(ctx, h1, h2, xmask):
     tables = ctx._approx[h1]
-    if tables is _TODO:
-        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, _, lo_v, _ = tables
@@ -798,8 +768,6 @@ def _eval_t42_1(ctx, h1, h2, xmask):
 
 def _eval_t42_2(ctx, h1, h2, xmask):
     tables = ctx._approx[h1]
-    if tables is _TODO:
-        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     _, hi_u, _, hi_v = tables
@@ -813,8 +781,6 @@ def _eval_t42_2(ctx, h1, h2, xmask):
 
 def _eval_t43_1(ctx, h1, h2, xmask):
     tables = ctx._approx[h1]
-    if tables is _TODO:
-        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, hi_u, lo_v, _ = tables
@@ -829,8 +795,6 @@ def _eval_t43_1(ctx, h1, h2, xmask):
 
 def _eval_t43_2(ctx, h1, h2, xmask):
     tables = ctx._approx[h1]
-    if tables is _TODO:
-        tables = ctx.approx(h1)
     if tables is None:
         return _ILL_RELMAP
     lo_u, hi_u, _, hi_v = tables
@@ -864,6 +828,10 @@ _EVALUATORS = {
 
 assert set(_EVALUATORS) == set(REGISTRY)
 
+# the claims whose evaluators read `_fiber_ok`, which GroupContext fills for
+# them alone; every subset claim (needs_subset) reads `_approx`
+_FIBER_CLAIMS = frozenset({"L31-2-eq", "L31-3-eq"})
+
 
 def evaluate_raw(claim_id: str, ctx: GroupContext, h1, h2=None, xmask: int | None = None):
     """Evaluate on raw encodings, partitions as handles of ctx.sizes; shape
@@ -875,7 +843,8 @@ def evaluate(claim: str | Claim, inst: Instance) -> Verdict:
     """Verdict of a claim on an instance; raises BadInstance on shape mismatch."""
     claim = get_claim(claim)
     check_shape(claim, inst)
-    ctx = GroupContext(_DirectTables(inst.f.domain.size), _DirectTables(inst.f.codomain.size), inst.f.table)
-    handles = [ctx.sizes.handle(p.rgs) for p in inst.partitions]
+    sizes = _DirectTables(inst.f.domain.size)
+    handles = [sizes.handle(p.rgs) for p in inst.partitions]
+    ctx = GroupContext(sizes, _DirectTables(inst.f.codomain.size), inst.f.table, claim, handles)
     verdict = evaluate_raw(claim.id, ctx, *handles, xmask=inst.x.mask if inst.x is not None else None)
     return Verdict(Outcome.FAILS, witness=verdict.witness) if verdict.outcome is Outcome.FAILS else verdict

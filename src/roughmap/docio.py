@@ -119,6 +119,13 @@ class ParsedInstance(
         return get_claim(self.claim_id) if self.claim_id else None
 
 
+# the most elements a document's universe may have: a universe of v values
+# makes each cached block contribution an int of about v * |U| bits, and at
+# 2,048 elements a bijection document already takes seconds; the Python API
+# has no bound
+MAX_UNIVERSE = 2048
+
+
 def _parse_universe(value, field: str) -> Universe:
     if isinstance(value, bool):
         raise ValidationError(field, "must be a size or a list of string labels")
@@ -218,6 +225,12 @@ def parse_instance_doc(doc: dict) -> ParsedInstance:
     # a map with the wrong number of entries fails before U's labels are built
     if type(size) is int and size >= 1 and isinstance(doc_map, (list, dict)) and len(doc_map) != size:
         raise ValidationError("map", f"{len(doc_map)} images for {size} elements")
+    # both universes are bounded before either one's labels are built
+    for field in ("universe_u", "universe_v"):
+        value = doc[field]
+        count = len(value) if isinstance(value, list) else value
+        if type(count) is int and count > MAX_UNIVERSE:
+            raise ValidationError(field, f"more than {MAX_UNIVERSE} elements")
     u = _parse_universe(doc["universe_u"], "universe_u")
     v = _parse_universe(doc["universe_v"], "universe_v")
     f = _parse_map(doc["map"], u, v)

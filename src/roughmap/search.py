@@ -159,11 +159,12 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     reason: str | None = None
     done = 0
     for n, m, table in groups:
+        sizes = size_tables(n)
+        handles = sizes.handles()
         # falsify walks canonical tables only
         t0 = table if stop_on_fail else canonical_table(table)
-        ctx = GroupContext(size_tables(n), size_tables(m), t0)
+        ctx = GroupContext(sizes, size_tables(m), t0, claim, handles)
         done += 1
-        handles = ctx.sizes.handles()
         seconds = handles if claim.partitions == 2 else (None,)
         xmasks = range(1 << n) if claim.needs_subset else (None,)
         for h1, h2, xmask in itertools.product(handles, seconds, xmasks):
@@ -180,7 +181,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
             else:
                 failed += 1
                 if len(fails) < max_failures:
-                    parts = (ctx.sizes.rgs(h1),) if h2 is None else (ctx.sizes.rgs(h1), ctx.sizes.rgs(h2))
+                    parts = (sizes.rgs(h1),) if h2 is None else (sizes.rgs(h1), sizes.rgs(h2))
                     raw = RawInstance(n, m, table, parts, xmask)
                     # the verdict does not depend on V's labels, the witness does
                     witness = verdict.witness if t0 == table else evaluate(claim, raw.to_instance()).witness
@@ -260,6 +261,10 @@ def _run(
     workers: int,
     max_failures: int,
 ) -> SearchReport:
+    # bool is an int subclass, so compare the type itself
+    for name, value in (("max_u", max_u), ("max_v", max_v), ("workers", workers), ("max_failures", max_failures)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if max_u < 1 or max_v < 1:
         raise ValueError("bounds must be at least 1")
     if max_failures < 1:

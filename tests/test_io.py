@@ -81,6 +81,43 @@ def test_a_map_of_the_wrong_size_fails_before_labels_are_built(monkeypatch):
         assert str(err.value) == f"map: {len(doc_map)} images for 30000000 elements"
 
 
+def test_universes_above_the_document_bound_are_rejected_before_labels_are_built(monkeypatch):
+    # U and V as sizes or as label lists: one element past the bound is a
+    # ValidationError naming the field, raised before any label is built,
+    # while a document of 2,048 elements each way still parses
+    big = docio.MAX_UNIVERSE
+    assert big == 2048
+
+    def doc(u, v, n):
+        return {"schema": INSTANCE_SCHEMA, "universe_u": u, "universe_v": v, "map": [0] * n, "partitions": [[[0]]]}
+
+    def unbuilt(n):
+        raise AssertionError("labels were built")
+
+    labels = [str(i) for i in range(big + 1)]
+    cases = [
+        (doc(1, big + 1, 1), "universe_v"),
+        (doc(1, 10**9, 1), "universe_v"),
+        (doc(1, labels, 1), "universe_v"),
+        (doc(big + 1, 1, big + 1), "universe_u"),
+        (doc(labels, 1, big + 1), "universe_u"),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(docio, "default_labels_u", unbuilt)
+        patch.setattr(docio, "default_labels_v", unbuilt)
+        for bad, field in cases:
+            with pytest.raises(ValidationError) as err:
+                parse_instance_doc(bad)
+            assert err.value.field == field
+            assert str(err.value) == f"{field}: more than 2048 elements"
+
+    fine = doc(big, big, big)
+    fine["map"] = list(range(big))
+    fine["partitions"] = [[[x] for x in range(big)]]
+    parsed = parse_instance_doc(fine)
+    assert parsed.instance.f.bijective and parsed.instance.f.domain.size == big
+
+
 def test_parse_validates_claim_id():
     doc = doc_fixture()
     doc["claim"] = "T41-1"

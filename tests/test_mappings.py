@@ -141,8 +141,10 @@ def test_relmap_matches_oracle_on_random_maps_up_to_forty_values():
         p = partition_from_blocks(u, [[x for x in range(n) if ids[x] == b] for b in set(ids)])
         want = oracles.naive_relmap(table, m, oracles.blocks_of_rgs(p.rgs))
         assert set(relmap(SurjMap(u, v, table), p).pairs()) == want, (table, p.rgs)
-        ctx = GroupContext(claims._DirectTables(n), claims._DirectTables(m), table)
-        assert set(kernels.pairs(ctx.relmap(ctx.sizes.handle(p.rgs)).packed, m)) == want, (table, p.rgs)
+        sizes = claims._DirectTables(n)
+        h = sizes.handle(p.rgs)
+        ctx = GroupContext(sizes, claims._DirectTables(m), table, claims.REGISTRY["T31"], [h])
+        assert set(kernels.pairs(ctx.relmap(h).packed, m)) == want, (table, p.rgs)
 
 
 def test_degree_table_matches_fraction_oracle():

@@ -251,8 +251,8 @@ def _contexts_of(monkeypatch, cid, max_u, max_v):
     calls = []
     real = search.GroupContext
 
-    def spy(sizes, vsizes, table):
-        calls.append(real(sizes, vsizes, table))
+    def spy(*args):
+        calls.append(real(*args))
         return calls[-1]
 
     monkeypatch.setattr(search, "GroupContext", spy)
@@ -284,7 +284,8 @@ def test_contexts_of_one_canonical_table_share_its_tables(monkeypatch):
         assert len(first) < len(contexts)
         assert len({id(ctx.relmaps) for ctx in first.values()}) == len(first)
         for (n, m, table), ctx in first.items():
-            fresh = claims.GroupContext(claims._SizeTables(n), ctx.vsizes, table)
+            sizes = claims._SizeTables(n)
+            fresh = claims.GroupContext(sizes, ctx.vsizes, table, get_claim(cid), sizes.handles())
             assert ctx.images == fresh.images
             assert ctx.contributions == fresh.contributions
             assert _relations(ctx) == _relations(fresh)
@@ -356,9 +357,16 @@ def test_failure_cap_below_one_is_rejected(run):
     bad = [{"workers": 0}, {"workers": -3}]
     if run is verify:
         bad += [{"max_failures": 0}, {"max_failures": -1}]
+    # a bound, worker count or cap that is not an int (bool included) is
+    # rejected before any sweep starts, not recorded or passed on
+    for value in (True, 2.0, "2"):
+        bad += [{"max_u": value}, {"max_v": value}, {"workers": value}]
+        if run is verify:
+            bad += [{"max_failures": value}]
     for kwargs in bad:
+        args = {"max_u": 5, "max_v": 3, **kwargs}
         with pytest.raises(ValueError):
-            run("T41-1", 5, 3, **kwargs)
+            run("T41-1", **args)
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
@@ -476,8 +484,8 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
     computed, built = [], []
     relmaps, build = claims.GroupContext._relmaps, claims.GroupContext._build
 
-    def counted_relmaps(ctx, partitions):
-        out = relmaps(ctx, partitions)
+    def counted_relmaps(ctx, contributions, partitions):
+        out = relmaps(ctx, contributions, partitions)
         computed.append(len(out))
         return out
 

@@ -146,18 +146,25 @@ def test_stored_pair_results_are_the_listed_partitions():
 def test_fiber_condition_is_every_fiber_inside_one_block(form, n):
     # every table, so also tables such as (1, 0, 0, 2) whose values do not
     # appear in order, and tables that miss a value
+    # in the slots a context for each claim that reads them is built with
     parts = list(iter_rgs(n))
     u = Universe(n)
     for m in range(1, 4):
         v = Universe(m)
         for table in product(range(m), repeat=n):
-            ctx = GroupContext(FORMS[form](n), FORMS[form](m), table)
+            sizes = FORMS[form](n)
+            handles = [sizes.handle(rgs) for rgs in parts]
+            contexts = [
+                GroupContext(sizes, FORMS[form](m), table, REGISTRY[cid], handles)
+                for cid in sorted(claims._FIBER_CLAIMS)
+            ]
             fibers = [{x for x in range(n) if table[x] == value} for value in range(m)]
             f = SurjMap(u, v, table)
-            for rgs in parts:
+            for rgs, h in zip(parts, handles):
                 blocks = blocks_of_rgs(rgs)
                 want = all(any(fiber <= block for block in blocks) for fiber in fibers)
-                assert ctx.fiber_ok(ctx.sizes.handle(rgs)) == want, (table, rgs)
+                for ctx in contexts:
+                    assert ctx._fiber_ok[h] == want, (table, rgs)
                 assert fiber_condition(f, Partition(u, rgs)) == want, (table, rgs)
 
 
@@ -165,7 +172,7 @@ def test_fiber_condition_is_every_fiber_inside_one_block(form, n):
 @pytest.mark.parametrize("m", range(1, 4))
 def test_images_match_direct_image(n, m):
     for table in product(range(m), repeat=n):
-        images = GroupContext(claims.size_tables(n), claims.size_tables(m), table).images
+        images = GroupContext(claims.size_tables(n), claims.size_tables(m), table, REGISTRY["T31"], ()).images
         for x in range(1 << n):
             assert images[x] == _mask({table[i] for i in _elements(x, n)}), (table, x)
 
@@ -180,7 +187,7 @@ def test_group_tables_match_the_kernels_at_the_largest_stored_sizes(n):
     for m in range(1, n + 1):
         sizes, vsizes = claims._SizeTables(n), claims.size_tables(m)
         for k, table in enumerate(iter_canonical_tables(n, m)):
-            ctx = GroupContext(sizes, vsizes, table)
+            ctx = GroupContext(sizes, vsizes, table, REGISTRY["T31"], sizes.handles())
             fibers = kernels.fiber_masks(table, m)
             fiber_sizes = [f.bit_count() for f in fibers]
             assert ctx.fibers == fibers and ctx.surjective == all(fibers)
@@ -344,13 +351,14 @@ def _groups_of(cid, n):
 def test_a_sweep_reads_its_per_instance_tables_as_lists(monkeypatch):
     # on the stored form every table an evaluator reads per instance is an
     # exact list, which 3.11 subscripts fastest: the pair tables, each row
-    # they have filled, and each context's approximation and
-    # fiber-condition slots, f(R) list and images
+    # they have filled, and each context's f(R) list, images and the
+    # approximation or fiber-condition slots its claim reads, one per
+    # partition; a context's claim that reads neither slot gets neither
     contexts = []
 
-    def recorded(*args):
-        contexts.append(GroupContext(*args))
-        return contexts[-1]
+    def recorded(sizes, vsizes, table, claim, handles):
+        contexts.append((GroupContext(sizes, vsizes, table, claim, handles), claim))
+        return contexts[-1][0]
 
     monkeypatch.setattr(search, "GroupContext", recorded)
     claims.size_tables.cache_clear()
@@ -364,10 +372,15 @@ def test_a_sweep_reads_its_per_instance_tables_as_lists(monkeypatch):
             assert type(table) is list and len(table) == 52 and filled, name
             assert all(type(row) is list for row in filled), name
         assert len(contexts) == sum(len(_groups_of(cid, 5)) for cid in REGISTRY)
-        for ctx in contexts:
+        for ctx, claim in contexts:
             assert type(ctx.sizes) is claims._SizeTables
-            for slots in (ctx._approx, ctx._fiber_ok, ctx.relmaps, ctx.images):
+            for slots in (ctx.relmaps, ctx.images):
                 assert type(slots) is list
+            for name, read in (("_approx", claim.needs_subset), ("_fiber_ok", claim.id in claims._FIBER_CLAIMS)):
+                if read:
+                    assert type(getattr(ctx, name)) is list and len(getattr(ctx, name)) == 52, (claim.id, name)
+                else:
+                    assert not hasattr(ctx, name), (claim.id, name)
     finally:
         claims.size_tables.cache_clear()
 
@@ -376,14 +389,16 @@ def test_a_sweep_reads_its_per_instance_tables_as_lists(monkeypatch):
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_verdicts_do_not_depend_on_the_order_slots_fill(form, cid):
     # a group's instances in reverse handle order, on tables and a context
-    # of their own, give the verdicts of the forward order: each slot and
-    # row fills to the same value whichever instance reads it first
+    # of their own, give the verdicts of the forward order: each pair row
+    # and per-size entry fills to the same value whichever instance reads
+    # it first, and the context's slots are filled before either order
     claim = REGISTRY[cid]
     fresh = claims._SizeTables if form == "stored" else claims._DirectTables
 
     def verdicts(n, m, table, reverse):
-        ctx = GroupContext(fresh(n), fresh(m), table)
-        handles = list(ctx.sizes.handles())
+        sizes = fresh(n)
+        handles = list(sizes.handles())
+        ctx = GroupContext(sizes, fresh(m), table, claim, handles)
         seconds = handles if claim.partitions == 2 else [None]
         xmasks = list(range(1 << n)) if claim.needs_subset else [None]
         order = list(product(handles, seconds, xmasks))
@@ -397,6 +412,38 @@ def test_verdicts_do_not_depend_on_the_order_slots_fill(form, cid):
     for n, m, table in _groups_of(cid, 4):
         forward = verdicts(n, m, table, False)
         assert verdicts(n, m, table, True) == forward, table
+
+
+def _slot_values(ctx):
+    """Every slot a context has: what it holds, and a copy of each list or
+    dict entry, so that a slot table written in place reads differently."""
+    out = {}
+    for name in GroupContext.__slots__:
+        if hasattr(ctx, name):
+            value = getattr(ctx, name)
+            held = list(value.items()) if isinstance(value, dict) else list(value) if isinstance(value, list) else None
+            out[name] = (value, held)
+    return out
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_a_context_never_changes_while_its_group_is_evaluated(cid):
+    # on stored tables at n = 5, m = 3, a context built for a claim holds
+    # every slot the claim reads: evaluating all of its group's instances,
+    # witnesses included, writes none of them
+    claim = REGISTRY[cid]
+    sizes, vsizes = claims._SizeTables(5), claims._SizeTables(3)
+    handles = sizes.handles()
+    seconds = handles if claim.partitions == 2 else [None]
+    xmasks = range(1 << 5) if claim.needs_subset else [None]
+    for table in [(0, 0, 1, 2, 1), (0, 1, 2, 2, 2)]:
+        ctx = GroupContext(sizes, vsizes, table, claim, handles)
+        before = _slot_values(ctx)
+        for h1, h2, xmask in product(handles, seconds, xmasks):
+            verdict = claims.evaluate_raw(cid, ctx, h1, h2, xmask)
+            if verdict.outcome is Outcome.FAILS:
+                verdict.witness
+        assert _slot_values(ctx) == before, table
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
@@ -428,12 +475,15 @@ def test_direct_tables_give_the_same_reports(cid, monkeypatch):
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_image_relation_matches_oracle(form, n):
+    # f(R), and the rows of V over it in the approximation slots of a
+    # context built for a subset claim
     parts = list(iter_rgs(n))
     for m in range(1, 4):
         for table in product(range(m), repeat=n):
-            ctx = GroupContext(FORMS[form](n), FORMS[form](m), table)
-            for rgs in parts:
-                h = ctx.sizes.handle(rgs)
+            sizes = FORMS[form](n)
+            handles = [sizes.handle(rgs) for rgs in parts]
+            ctx = GroupContext(sizes, FORMS[form](m), table, REGISTRY["T41-1"], handles)
+            for rgs, h in zip(parts, handles):
                 rel = ctx.relmaps[h]
                 assert ctx.relmap(h) is rel
                 pairs = naive_relmap(table, m, blocks_of_rgs(rgs))
@@ -441,7 +491,7 @@ def test_image_relation_matches_oracle(form, n):
                 assert rel.packed == sum(1 << a * m + b for a, b in pairs)
                 refl, sym, trans = naive_classify(pairs, m)
                 assert rel.flags == refl * 1 + sym * 2 + trans * 4, (table, rgs)
-                approx = ctx.approx(h)
+                approx = ctx._approx[h]
                 if not (refl and sym and trans):
                     assert approx is None
                     continue
@@ -533,7 +583,7 @@ def test_large_universes_agree_with_the_reference_relmap(n, m, table):
     for p1 in parts:
         fr = oracle(p1)
         is_eq = all(naive_classify(fr, m))
-        ctx = GroupContext(claims.size_tables(n), claims.size_tables(m), table)
+        ctx = GroupContext(claims.size_tables(n), claims.size_tables(m), table, REGISTRY["T31"], ())
         assert ctx.relmap(ctx.sizes.handle(p1.rgs)).packed == sum(1 << a * m + b for a, b in fr)
         want = Outcome.HOLDS if is_eq else Outcome.FAILS
         assert evaluate("T31", Instance(f, (p1,))).outcome is want
