@@ -619,11 +619,8 @@ def _eval_t31(ctx, h1, h2, xmask):
 
 def _reflexivity_mismatch(ctx, rel, reflexive: bool) -> dict:
     m = ctx.m
-    if ctx.surjective:
-        held = kernels.rows(rel.packed, m)
-        v = next(v for v in range(m) if not held.get(v, 0) >> v & 1)
-    else:
-        v = next(v for v in range(m) if ctx.fibers[v] == 0)
+    # the least v whose (v, v) is missing, or that nothing maps to
+    v = kernels.broken_axioms(rel.packed, m)[0][0] if ctx.surjective else ctx.fibers.index(0)
     return {
         "kind": "reflexivity-mismatch",
         "surjective": ctx.surjective,

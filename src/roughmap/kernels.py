@@ -32,6 +32,7 @@ REFLEXIVE = 1
 SYMMETRIC = 2
 TRANSITIVE = 4
 EQUIVALENCE = REFLEXIVE | SYMMETRIC | TRANSITIVE
+AXIOMS = ("reflexivity", "symmetry", "transitivity")
 
 
 def fiber_masks(table, m):
@@ -113,16 +114,33 @@ def rows(packed, m):
     return out
 
 
-def classify(packed, m):
-    """Reflexive/symmetric/transitive flags of a relation, as an int, read
-    from its rows: reflexive when all m are present and row v holds v, and
-    for each pair (v, w), symmetric when row w holds v and transitive when
-    row w lies inside row v."""
+def broken_axioms(packed, m):
+    """What first breaks each axiom of AXIOMS in a relation, None where
+    nothing does, from one scan of its rows: reflexivity, [v], the least v
+    whose row lacks v; symmetry, [v, w], the first pair (v, w) in row-major
+    order whose row w lacks v; transitivity, [v, w, x], the first pair
+    (v, w) whose row w holds an x outside row v, with the least such x."""
     held = rows(packed, m)
-    reflexive = len(held) == m and all(row >> v & 1 for v, row in held.items())
-    symmetric = all(held.get(w, 0) >> v & 1 for v, row in held.items() for w in elements(row))
-    transitive = all(not held.get(w, 0) & ~row for row in held.values() for w in elements(row))
-    return REFLEXIVE * reflexive | SYMMETRIC * symmetric | TRANSITIVE * transitive
+    reflexivity = next(([v] for v in range(m) if not held.get(v, 0) >> v & 1), None)
+    symmetry = transitivity = None
+    for v, row in held.items():
+        for w in elements(row):
+            other = held.get(w, 0)
+            if symmetry is None and not other >> v & 1:
+                symmetry = [v, w]
+            extra = other & ~row
+            if extra and transitivity is None:
+                transitivity = [v, w, (extra & -extra).bit_length() - 1]
+            if symmetry and transitivity:
+                return reflexivity, symmetry, transitivity
+    return reflexivity, symmetry, transitivity
+
+
+def classify(packed, m):
+    """Reflexive/symmetric/transitive flags of a relation, as an int: the
+    flag of each axiom that nothing breaks."""
+    flags = (REFLEXIVE, SYMMETRIC, TRANSITIVE)
+    return sum(flag for flag, items in zip(flags, broken_axioms(packed, m)) if not items)
 
 
 def closure(packed, m):

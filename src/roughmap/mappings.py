@@ -35,9 +35,13 @@ class DegreeRatio:
         return self.num * other.den == other.num * self.den
 
     def __lt__(self, other: "DegreeRatio") -> bool:
+        if not isinstance(other, DegreeRatio):
+            return NotImplemented
         return self.num * other.den < other.num * self.den
 
     def __le__(self, other: "DegreeRatio") -> bool:
+        if not isinstance(other, DegreeRatio):
+            return NotImplemented
         return self.num * other.den <= other.num * self.den
 
     def __hash__(self):

@@ -27,16 +27,15 @@ class Universe:
     __slots__ = ("size", "labels")
 
     def __init__(self, size: int, labels: Sequence[str] | None = None):
-        if size < 1:
-            raise EmptyUniverseError("universe must have at least one element")
+        # bool is an int subclass, so compare the type itself
+        if type(size) is not int or size < 1:
+            raise EmptyUniverseError(f"universe size must be an int of at least 1, not {size!r}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != size:
-                raise BadLabelsError(
-                    f"{len(labels)} labels for {size} elements"
-                )
-            if len(set(labels)) != size:
-                raise BadLabelsError("labels must be distinct")
+                raise BadLabelsError(f"{len(labels)} labels for {size} elements")
+            if not all(isinstance(label, str) for label in labels) or len(set(labels)) != size:
+                raise BadLabelsError("labels must be distinct strings")
         self.size = size
         self.labels = labels
 
@@ -49,7 +48,6 @@ class Universe:
         return self.labels[i] if self.labels else str(i + 1)
 
     def check_element(self, i: int) -> None:
-        # bool is an int subclass, so compare the type itself
         if type(i) is not int:
             raise BadElementError(f"element {i!r} is not an int index")
         if not 0 <= i < self.size:
@@ -77,8 +75,8 @@ class Subset:
     __slots__ = ("universe", "mask")
 
     def __init__(self, universe: Universe, mask: int):
-        if mask & ~universe.full_mask:
-            raise BadElementError("mask has bits outside the universe")
+        if type(mask) is not int or mask & ~universe.full_mask:
+            raise BadElementError("a subset is one int mask with no bits outside the universe")
         self.universe = universe
         self.mask = mask
 
@@ -149,10 +147,8 @@ class BinRelation:
     __slots__ = ("universe", "packed")
 
     def __init__(self, universe: Universe, packed: int):
-        if not isinstance(packed, int):
-            raise BadElementError("a relation is one packed int")
-        if packed < 0 or packed >> universe.size**2:
-            raise BadElementError("relation has pairs outside the universe")
+        if type(packed) is not int or packed < 0 or packed >> universe.size**2:
+            raise BadElementError("a relation is one packed int with no pairs outside the universe")
         self.universe = universe
         self.packed = packed
 
@@ -216,14 +212,11 @@ class BinRelation:
 
     def to_partition(self) -> "Partition":
         """Partition of an equivalence relation; raises NotEquivalenceError otherwise."""
-        c = self.classify()
-        if not c.reflexive:
-            raise NotEquivalenceError("reflexivity")
-        if not c.symmetric:
-            raise NotEquivalenceError("symmetry")
-        if not c.transitive:
-            raise NotEquivalenceError("transitivity")
-        return Partition(self.universe, kernels.relation_rgs(self.packed, self.universe.size))
+        m = self.universe.size
+        for axiom, items in zip(kernels.AXIOMS, kernels.broken_axioms(self.packed, m)):
+            if items:
+                raise NotEquivalenceError(axiom)
+        return Partition(self.universe, kernels.relation_rgs(self.packed, m))
 
     def __repr__(self):
         u = self.universe

@@ -79,22 +79,9 @@ def subset_not_equal(left_name, left, right_name, right) -> dict:
     }
 
 
-def _broken_axiom(held: dict, m: int, relation) -> tuple[str, list[int]]:
-    # the first equivalence axiom the rows break, and the items breaking it
-    for v in range(m):
-        if not held.get(v, 0) >> v & 1:
-            return "reflexivity", [v]
-    for a, b in relation:
-        if not held.get(b, 0) >> a & 1:
-            return "symmetry", [a, b]
-    for a, b in relation:
-        missing = held.get(b, 0) & ~held[a]
-        if missing:
-            return "transitivity", [a, b, (missing & -missing).bit_length() - 1]
-    raise AssertionError("relation is an equivalence")
-
-
 def not_equivalence(packed: int, m: int) -> dict:
-    relation = pairs(packed, m)
-    condition, items = _broken_axiom(kernels.rows(packed, m), m, relation)
-    return {"kind": "not-equivalence", "condition": condition, "items": items, "relation": relation}
+    # the first axiom the relation breaks, and the items that break it
+    condition, items = next(
+        (axiom, items) for axiom, items in zip(kernels.AXIOMS, kernels.broken_axioms(packed, m)) if items
+    )
+    return {"kind": "not-equivalence", "condition": condition, "items": items, "relation": pairs(packed, m)}

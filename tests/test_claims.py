@@ -17,7 +17,9 @@ from roughmap import (
     partition_from_blocks,
     relmap,
 )
+from roughmap import claims, kernels
 from roughmap.claims import check_shape
+from roughmap.docio import render_witness
 from roughmap.replay import (
     approximation_instance,
     bijective_instance,
@@ -218,6 +220,39 @@ def test_t31_refl_biconditional_on_non_surjective_map():
     assert not f.surjective
     # not reflexive and not surjective: the iff holds
     assert outcome("T31-refl", Instance(f, (p,))) is Outcome.HOLDS
+
+
+def test_reflexivity_mismatch_names_the_least_element_that_breaks_the_iff():
+    # T31-refl is proved, so no sweep builds this witness: build it here
+    # from a map and a relation given by hand, once for each mismatch
+    v = Universe(3, ["a", "b", "c"])
+
+    def mismatch(table, pairs, reflexive):
+        ctx = claims.GroupContext(claims._DirectTables(3), claims._DirectTables(3), table, get_claim("T31-refl"), ())
+        rel = claims._Relation(kernels, 3, sum(1 << a * 3 + b for a, b in pairs))
+        witness = claims._reflexivity_mismatch(ctx, rel, reflexive)
+        return witness, render_witness(witness, Universe(3), v)
+
+    # surjective, and (b, b) and (c, c) are missing: b is named
+    witness, text = mismatch((0, 1, 2), {(0, 0), (1, 2), (2, 0)}, False)
+    assert witness == {
+        "kind": "reflexivity-mismatch",
+        "surjective": True,
+        "reflexive": False,
+        "element": 1,
+        "relation": [[0, 0], [1, 2], [2, 0]],
+    }
+    assert text == "f is surjective but (b, b) is missing from f(R)\n  f(R) = {(a, a), (b, c), (c, a)}"
+    # not surjective, nothing maps to b, and the relation is reflexive
+    witness, text = mismatch((0, 0, 2), {(0, 0), (1, 1), (2, 2)}, True)
+    assert witness == {
+        "kind": "reflexivity-mismatch",
+        "surjective": False,
+        "reflexive": True,
+        "element": 1,
+        "relation": [[0, 0], [1, 1], [2, 2]],
+    }
+    assert text == "f is not surjective (nothing maps to b) yet f(R) is reflexive\n  f(R) = {(a, a), (b, b), (c, c)}"
 
 
 def test_shape_checks():

@@ -1,13 +1,16 @@
 """The kernel module's entry points, and the rows, classification and
-closure of relations and the not-equivalence witness read from the rows,
-against the naive oracles in tests/oracles.py.  The other kernels are
-checked against the oracles through the structures, mappings,
-approximations and claim tables that call them."""
+closure of relations, and the not-equivalence witness and error read from
+the one scan of the axioms, against the naive oracles in
+tests/oracles.py.  The other kernels are checked against the oracles
+through the structures, mappings, approximations and claim tables that
+call them."""
 
 import random
 import time
 
-from roughmap import kernels
+import pytest
+
+from roughmap import BinRelation, NotEquivalenceError, Universe, kernels
 from roughmap.witnesses import not_equivalence
 
 from oracles import naive_classify, naive_closure
@@ -96,9 +99,35 @@ def _naive_broken_axiom(pairs, m):
             return "transitivity", [a, b, missing[0]]
 
 
+def _check_one_scan(pairs, m):
+    # classify's flags, the witness and to_partition's error all name what
+    # the naive scans find
+    packed = _packed(pairs, m)
+    assert kernels.classify(packed, m) == _flags(*naive_classify(pairs, m))
+    relation = BinRelation(Universe(m), packed)
+    if all(naive_classify(pairs, m)):
+        assert relation.to_partition().to_relation() == relation
+        return None
+    witness = not_equivalence(packed, m)
+    condition, items = _naive_broken_axiom(pairs, m)
+    assert (witness["condition"], witness["items"]) == (condition, items)
+    assert witness["relation"] == [list(pair) for pair in sorted(pairs)]
+    with pytest.raises(NotEquivalenceError) as e:
+        relation.to_partition()
+    assert e.value.condition == condition
+    return condition
+
+
 def test_not_equivalence_names_what_a_naive_scan_finds():
-    # random relations, and partitions' relations with a pair, or a pair and
-    # its reverse, flipped, so each of the three axioms is the first broken one
+    # every relation on at most 3 elements (2 + 16 + 512), random relations,
+    # and partitions' relations with a pair, or a pair and its reverse,
+    # flipped, so each of the three axioms is the first broken one
+    seen = set()
+    for m in range(1, 4):
+        square = [(v, w) for v in range(m) for w in range(m)]
+        for packed in range(1 << m * m):
+            seen.add(_check_one_scan({pair for i, pair in enumerate(square) if packed >> i & 1}, m))
+    assert seen == {None, "reflexivity", "symmetry", "transitivity"}
     rng = random.Random(9)
     seen = set()
     for _ in range(3000):
@@ -110,14 +139,8 @@ def test_not_equivalence_names_what_a_naive_scan_finds():
             pairs = {(v, w) for v in range(m) for w in range(m) if table[v] == table[w]}
             a, b = rng.randrange(m), rng.randrange(m)
             pairs ^= {(a, b), (b, a)} if rng.random() < 0.5 else {(a, b)}
-        if all(naive_classify(pairs, m)):
-            continue
-        witness = not_equivalence(_packed(pairs, m), m)
-        condition, items = _naive_broken_axiom(pairs, m)
-        assert (witness["condition"], witness["items"]) == (condition, items)
-        assert witness["relation"] == [list(pair) for pair in sorted(pairs)]
-        seen.add(condition)
-    assert seen == {"reflexivity", "symmetry", "transitivity"}
+        seen.add(_check_one_scan(pairs, m))
+    assert seen == {None, "reflexivity", "symmetry", "transitivity"}
 
 
 def _best_classify_s(packed, m):

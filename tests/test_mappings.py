@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -35,6 +36,14 @@ def test_degree_ratio_is_unreduced_but_compares_reduced():
     assert DegreeRatio(4, 4).is_one
     assert DegreeRatio(0, 5).is_zero
     assert str(b) == "2/4"
+    # an order against anything else is Python's TypeError, not an
+    # AttributeError for the other side's missing .den
+    for bad in (3, 0.5, None):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(a, bad)
+            with pytest.raises(TypeError):
+                compare(bad, a)
 
 
 def test_including_degree_matches_fraction_arithmetic():

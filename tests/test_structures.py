@@ -34,6 +34,13 @@ def test_universe_rejects_bad_input():
         Universe(2, ["only"])
     with pytest.raises(BadLabelsError):
         Universe(2, ["a", "a"])
+    # a size or label of the wrong type fails here, not later at full_mask
+    # or repr, and True is not a size
+    for size in (2.0, True, "2", None):
+        with pytest.raises(EmptyUniverseError):
+            Universe(size)
+    with pytest.raises(BadLabelsError):
+        Universe(2, [1, 2])
 
 
 def test_universes_compare_by_identity():
@@ -66,6 +73,10 @@ def test_subset_rejects_foreign_bits():
         Subset(u, 0b100)
     with pytest.raises(BadElementError):
         Subset.from_elements(u, [5])
+    # a mask is an int, and bool is not one
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(BadElementError):
+            Subset(u, bad)
 
 
 def test_subset_rejects_elements_that_are_not_ints():
@@ -79,7 +90,7 @@ def test_subset_rejects_elements_that_are_not_ints():
 def test_relation_rejects_foreign_bits():
     u = Universe(2)
     assert list(BinRelation(u, 0b1111).pairs()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for bad in (0b10000, -1, (0b01, 0b10)):
+    for bad in (0b10000, -1, (0b01, 0b10), True, 1.0):
         with pytest.raises(BadElementError):
             BinRelation(u, bad)
 
