@@ -832,7 +832,10 @@ _FIBER_CLAIMS = frozenset({"L31-2-eq", "L31-3-eq"})
 
 def evaluate_raw(claim_id: str, ctx: GroupContext, h1, h2=None, xmask: int | None = None):
     """Evaluate on raw encodings, partitions as handles of ctx.sizes; shape
-    is the caller's responsibility.  A failure comes back as a _Failure."""
+    is the caller's responsibility.  A failure comes back as a _Failure.
+
+    It serves evaluate(), the tests and a traced sweep; an untraced sweep
+    calls the claim's evaluator in _EVALUATORS directly."""
     return _EVALUATORS[claim_id](ctx, h1, h2, xmask)
 
 

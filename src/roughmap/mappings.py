@@ -22,10 +22,9 @@ class DegreeRatio:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        if den <= 0:
-            raise EmptyReferenceError("degree denominator must be positive")
-        if num < 0 or num > den:
-            raise EmptyReferenceError(f"degree {num}/{den} outside [0, 1]")
+        # bool is an int subclass, so compare the type itself
+        if type(num) is not int or type(den) is not int or not 0 <= num <= den or den == 0:
+            raise EmptyReferenceError(f"a degree is ints 0 <= num <= den with den > 0, not {num!r}/{den!r}")
         self.num = num
         self.den = den
 

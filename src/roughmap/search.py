@@ -5,6 +5,10 @@ then the map table, then the partition encodings, then the subset mask.
 Within a group a partition is a `claims` handle: up to 7 elements the lex
 index of its relation, above that the packed relation itself; only the
 failures kept are turned back into rgs.
+Each instance is one call of the claim's evaluator, bound once per task;
+when `evaluate_raw` here has been rebound (perfbench/tracing.py counts
+evaluations that way), the loop calls the rebound name instead, once per
+instance as well.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On one worker the
 whole sweep is one task; on more, runs of consecutive groups are packed into
@@ -30,12 +34,14 @@ failure whose table is not its own t0 takes its witness from the reference
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
 from collections import namedtuple
 from collections.abc import Iterator
 
+from . import claims
 from .claims import Claim, GroupContext, Instance, Outcome, evaluate, evaluate_raw, get_claim, size_tables
 from .enumeration import bell, canonical_table, iter_canonical_surjections, iter_canonical_tables
 # iter_rgs is not called here; perfbench/tracing.py wraps it with the other enumeration streams
@@ -154,6 +160,12 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     """
     claim_id, groups, stop_on_fail, max_failures = args
     claim = get_claim(claim_id)
+    # one call per instance: the claim's evaluator, or, when evaluate_raw
+    # here has been rebound (the tracer's count), the rebound name
+    if evaluate_raw is claims.evaluate_raw:
+        evaluator = claims._EVALUATORS[claim_id]
+    else:
+        evaluator = functools.partial(evaluate_raw, claim_id)
     holds = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: str | None = None
@@ -168,7 +180,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
         seconds = handles if claim.partitions == 2 else (None,)
         xmasks = range(1 << n) if claim.needs_subset else (None,)
         for h1, h2, xmask in itertools.product(handles, seconds, xmasks):
-            verdict = evaluate_raw(claim_id, ctx, h1, h2, xmask)
+            verdict = evaluator(ctx, h1, h2, xmask)
             outcome = verdict.outcome
             if outcome is _HOLDS:
                 holds += 1

@@ -103,7 +103,8 @@ class Subset:
         return self.mask.bit_count()
 
     def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.universe.size and (self.mask >> i) & 1 == 1
+        # bool is an int subclass, so compare the type itself
+        return type(i) is int and 0 <= i < self.universe.size and (self.mask >> i) & 1 == 1
 
     def __eq__(self, other):
         return (
@@ -176,7 +177,11 @@ class BinRelation:
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
         size = self.universe.size
-        return 0 <= a < size and 0 <= b < size and (self.packed >> a * size + b) & 1 == 1
+        return (
+            type(a) is int and type(b) is int
+            and 0 <= a < size and 0 <= b < size
+            and (self.packed >> a * size + b) & 1 == 1
+        )
 
     def __eq__(self, other):
         return (

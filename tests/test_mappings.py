@@ -44,6 +44,12 @@ def test_degree_ratio_is_unreduced_but_compares_reduced():
                 compare(a, bad)
             with pytest.raises(TypeError):
                 compare(bad, a)
+    # num and den are ints, bool excluded, with 0 <= num <= den and den > 0:
+    # at the parent DegreeRatio(0.5, 1) was built and its hash raised a bare
+    # TypeError from gcd, and DegreeRatio(True, 2).num was True
+    for num, den in ((0.5, 1), (True, 2), (1, 2.0), (0, False), (1, True), ("1", 2), (-1, 2), (3, 2), (0, 0), (0, -1)):
+        with pytest.raises(EmptyReferenceError):
+            DegreeRatio(num, den)
 
 
 def test_including_degree_matches_fraction_arithmetic():

@@ -530,6 +530,69 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
         claims.size_tables.cache_clear()
 
 
+def test_sweep_calls_the_evaluator_or_the_traced_name_once_per_instance(monkeypatch):
+    # the sweep loop calls the claim's evaluator itself, or, when
+    # perfbench's tracer has rebound search.evaluate_raw, the rebound name;
+    # either way every instance is evaluated once, never twice, and the
+    # reports are equal, witnesses and the first counterexample included
+    from collections import Counter
+
+    from roughmap import claims
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from tracing import Tracer, installed
+
+    calls = Counter()
+
+    def counted(cid, fn):
+        def evaluator(ctx, h1, h2, xmask):
+            calls[cid] += 1
+            return fn(ctx, h1, h2, xmask)
+
+        return evaluator
+
+    for cid, fn in list(claims._EVALUATORS.items()):
+        monkeypatch.setitem(claims._EVALUATORS, cid, counted(cid, fn))
+    # a verify rebuilds the witness of a failure on a relabeled table with
+    # evaluate(), which calls the evaluator once more
+    rebuilt = []
+
+    def rebuild(claim, inst):
+        rebuilt.append(inst)
+        return evaluate(claim, inst)
+
+    monkeypatch.setattr(search, "evaluate", rebuild)
+
+    def sweep(run, cid, max_u, max_v):
+        calls.clear()
+        rebuilt.clear()
+        report = run(cid, max_u, max_v, workers=1)
+        assert calls[cid] == report.instances + len(rebuilt)
+        assert sum(calls.values()) == calls[cid]
+        return report
+
+    # every claim on the stored tables, and one group of sizes on the
+    # direct tables (n = 8)
+    cases = [(verify, cid, 4, 3) for cid in REGISTRY] + [(falsify, cid, 5, 3) for cid in REGISTRY]
+    cases.append((verify, "T31-refl", 8, 1))
+    try:
+        for run, cid, max_u, max_v in cases:
+            plain = sweep(run, cid, max_u, max_v)
+            tracer = Tracer()
+            with installed(tracer):
+                traced = sweep(run, cid, max_u, max_v)
+            assert tracer.calls["claims.evaluate_raw"] == traced.instances
+            assert traced.tally == plain.tally
+            assert traced.groups == plain.groups
+            assert traced.ill_typed_reason == plain.ill_typed_reason
+            assert traced.failures == plain.failures
+            assert traced.first_counterexample == plain.first_counterexample
+    finally:
+        # per-size tables built under the trace hold its kernel wrappers
+        claims.size_tables.cache_clear()
+
+
 def test_pinned_sweeps_pass_the_benchmark_check(monkeypatch):
     # the benchmark's sweeps that have no committed report are pinned in
     # perfbench/workloads.PINS (tallies, groups, first counterexample and a

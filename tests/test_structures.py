@@ -77,6 +77,13 @@ def test_subset_rejects_foreign_bits():
     for bad in (True, 1.0, "1", None):
         with pytest.raises(BadElementError):
             Subset(u, bad)
+    # membership of anything but an int index is False, as it is out of
+    # range: at the parent 1.0 and "a" raised a bare TypeError and True was
+    # read as element 1
+    s = Subset(Universe(3), 0b010)
+    assert 1 in s
+    for bad in (1.0, True, "a", None, 2):
+        assert bad not in s
 
 
 def test_subset_rejects_elements_that_are_not_ints():
@@ -93,6 +100,11 @@ def test_relation_rejects_foreign_bits():
     for bad in (0b10000, -1, (0b01, 0b10), True, 1.0):
         with pytest.raises(BadElementError):
             BinRelation(u, bad)
+    # so is membership of a pair that is not two int indices
+    ident = BinRelation.identity(Universe(3))
+    assert (0, 0) in ident
+    for bad in ((0.0, 0), (0, 0.0), (True, True), (True, 1), ("a", 0), (None, 0)):
+        assert bad not in ident
 
 
 def test_relation_pairs_round_trip():
