@@ -60,10 +60,239 @@ class Verdict:
 
 
 # partitions: 1 or 2; map_constraint: any | surjective | bijective;
-# expected_status: refuted | proved | ill-typed | open
+# expected_status: refuted | proved | ill-typed | open; evaluator: the
+# claim's per-instance function (see the evaluators below)
 Claim = namedtuple(
-    "Claim", "id statement partitions needs_subset map_constraint expected_status note", defaults=("",)
+    "Claim",
+    "id statement partitions needs_subset map_constraint expected_status note evaluator",
+    defaults=("", None),
 )
+
+
+# --------------------------------------------------------------- evaluators
+#
+# Each evaluator takes (ctx, h1, h2, xmask), partitions as handles of
+# ctx.sizes, and returns a Verdict or a _Failure.  h2/xmask are None when the
+# claim shape does not use them.  Verdicts without a witness are constants.
+
+_HOLDS = Verdict(Outcome.HOLDS)
+_VACUOUS = Verdict(Outcome.VACUOUS)
+_ILL_UNION = Verdict(Outcome.ILL_TYPED, reason="union-not-equivalence")
+_ILL_DIFFERENCE = Verdict(Outcome.ILL_TYPED, reason="difference-not-reflexive")
+_ILL_RELMAP = Verdict(Outcome.ILL_TYPED, reason="relmap-not-equivalence")
+
+
+class _Failure:
+    """A Fails verdict whose witness build(*args) makes when it is read."""
+
+    __slots__ = ("build", "args")
+    outcome = Outcome.FAILS
+
+    def __init__(self, build, *args):
+        self.build, self.args = build, args
+
+    @property
+    def witness(self) -> dict:
+        return self.build(*self.args)
+
+
+def _eval_t31(ctx, h1, h2, xmask):
+    rel = ctx.relmaps[h1]
+    if rel.flags == kernels.EQUIVALENCE:
+        return _HOLDS
+    return _Failure(not_equivalence, rel.packed, ctx.m)
+
+
+def _reflexivity_mismatch(ctx, rel, reflexive: bool) -> dict:
+    m = ctx.m
+    # the least v whose (v, v) is missing, or that nothing maps to
+    v = kernels.broken_axioms(rel.packed, m)[0][0] if ctx.surjective else ctx.fibers.index(0)
+    return {
+        "kind": "reflexivity-mismatch",
+        "surjective": ctx.surjective,
+        "reflexive": reflexive,
+        "element": v,
+        "relation": pairs(rel.packed, m),
+    }
+
+
+def _eval_t31_refl(ctx, h1, h2, xmask):
+    rel = ctx.relmaps[h1]
+    reflexive = bool(rel.flags & kernels.REFLEXIVE)
+    if reflexive == ctx.surjective:
+        return _HOLDS
+    return _Failure(_reflexivity_mismatch, ctx, rel, reflexive)
+
+
+def _eval_l311_fwd(ctx, h1, h2, xmask):
+    if ctx.sizes.meet[h1][h2] != h1:
+        return _VACUOUS
+    left = ctx.relmaps[h1].packed
+    right = ctx.relmaps[h2].packed
+    if not left & ~right:
+        return _HOLDS
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1)", left, "f(R2)", right)
+
+
+def _partitions_not_included(ctx, h1, h2) -> dict:
+    relations = ctx.sizes.relations
+    return relation_not_included("domain", ctx.n, "R1", relations[h1], "R2", relations[h2])
+
+
+def _eval_l311_bwd(ctx, h1, h2, xmask):
+    if ctx.relmaps[h1].packed & ~ctx.relmaps[h2].packed:
+        return _VACUOUS
+    if ctx.sizes.meet[h1][h2] == h1:
+        return _HOLDS
+    return _Failure(_partitions_not_included, ctx, h1, h2)
+
+
+def _eval_l312_inc(ctx, h1, h2, xmask):
+    relmaps = ctx.relmaps
+    left = relmaps[ctx.sizes.meet[h1][h2]].packed
+    right = relmaps[h1].packed & relmaps[h2].packed
+    if not left & ~right:
+        return _HOLDS
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
+
+
+def _eval_l312_eq(ctx, h1, h2, xmask):
+    ok = ctx._fiber_ok
+    if not (ok[h1] and ok[h2]):
+        return _VACUOUS
+    relmaps = ctx.relmaps
+    left = relmaps[ctx.sizes.meet[h1][h2]].packed
+    right = relmaps[h1].packed & relmaps[h2].packed
+    if left == right:
+        return _HOLDS
+    return _Failure(relation_not_equal, "codomain", ctx.m, "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
+
+
+def _eval_l313_inc(ctx, h1, h2, xmask):
+    union = ctx.sizes.union[h1][h2]
+    if union is None:
+        return _ILL_UNION
+    relmaps = ctx.relmaps
+    left = relmaps[union].packed
+    right = relmaps[h1].packed | relmaps[h2].packed
+    if not right & ~left:
+        return _HOLDS
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∪ R2)", left)
+
+
+def _eval_l313_eq(ctx, h1, h2, xmask):
+    union = ctx.sizes.union[h1][h2]
+    if union is None:
+        return _ILL_UNION
+    ok = ctx._fiber_ok
+    if not (ok[h1] and ok[h2]):
+        return _VACUOUS
+    relmaps = ctx.relmaps
+    left = relmaps[union].packed
+    right = relmaps[h1].packed | relmaps[h2].packed
+    if left == right:
+        return _HOLDS
+    return _Failure(relation_not_equal, "codomain", ctx.m, "f(R1 ∪ R2)", left, "f(R1) ∪ f(R2)", right)
+
+
+def _eval_l313_join(ctx, h1, h2, xmask):
+    relmaps = ctx.relmaps
+    left = relmaps[ctx.sizes.join[h1][h2]].packed
+    right = relmaps[h1].packed | relmaps[h2].packed
+    if not right & ~left:
+        return _HOLDS
+    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∨ R2)", left)
+
+
+def _eval_l32(ctx, h1, h2, xmask):
+    # R1 and R2 are reflexive, so R1 - R2 always loses the whole diagonal
+    # and can never be an equivalence; f(R1 - R2) is not formable.
+    return _ILL_DIFFERENCE
+
+
+def _eval_t41_1(ctx, h1, h2, xmask):
+    tables = ctx._approx[h1]
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, _, lo_v, _ = tables
+    images = ctx.images
+    f_lo = images[lo_u[xmask]]
+    lo_fx = lo_v[images[xmask]]
+    if not (f_lo & ~lo_fx):
+        return _HOLDS
+    return _Failure(subset_not_included, "f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx)
+
+
+def _eval_t41_2(ctx, h1, h2, xmask):
+    tables = ctx._approx[h1]
+    if tables is None:
+        return _ILL_RELMAP
+    _, hi_u, _, hi_v = tables
+    images = ctx.images
+    f_hi = images[hi_u[xmask]]
+    hi_fx = hi_v[images[xmask]]
+    if not (hi_fx & ~f_hi):
+        return _HOLDS
+    return _Failure(subset_not_included, "apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi)
+
+
+def _eval_t42_1(ctx, h1, h2, xmask):
+    tables = ctx._approx[h1]
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, _, lo_v, _ = tables
+    images = ctx.images
+    f_lo = images[lo_u[xmask]]
+    lo_fx = lo_v[images[xmask]]
+    if f_lo == lo_fx:
+        return _HOLDS
+    return _Failure(subset_not_equal, "f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx)
+
+
+def _eval_t42_2(ctx, h1, h2, xmask):
+    tables = ctx._approx[h1]
+    if tables is None:
+        return _ILL_RELMAP
+    _, hi_u, _, hi_v = tables
+    images = ctx.images
+    f_hi = images[hi_u[xmask]]
+    hi_fx = hi_v[images[xmask]]
+    if f_hi == hi_fx:
+        return _HOLDS
+    return _Failure(subset_not_equal, "f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx)
+
+
+def _eval_t43_1(ctx, h1, h2, xmask):
+    tables = ctx._approx[h1]
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, hi_u, lo_v, _ = tables
+    if not (lo_u[xmask] == xmask and hi_u[xmask] == xmask):
+        return _VACUOUS
+    fx = ctx.images[xmask]
+    lo_fx = lo_v[fx]
+    if lo_fx == fx:
+        return _HOLDS
+    return _Failure(subset_not_equal, "apr_f(R) f(X)", lo_fx, "f(X)", fx)
+
+
+def _eval_t43_2(ctx, h1, h2, xmask):
+    tables = ctx._approx[h1]
+    if tables is None:
+        return _ILL_RELMAP
+    lo_u, hi_u, _, hi_v = tables
+    if not (lo_u[xmask] == xmask and hi_u[xmask] == xmask):
+        return _VACUOUS
+    fx = ctx.images[xmask]
+    hi_fx = hi_v[fx]
+    if hi_fx == fx:
+        return _HOLDS
+    return _Failure(subset_not_equal, "apr̄_f(R) f(X)", hi_fx, "f(X)", fx)
+
+
+# the claims whose evaluators read `_fiber_ok`, which GroupContext fills for
+# them alone; every subset claim (needs_subset) reads `_approx`
+_FIBER_CLAIMS = frozenset({"L31-2-eq", "L31-3-eq"})
 
 
 _OPEN_NOTE = "no established status; search results at bounded sizes are findings"
@@ -76,85 +305,101 @@ REGISTRY: dict[str, Claim] = {
             "for surjective f and equivalence R, f(R) is an equivalence on V",
             1, False, "surjective", "open",
             "symmetry and reflexivity are established; transitivity is " + _OPEN_NOTE,
+            evaluator=_eval_t31,
         ),
         Claim(
             "T31-refl",
             "f(R) is reflexive on V exactly when f is surjective",
             1, False, "any", "proved",
+            evaluator=_eval_t31_refl,
         ),
         Claim(
             "L31-1-fwd",
             "R1 ⊆ R2 implies f(R1) ⊆ f(R2)",
             2, False, "surjective", "refuted",
+            evaluator=_eval_l311_fwd,
         ),
         Claim(
             "L31-1-bwd",
             "f(R1) ⊆ f(R2) implies R1 ⊆ R2",
             2, False, "surjective", "refuted",
+            evaluator=_eval_l311_bwd,
         ),
         Claim(
             "L31-2-inc",
             "f(R1 ∩ R2) ⊆ f(R1) ∩ f(R2)",
             2, False, "surjective", "refuted",
+            evaluator=_eval_l312_inc,
         ),
         Claim(
             "L31-2-eq",
             "if [x]_f ⊆ [x]_R1 and [x]_f ⊆ [x]_R2 for all x, "
             "then f(R1 ∩ R2) = f(R1) ∩ f(R2)",
             2, False, "surjective", "open", _OPEN_NOTE,
+            evaluator=_eval_l312_eq,
         ),
         Claim(
             "L31-3-inc",
             "f(R1 ∪ R2) ⊇ f(R1) ∪ f(R2); "
             "well-typed only when R1 ∪ R2 is an equivalence",
             2, False, "surjective", "refuted",
+            evaluator=_eval_l313_inc,
         ),
         Claim(
             "L31-3-eq",
             "under the fiber condition of L31-2-eq, f(R1 ∪ R2) = "
             "f(R1) ∪ f(R2); well-typed only when R1 ∪ R2 is an equivalence",
             2, False, "surjective", "open", _OPEN_NOTE,
+            evaluator=_eval_l313_eq,
         ),
         Claim(
             "L31-3-join",
             "f(R1 ∨ R2) ⊇ f(R1) ∪ f(R2), with ∨ the partition join",
             2, False, "surjective", "open", _OPEN_NOTE,
+            evaluator=_eval_l313_join,
         ),
         Claim(
             "L32",
             "under the fiber condition, f(R1) - f(R2) = f(R1 - R2)",
             2, False, "surjective", "ill-typed",
             "R1 - R2 is never reflexive, so f cannot be applied to it",
+            evaluator=_eval_l32,
         ),
         Claim(
             "T41-1",
             "f(apr_R X) ⊆ apr_f(R) f(X)",
             1, True, "surjective", "refuted",
+            evaluator=_eval_t41_1,
         ),
         Claim(
             "T41-2",
             "f(apr̄_R X) ⊇ apr̄_f(R) f(X)",
             1, True, "surjective", "refuted",
+            evaluator=_eval_t41_2,
         ),
         Claim(
             "T42-1",
             "for bijective f, f(apr_R X) = apr_f(R) f(X)",
             1, True, "bijective", "proved",
+            evaluator=_eval_t42_1,
         ),
         Claim(
             "T42-2",
             "for bijective f, f(apr̄_R X) = apr̄_f(R) f(X)",
             1, True, "bijective", "proved",
+            evaluator=_eval_t42_2,
         ),
         Claim(
             "T43-1",
             "for definable X (apr_R X = apr̄_R X = X), apr_f(R) f(X) = f(X)",
             1, True, "surjective", "refuted",
+            evaluator=_eval_t43_1,
         ),
         Claim(
             "T43-2",
             "for definable X (apr_R X = apr̄_R X = X), apr̄_f(R) f(X) = f(X)",
             1, True, "surjective", "refuted",
+            evaluator=_eval_t43_2,
         ),
     ]
 }
@@ -583,268 +828,24 @@ class GroupContext:
         return self._relmaps(self.contributions, (self.sizes.blocks[h],))[0]
 
 
-# --------------------------------------------------------------- evaluators
-#
-# Each evaluator takes (ctx, h1, h2, xmask), partitions as handles of
-# ctx.sizes, and returns a Verdict or a _Failure.  h2/xmask are None when the
-# claim shape does not use them.  Verdicts without a witness are constants.
-
-_HOLDS = Verdict(Outcome.HOLDS)
-_VACUOUS = Verdict(Outcome.VACUOUS)
-_ILL_UNION = Verdict(Outcome.ILL_TYPED, reason="union-not-equivalence")
-_ILL_DIFFERENCE = Verdict(Outcome.ILL_TYPED, reason="difference-not-reflexive")
-_ILL_RELMAP = Verdict(Outcome.ILL_TYPED, reason="relmap-not-equivalence")
-
-
-class _Failure:
-    """A Fails verdict whose witness build(*args) makes when it is read."""
-
-    __slots__ = ("build", "args")
-    outcome = Outcome.FAILS
-
-    def __init__(self, build, *args):
-        self.build, self.args = build, args
-
-    @property
-    def witness(self) -> dict:
-        return self.build(*self.args)
-
-
-def _eval_t31(ctx, h1, h2, xmask):
-    rel = ctx.relmaps[h1]
-    if rel.flags == kernels.EQUIVALENCE:
-        return _HOLDS
-    return _Failure(not_equivalence, rel.packed, ctx.m)
-
-
-def _reflexivity_mismatch(ctx, rel, reflexive: bool) -> dict:
-    m = ctx.m
-    # the least v whose (v, v) is missing, or that nothing maps to
-    v = kernels.broken_axioms(rel.packed, m)[0][0] if ctx.surjective else ctx.fibers.index(0)
-    return {
-        "kind": "reflexivity-mismatch",
-        "surjective": ctx.surjective,
-        "reflexive": reflexive,
-        "element": v,
-        "relation": pairs(rel.packed, m),
-    }
-
-
-def _eval_t31_refl(ctx, h1, h2, xmask):
-    rel = ctx.relmaps[h1]
-    reflexive = bool(rel.flags & kernels.REFLEXIVE)
-    if reflexive == ctx.surjective:
-        return _HOLDS
-    return _Failure(_reflexivity_mismatch, ctx, rel, reflexive)
-
-
-def _eval_l311_fwd(ctx, h1, h2, xmask):
-    if ctx.sizes.meet[h1][h2] != h1:
-        return _VACUOUS
-    left = ctx.relmaps[h1].packed
-    right = ctx.relmaps[h2].packed
-    if not left & ~right:
-        return _HOLDS
-    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1)", left, "f(R2)", right)
-
-
-def _partitions_not_included(ctx, h1, h2) -> dict:
-    relations = ctx.sizes.relations
-    return relation_not_included("domain", ctx.n, "R1", relations[h1], "R2", relations[h2])
-
-
-def _eval_l311_bwd(ctx, h1, h2, xmask):
-    if ctx.relmaps[h1].packed & ~ctx.relmaps[h2].packed:
-        return _VACUOUS
-    if ctx.sizes.meet[h1][h2] == h1:
-        return _HOLDS
-    return _Failure(_partitions_not_included, ctx, h1, h2)
-
-
-def _eval_l312_inc(ctx, h1, h2, xmask):
-    relmaps = ctx.relmaps
-    left = relmaps[ctx.sizes.meet[h1][h2]].packed
-    right = relmaps[h1].packed & relmaps[h2].packed
-    if not left & ~right:
-        return _HOLDS
-    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
-
-
-def _eval_l312_eq(ctx, h1, h2, xmask):
-    ok = ctx._fiber_ok
-    if not (ok[h1] and ok[h2]):
-        return _VACUOUS
-    relmaps = ctx.relmaps
-    left = relmaps[ctx.sizes.meet[h1][h2]].packed
-    right = relmaps[h1].packed & relmaps[h2].packed
-    if left == right:
-        return _HOLDS
-    return _Failure(relation_not_equal, "codomain", ctx.m, "f(R1 ∩ R2)", left, "f(R1) ∩ f(R2)", right)
-
-
-def _eval_l313_inc(ctx, h1, h2, xmask):
-    union = ctx.sizes.union[h1][h2]
-    if union is None:
-        return _ILL_UNION
-    relmaps = ctx.relmaps
-    left = relmaps[union].packed
-    right = relmaps[h1].packed | relmaps[h2].packed
-    if not right & ~left:
-        return _HOLDS
-    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∪ R2)", left)
-
-
-def _eval_l313_eq(ctx, h1, h2, xmask):
-    union = ctx.sizes.union[h1][h2]
-    if union is None:
-        return _ILL_UNION
-    ok = ctx._fiber_ok
-    if not (ok[h1] and ok[h2]):
-        return _VACUOUS
-    relmaps = ctx.relmaps
-    left = relmaps[union].packed
-    right = relmaps[h1].packed | relmaps[h2].packed
-    if left == right:
-        return _HOLDS
-    return _Failure(relation_not_equal, "codomain", ctx.m, "f(R1 ∪ R2)", left, "f(R1) ∪ f(R2)", right)
-
-
-def _eval_l313_join(ctx, h1, h2, xmask):
-    relmaps = ctx.relmaps
-    left = relmaps[ctx.sizes.join[h1][h2]].packed
-    right = relmaps[h1].packed | relmaps[h2].packed
-    if not right & ~left:
-        return _HOLDS
-    return _Failure(relation_not_included, "codomain", ctx.m, "f(R1) ∪ f(R2)", right, "f(R1 ∨ R2)", left)
-
-
-def _eval_l32(ctx, h1, h2, xmask):
-    # R1 and R2 are reflexive, so R1 - R2 always loses the whole diagonal
-    # and can never be an equivalence; f(R1 - R2) is not formable.
-    return _ILL_DIFFERENCE
-
-
-def _eval_t41_1(ctx, h1, h2, xmask):
-    tables = ctx._approx[h1]
-    if tables is None:
-        return _ILL_RELMAP
-    lo_u, _, lo_v, _ = tables
-    images = ctx.images
-    f_lo = images[lo_u[xmask]]
-    lo_fx = lo_v[images[xmask]]
-    if not (f_lo & ~lo_fx):
-        return _HOLDS
-    return _Failure(subset_not_included, "f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx)
-
-
-def _eval_t41_2(ctx, h1, h2, xmask):
-    tables = ctx._approx[h1]
-    if tables is None:
-        return _ILL_RELMAP
-    _, hi_u, _, hi_v = tables
-    images = ctx.images
-    f_hi = images[hi_u[xmask]]
-    hi_fx = hi_v[images[xmask]]
-    if not (hi_fx & ~f_hi):
-        return _HOLDS
-    return _Failure(subset_not_included, "apr̄_f(R) f(X)", hi_fx, "f(apr̄_R X)", f_hi)
-
-
-def _eval_t42_1(ctx, h1, h2, xmask):
-    tables = ctx._approx[h1]
-    if tables is None:
-        return _ILL_RELMAP
-    lo_u, _, lo_v, _ = tables
-    images = ctx.images
-    f_lo = images[lo_u[xmask]]
-    lo_fx = lo_v[images[xmask]]
-    if f_lo == lo_fx:
-        return _HOLDS
-    return _Failure(subset_not_equal, "f(apr_R X)", f_lo, "apr_f(R) f(X)", lo_fx)
-
-
-def _eval_t42_2(ctx, h1, h2, xmask):
-    tables = ctx._approx[h1]
-    if tables is None:
-        return _ILL_RELMAP
-    _, hi_u, _, hi_v = tables
-    images = ctx.images
-    f_hi = images[hi_u[xmask]]
-    hi_fx = hi_v[images[xmask]]
-    if f_hi == hi_fx:
-        return _HOLDS
-    return _Failure(subset_not_equal, "f(apr̄_R X)", f_hi, "apr̄_f(R) f(X)", hi_fx)
-
-
-def _eval_t43_1(ctx, h1, h2, xmask):
-    tables = ctx._approx[h1]
-    if tables is None:
-        return _ILL_RELMAP
-    lo_u, hi_u, lo_v, _ = tables
-    if not (lo_u[xmask] == xmask and hi_u[xmask] == xmask):
-        return _VACUOUS
-    fx = ctx.images[xmask]
-    lo_fx = lo_v[fx]
-    if lo_fx == fx:
-        return _HOLDS
-    return _Failure(subset_not_equal, "apr_f(R) f(X)", lo_fx, "f(X)", fx)
-
-
-def _eval_t43_2(ctx, h1, h2, xmask):
-    tables = ctx._approx[h1]
-    if tables is None:
-        return _ILL_RELMAP
-    lo_u, hi_u, _, hi_v = tables
-    if not (lo_u[xmask] == xmask and hi_u[xmask] == xmask):
-        return _VACUOUS
-    fx = ctx.images[xmask]
-    hi_fx = hi_v[fx]
-    if hi_fx == fx:
-        return _HOLDS
-    return _Failure(subset_not_equal, "apr̄_f(R) f(X)", hi_fx, "f(X)", fx)
-
-
-_EVALUATORS = {
-    "T31": _eval_t31,
-    "T31-refl": _eval_t31_refl,
-    "L31-1-fwd": _eval_l311_fwd,
-    "L31-1-bwd": _eval_l311_bwd,
-    "L31-2-inc": _eval_l312_inc,
-    "L31-2-eq": _eval_l312_eq,
-    "L31-3-inc": _eval_l313_inc,
-    "L31-3-eq": _eval_l313_eq,
-    "L31-3-join": _eval_l313_join,
-    "L32": _eval_l32,
-    "T41-1": _eval_t41_1,
-    "T41-2": _eval_t41_2,
-    "T42-1": _eval_t42_1,
-    "T42-2": _eval_t42_2,
-    "T43-1": _eval_t43_1,
-    "T43-2": _eval_t43_2,
-}
-
-assert set(_EVALUATORS) == set(REGISTRY)
-
-# the claims whose evaluators read `_fiber_ok`, which GroupContext fills for
-# them alone; every subset claim (needs_subset) reads `_approx`
-_FIBER_CLAIMS = frozenset({"L31-2-eq", "L31-3-eq"})
-
-
 def evaluate_raw(claim_id: str, ctx: GroupContext, h1, h2=None, xmask: int | None = None):
     """Evaluate on raw encodings, partitions as handles of ctx.sizes; shape
     is the caller's responsibility.  A failure comes back as a _Failure.
 
-    It serves evaluate(), the tests and a traced sweep; an untraced sweep
-    calls the claim's evaluator in _EVALUATORS directly."""
-    return _EVALUATORS[claim_id](ctx, h1, h2, xmask)
+    It serves the tests and a traced sweep; an untraced sweep and
+    evaluate() call the claim record's evaluator directly."""
+    return REGISTRY[claim_id].evaluator(ctx, h1, h2, xmask)
 
 
 def evaluate(claim: str | Claim, inst: Instance) -> Verdict:
     """Verdict of a claim on an instance; raises BadInstance on shape mismatch."""
     claim = get_claim(claim)
+    if claim.evaluator is None:
+        raise BadInstanceError(f"{claim.id} names no evaluator")
     check_shape(claim, inst)
     sizes = _DirectTables(inst.f.domain.size)
     handles = [sizes.handle(p.rgs) for p in inst.partitions]
     ctx = GroupContext(sizes, _DirectTables(inst.f.codomain.size), inst.f.table, claim, handles)
-    verdict = evaluate_raw(claim.id, ctx, *handles, xmask=inst.x.mask if inst.x is not None else None)
+    h1, h2 = (*handles, None)[:2]
+    verdict = claim.evaluator(ctx, h1, h2, inst.x.mask if inst.x is not None else None)
     return Verdict(Outcome.FAILS, witness=verdict.witness) if verdict.outcome is Outcome.FAILS else verdict

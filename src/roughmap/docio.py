@@ -357,7 +357,7 @@ def report_doc(report: SearchReport) -> dict:
         "expected_status": claim.expected_status,
         "mode": report.mode,
         "bounds": {"max_u": report.max_u, "max_v": report.max_v},
-        "tallies": report.tally.as_dict(),
+        "tallies": report.tally._asdict(),
         "instances": report.instances,
         "outcome": (
             ("counterexample-found" if report.found else "exhausted-no-counterexample")

@@ -5,10 +5,10 @@ then the map table, then the partition encodings, then the subset mask.
 Within a group a partition is a `claims` handle: up to 7 elements the lex
 index of its relation, above that the packed relation itself; only the
 failures kept are turned back into rgs.
-Each instance is one call of the claim's evaluator, bound once per task;
-when `evaluate_raw` here has been rebound (perfbench/tracing.py counts
-evaluations that way), the loop calls the rebound name instead, once per
-instance as well.
+Each instance is one call of the evaluator named by the claim's registry
+record, bound once per task; when `evaluate_raw` here has been rebound
+(perfbench/tracing.py counts evaluations that way), the loop calls the
+rebound name instead, once per instance as well.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On one worker the
 whole sweep is one task; on more, runs of consecutive groups are packed into
@@ -75,33 +75,12 @@ class RawInstance(namedtuple("RawInstance", "n m table partitions xmask", defaul
         return Instance(f, parts, x)
 
 
-class Tally:
-    def __init__(self, holds: int = 0, fails: int = 0, ill_typed: int = 0, vacuous: int = 0):
-        self.holds, self.fails, self.ill_typed, self.vacuous = holds, fails, ill_typed, vacuous
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tally) and self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        return f"Tally({', '.join(f'{k}={v}' for k, v in self.as_dict().items())})"
-
-    def add(self, other: "Tally") -> None:
-        self.holds += other.holds
-        self.fails += other.fails
-        self.ill_typed += other.ill_typed
-        self.vacuous += other.vacuous
+class Tally(namedtuple("Tally", "holds fails ill_typed vacuous", defaults=(0, 0, 0, 0))):
+    __slots__ = ()
 
     @property
     def total(self) -> int:
-        return self.holds + self.fails + self.ill_typed + self.vacuous
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "holds": self.holds,
-            "fails": self.fails,
-            "ill_typed": self.ill_typed,
-            "vacuous": self.vacuous,
-        }
+        return sum(self)
 
 
 class SearchReport:
@@ -163,7 +142,7 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     # one call per instance: the claim's evaluator, or, when evaluate_raw
     # here has been rebound (the tracer's count), the rebound name
     if evaluate_raw is claims.evaluate_raw:
-        evaluator = claims._EVALUATORS[claim_id]
+        evaluator = claim.evaluator
     else:
         evaluator = functools.partial(evaluate_raw, claim_id)
     holds = vacuous = ill_typed = failed = 0
@@ -295,7 +274,7 @@ def _run(
 
     def merge(done: int, tally: Tally, fails: list, reason: str | None) -> bool:
         report.groups += done
-        report.tally.add(tally)
+        report.tally = Tally(*map(sum, zip(report.tally, tally)))
         if reason is not None and report.ill_typed_reason is None:
             report.ill_typed_reason = reason
         if fails:

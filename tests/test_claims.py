@@ -25,6 +25,7 @@ from roughmap.replay import (
     bijective_instance,
     monotonicity_instance,
 )
+from roughmap.witnesses import relation_not_equal
 
 ALL_IDS = [
     "T31",
@@ -70,6 +71,8 @@ def test_registry_is_complete_and_stable():
     assert [c.id for c in list_claims()] == ALL_IDS
     for cid, status in EXPECTED_STATUS.items():
         assert REGISTRY[cid].expected_status == status
+    # each record carries the function a sweep calls per instance
+    assert all(callable(c.evaluator) for c in REGISTRY.values())
 
 
 def test_get_claim_rejects_unknown_ids():
@@ -255,6 +258,54 @@ def test_reflexivity_mismatch_names_the_least_element_that_breaks_the_iff():
     assert text == "f is not surjective (nothing maps to b) yet f(R) is reflexive\n  f(R) = {(a, a), (b, b), (c, c)}"
 
 
+def test_relation_not_equal_names_the_first_pair_of_the_side_that_has_one():
+    # L31-2-eq and L31-3-eq hold wherever they have been swept, so no sweep
+    # builds this witness: build it here once for each side; relations are
+    # packed on V, pair (a, b) at bit a * 3 + b, and listed row-major
+    v = Universe(3, ["a", "b", "c"])
+    diagonal = {(0, 0), (1, 1), (2, 2)}
+
+    def differ(left, right):
+        packed = [sum(1 << a * 3 + b for a, b in rel) for rel in (left, right)]
+        witness = relation_not_equal("codomain", 3, "f(R1 ∪ R2)", packed[0], "f(R1) ∪ f(R2)", packed[1])
+        return witness, render_witness(witness, Universe(3), v)
+
+    # (0, 2), (1, 2) and (2, 1) are in the left side alone: (0, 2) comes first
+    witness, text = differ(diagonal | {(2, 1), (1, 2), (0, 2)}, diagonal)
+    assert witness == {
+        "kind": "relation-not-equal",
+        "space": "codomain",
+        "pair": [0, 2],
+        "side": "left-only",
+        "left_name": "f(R1 ∪ R2)",
+        "right_name": "f(R1) ∪ f(R2)",
+        "left": [[0, 0], [0, 2], [1, 1], [1, 2], [2, 1], [2, 2]],
+        "right": [[0, 0], [1, 1], [2, 2]],
+    }
+    assert text == (
+        "pair (a, c) is in f(R1 ∪ R2) but not in f(R1) ∪ f(R2)\n"
+        "  f(R1 ∪ R2) = {(a, a), (b, b), (c, c), (a, c), (b, c), (c, b)}\n"
+        "  f(R1) ∪ f(R2) = {(a, a), (b, b), (c, c)}"
+    )
+    # (2, 1) and (1, 0) are in the right side alone: (1, 0) comes first
+    witness, text = differ(diagonal, diagonal | {(2, 1), (1, 0)})
+    assert witness == {
+        "kind": "relation-not-equal",
+        "space": "codomain",
+        "pair": [1, 0],
+        "side": "right-only",
+        "left_name": "f(R1 ∪ R2)",
+        "right_name": "f(R1) ∪ f(R2)",
+        "left": [[0, 0], [1, 1], [2, 2]],
+        "right": [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]],
+    }
+    assert text == (
+        "pair (b, a) is in f(R1) ∪ f(R2) but not in f(R1 ∪ R2)\n"
+        "  f(R1 ∪ R2) = {(a, a), (b, b), (c, c)}\n"
+        "  f(R1) ∪ f(R2) = {(a, a), (b, b), (c, c), (b, a), (c, b)}"
+    )
+
+
 def test_shape_checks():
     u = Universe(3)
     v = Universe(2)
@@ -273,6 +324,9 @@ def test_shape_checks():
         check_shape(get_claim("T31"), Instance(non_surj, (Partition.identity(u),)))
     # T31-refl takes any map
     check_shape(get_claim("T31-refl"), Instance(non_surj, (Partition.identity(u),)))
+    # a record built without an evaluator cannot be evaluated
+    with pytest.raises(BadInstanceError):
+        evaluate(get_claim("T31")._replace(evaluator=None), Instance(f, (p,)))
 
 
 def test_verdict_invariants():

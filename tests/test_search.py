@@ -552,8 +552,8 @@ def test_sweep_calls_the_evaluator_or_the_traced_name_once_per_instance(monkeypa
 
         return evaluator
 
-    for cid, fn in list(claims._EVALUATORS.items()):
-        monkeypatch.setitem(claims._EVALUATORS, cid, counted(cid, fn))
+    for cid, claim in list(claims.REGISTRY.items()):
+        monkeypatch.setitem(claims.REGISTRY, cid, claim._replace(evaluator=counted(cid, claim.evaluator)))
     # a verify rebuilds the witness of a failure on a relabeled table with
     # evaluate(), which calls the evaluator once more
     rebuilt = []

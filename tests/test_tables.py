@@ -472,6 +472,30 @@ def test_direct_tables_give_the_same_reports(cid, monkeypatch):
     assert direct.ill_typed_reason == stored.ill_typed_reason
 
 
+@pytest.mark.parametrize("form", ["stored", "direct"])
+def test_subset_claims_are_ill_typed_where_the_image_relation_is_not_an_equivalence(form, monkeypatch):
+    # on the map 6 -> 3 that folds {0, 1}, {2, 3} and {4, 5}, T31 fails on
+    # 24 partitions: f(R) is no equivalence there, so their approximation
+    # slot is None and each of the four subset claims that range over
+    # every surjection is ill-typed on all 2^6 subsets of those partitions
+    # (a None slot read as vacuous would count none)
+    group = [(6, 3, (0, 0, 1, 1, 2, 2))]
+    claims.size_tables.cache_clear()
+    if form == "direct":
+        monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+    try:
+        _, t31, _, _ = _run_task(("T31", group, False, 0))
+        assert t31.fails == 24
+        for cid in ("T41-1", "T41-2", "T43-1", "T43-2"):
+            done, tally, _, reason = _run_task((cid, group, False, 0))
+            assert done == 1
+            assert tally.total == 203 << 6
+            assert tally.ill_typed == t31.fails << 6 == 1_536, cid
+            assert reason == "relmap-not-equivalence"
+    finally:
+        claims.size_tables.cache_clear()
+
+
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_image_relation_matches_oracle(form, n):
