@@ -61,11 +61,13 @@ class Verdict:
 
 # partitions: 1 or 2; map_constraint: any | surjective | bijective;
 # expected_status: refuted | proved | ill-typed | open; evaluator: the
-# claim's per-instance function (see the evaluators below)
+# claim's per-instance function (see the evaluators below);
+# fiber_hypothesis: the claim assumes the fiber condition ker f ≤ R, which
+# its evaluator reads from the context's `_fiber_ok` slot
 Claim = namedtuple(
     "Claim",
-    "id statement partitions needs_subset map_constraint expected_status note evaluator",
-    defaults=("", None),
+    "id statement partitions needs_subset map_constraint expected_status note evaluator fiber_hypothesis",
+    defaults=("", None, False),
 )
 
 
@@ -290,11 +292,6 @@ def _eval_t43_2(ctx, h1, h2, xmask):
     return _Failure(subset_not_equal, "apr̄_f(R) f(X)", hi_fx, "f(X)", fx)
 
 
-# the claims whose evaluators read `_fiber_ok`, which GroupContext fills for
-# them alone; every subset claim (needs_subset) reads `_approx`
-_FIBER_CLAIMS = frozenset({"L31-2-eq", "L31-3-eq"})
-
-
 _OPEN_NOTE = "no established status; search results at bounded sizes are findings"
 
 REGISTRY: dict[str, Claim] = {
@@ -336,7 +333,7 @@ REGISTRY: dict[str, Claim] = {
             "if [x]_f ⊆ [x]_R1 and [x]_f ⊆ [x]_R2 for all x, "
             "then f(R1 ∩ R2) = f(R1) ∩ f(R2)",
             2, False, "surjective", "open", _OPEN_NOTE,
-            evaluator=_eval_l312_eq,
+            evaluator=_eval_l312_eq, fiber_hypothesis=True,
         ),
         Claim(
             "L31-3-inc",
@@ -350,7 +347,7 @@ REGISTRY: dict[str, Claim] = {
             "under the fiber condition of L31-2-eq, f(R1 ∪ R2) = "
             "f(R1) ∪ f(R2); well-typed only when R1 ∪ R2 is an equivalence",
             2, False, "surjective", "open", _OPEN_NOTE,
-            evaluator=_eval_l313_eq,
+            evaluator=_eval_l313_eq, fiber_hypothesis=True,
         ),
         Claim(
             "L31-3-join",
@@ -613,12 +610,16 @@ class _SizeTables:
 
     GroupContext's memos on U live here: `maps`, what it builds per map
     (fibers, surjectivity, images, contributions and f(R) of every
-    partition), keyed by table, for the maps into one size of V,
-    `maps_into`, and `block_contributions`, keyed by fiber sizes, then by a
-    block's per-fiber counts packed into one int, count_width bits each;
-    both levels fill themselves, the second with kernels.contribution.  As
-    on _DirectTables, `classified` keeps the relations on V of this size
-    met so far, with their classification.
+    partition), keyed by (|V|, table), since a table into fewer values than
+    |V| has other fibers, contributions and f(R) for each |V|; and
+    `block_contributions`, keyed by fiber sizes, then by a block's
+    per-fiber counts packed into one int, count_width bits each; both
+    levels fill themselves, the second with kernels.contribution.  As on
+    _DirectTables, `classified` keeps the relations on V of this size met
+    so far, with their classification.  Like the pair rows, `maps` is kept
+    for as long as the tables, so the claims of one process share it: it
+    holds one entry per (|V|, canonical table) a sweep meets, at 7 elements
+    at most 877 for surjections and 3,753 for every map into |V| ≤ 7.
     """
 
     def __init__(self, n: int):
@@ -628,7 +629,7 @@ class _SizeTables:
         self.index = {r: i for i, r in enumerate(self.relations)}
         self.blocks = [kern.relation_blocks(r, n) for r in self.relations]
         self._by_blocks = None  # partition's set of block masks -> handle, for the join rows
-        self.maps_into, self.maps = None, {}
+        self.maps = {}
         self.count_width = n.bit_length()  # bits per fiber of a block's packed counts
         self.block_contributions = _Cached(self._contributions_of)
         self.classified = {}
@@ -717,13 +718,13 @@ class GroupContext:
 
     On _SizeTables the three tables filled when the group starts, `images`,
     `contributions` and `relmaps`, are read, never written, so contexts of
-    one table share them: `sizes.maps` keeps them by table, with the map's
-    `fibers` and `surjective`, for the maps into one size of V, and is
-    emptied when a context for another size is built; a context that finds
-    its table there takes all five from it.  They are built as list
-    operations (`_build`): images and contributions double once per
-    element of U, and f(R) of every partition comes from one pass over the
-    partitions' block masks, the helper `relmap(h)` calls for one.  A
+    one table share them: `sizes.maps` keeps them by (|V|, table), with
+    the map's `fibers` and `surjective`, for as long as `sizes` lives, so
+    later groups and later claims of the process on that map take all five
+    from it and build nothing.  They are built as list operations
+    (`_build`): images and contributions double once per element of U, and
+    f(R) of every partition comes from one pass over the partitions' block
+    masks, the helper `relmap(h)` calls for one.  A
     verify sweep builds every group's context on its table's canonical
     form, so groups whose tables differ only by a relabeling of V share
     these tables (see `search`).
@@ -732,11 +733,12 @@ class GroupContext:
     filled here, before it is evaluated, for the partition handles it will
     be evaluated on: `_approx[h]`, the rows (lo_U, hi_U, lo_V, hi_V) of
     partition h, or None when f(R) is not an equivalence, for every subset
-    claim, and `_fiber_ok[h]`, whether ker f ≤ h, for _FIBER_CLAIMS.  A
-    claim that reads neither gets neither.  lo_U[x], hi_U[x] approximate a
-    mask x of U over R; lo_V[y], hi_V[y] a mask y of V over f(R).  On
-    _SizeTables the slots are exact lists over every handle of `sizes`; on
-    _DirectTables dicts over the handles passed.  They stay per context:
+    claim (needs_subset), and `_fiber_ok[h]`, whether ker f ≤ h, for
+    every claim with a fiber_hypothesis.  A claim that reads neither gets
+    neither.  lo_U[x], hi_U[x] approximate a mask x of U over R; lo_V[y],
+    hi_V[y] a mask y of V over f(R).  On _SizeTables the slots are exact
+    lists over every handle of `sizes`; on _DirectTables dicts over the
+    handles passed.  They stay per context:
     shared, they would keep every map's rows filled at once.  A built
     context is never written again.  The memos a context fills belong to
     the size tables and live as long as they do: `sizes.maps` and
@@ -756,11 +758,9 @@ class GroupContext:
         kern = self.kern = kernels.select(n, m)
         self._relations = vsizes.classified
         if type(sizes) is _SizeTables:
-            if sizes.maps_into != m:
-                sizes.maps_into, sizes.maps = m, {}
-            hit = sizes.maps.get(table)
+            hit = sizes.maps.get((m, table))
             if hit is None:
-                hit = sizes.maps[table] = self._build()
+                hit = sizes.maps[m, table] = self._build()
             self.fibers, self.surjective, self.images, self.contributions, self.relmaps = hit
             handles, slots = sizes.handles(), list  # exact lists over every handle
         else:
@@ -779,7 +779,7 @@ class GroupContext:
                 rel = relmaps[h]
                 rows.append(approx[h] + vapprox[vindex[rel.packed]] if rel.flags == kernels.EQUIVALENCE else None)
             self._approx = slots(rows)
-        if claim.id in _FIBER_CLAIMS:
+        if claim.fiber_hypothesis:
             # ker f ≤ h exactly when ker f ∧ h = ker f
             ker = sizes.index[kern.partition_relation(table)]
             meet = sizes.meet[ker]

@@ -169,3 +169,45 @@ def naive_union(blocks1, blocks2, n):
     if any(not related[b] <= related[a] for a in range(n) for b in related[a]):
         return None
     return frozenset(frozenset(s) for s in related.values())
+
+
+def integer_partitions(n, m, largest=None):
+    """The partitions of n into exactly m positive parts, each a
+    non-increasing tuple."""
+    if largest is None:
+        largest = n
+    if m == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(min(n - m + 1, largest), 0, -1):
+        for rest in integer_partitions(n - first, m - 1, first):
+            yield (first,) + rest
+
+
+def naive_t31_tally(max_u, max_v):
+    """(holds, fails) of T31 over every surjection and partition, by map type.
+
+    T31's verdict is kept by relabeling U and V, so each surjection onto m
+    values with fiber sizes λ = (λ1, ..., λm) stands for all of its type:
+    n!/∏λi! ways to fill fibers of those sizes in one order of the values,
+    times m!/∏ mult_j! orders of the sizes over the values (mult_j the
+    number of parts of size j).  The representative is the sorted table.
+    """
+    from collections import Counter
+    from math import factorial, prod
+
+    holds = fails = 0
+    for n in range(1, max_u + 1):
+        partitions = list(set_partitions(n))
+        for m in range(1, min(n, max_v) + 1):
+            for sizes in integer_partitions(n, m):
+                weight = factorial(n) // prod(factorial(s) for s in sizes)
+                weight *= factorial(m) // prod(factorial(c) for c in Counter(sizes).values())
+                table = tuple(v for v, s in enumerate(sizes) for _ in range(s))
+                for blocks in partitions:
+                    if all(naive_classify(naive_relmap(table, m, blocks), m)):
+                        holds += weight
+                    else:
+                        fails += weight
+    return holds, fails

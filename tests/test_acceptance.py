@@ -260,6 +260,16 @@ def test_c8_properties_hold_exhaustively_up_to_five(monkeypatch):
                 assert other.witness == reports[0].witness
 
 
+def test_committed_t31_tallies_match_the_oracle_by_map_type():
+    # the oracle walks one sorted table per map type, on sets and Fractions
+    for name, want in (("t31-verify-5-4.json", (23089, 0)), ("t31-verify-6-4.json", (460018, 2160))):
+        doc = committed_report(name)
+        bounds = doc["bounds"]
+        holds, fails = oracles.naive_t31_tally(bounds["max_u"], bounds["max_v"])
+        assert (holds, fails) == want, name
+        assert doc["tallies"] == {"holds": holds, "fails": fails, "ill_typed": 0, "vacuous": 0}, name
+
+
 def test_c9_committed_evidence_regenerates():
     spec = importlib.util.spec_from_file_location(
         "generate_claim_status", ROOT / "scripts" / "generate_claim_status.py"

@@ -73,6 +73,8 @@ def test_registry_is_complete_and_stable():
         assert REGISTRY[cid].expected_status == status
     # each record carries the function a sweep calls per instance
     assert all(callable(c.evaluator) for c in REGISTRY.values())
+    # the two repaired equalities assume the fiber condition
+    assert [c.id for c in REGISTRY.values() if c.fiber_hypothesis] == ["L31-2-eq", "L31-3-eq"]
 
 
 def test_get_claim_rejects_unknown_ids():
@@ -166,6 +168,25 @@ def test_conditional_equalities_hold_under_fiber_condition():
     p3 = partition_from_blocks(u, [[0], [1], [2, 3]])
     inst2 = Instance(f, (p3, p2))
     assert outcome("L31-2-eq", inst2) is Outcome.VACUOUS
+
+
+@pytest.mark.parametrize("cid", ALL_IDS)
+def test_a_renamed_record_gives_the_verdicts_of_its_original(cid):
+    # the slots a context fills follow the record's fields, not its id
+    claim = REGISTRY[cid]
+    copy = claim._replace(id=cid + "-copy")
+    mono = monotonicity_instance()
+    candidates = [mono, swap(mono), one(mono), approximation_instance(), bijective_instance()]
+    checked = 0
+    for inst in candidates:
+        try:
+            check_shape(claim, inst)
+        except BadInstanceError:
+            continue
+        want, got = evaluate(claim, inst), evaluate(copy, inst)
+        assert (got.outcome, got.witness, got.reason) == (want.outcome, want.witness, want.reason), inst
+        checked += 1
+    assert checked
 
 
 class TestApproximationInstance:

@@ -296,6 +296,7 @@ def test_maps_into_two_sizes_of_v_share_no_tables(monkeypatch):
     # comes back for each larger m, with other contributions and f(R)
     from roughmap import claims
 
+    claims.size_tables.cache_clear()
     by_table = {}
     for ctx in _contexts_of(monkeypatch, "T31-refl", 4, 3):
         by_table.setdefault((ctx.n, ctx.table), {}).setdefault(ctx.m, ctx)
@@ -303,10 +304,53 @@ def test_maps_into_two_sizes_of_v_share_no_tables(monkeypatch):
     for by_m in by_table.values():
         assert len({id(ctx.relmaps) for ctx in by_m.values()}) == len(by_m)
         assert len({id(ctx.contributions) for ctx in by_m.values()}) == len(by_m)
-    # the memo keeps the maps into the last size of V only
+    # the memo keeps the maps into every size of V, each under its own key,
+    # and each entry is what fresh size tables build for that map
     sizes = claims.size_tables(4)
-    assert sizes.maps_into == 3
-    assert set(sizes.maps) == set(iter_canonical_tables(4, 3))
+    assert set(sizes.maps) == {(m, t) for m in range(1, 4) for t in iter_canonical_tables(4, m)}
+    for (m, table), (fibers, surjective, images, contributions, relmaps) in sizes.maps.items():
+        fresh_sizes = claims._SizeTables(4)
+        fresh = claims.GroupContext(fresh_sizes, claims.size_tables(m), table, get_claim("T31-refl"), fresh_sizes.handles())
+        assert (fibers, surjective) == (fresh.fibers, fresh.surjective), (m, table)
+        assert images == fresh.images and contributions == fresh.contributions, (m, table)
+        assert [(rel.packed, rel.flags) for rel in relmaps] == _relations(fresh), (m, table)
+
+
+def _settled_doc(report):
+    doc = report_doc(report)
+    for key in ("wall_time_s", "workers", "tool"):
+        del doc[key]
+    return doc
+
+
+def test_claims_of_one_process_share_the_group_tables_of_their_maps(monkeypatch):
+    # the memo of maps lives as long as the size tables, so once verify T31
+    # has built every surjection's tables up to (5, 3), a falsify and a
+    # subset claim at the same bounds build none, and report what they
+    # report on fresh tables
+    from roughmap import claims
+
+    sweeps = [(falsify, "L31-2-inc"), (verify, "T41-1")]
+    fresh = []
+    for run, cid in sweeps:
+        claims.size_tables.cache_clear()
+        fresh.append(_settled_doc(run(cid, 5, 3, workers=1)))
+    claims.size_tables.cache_clear()
+    verify("T31", 5, 3, workers=1)
+    builds = []
+    real = claims.GroupContext._build
+
+    def counted(ctx):
+        builds.append((ctx.n, ctx.m, ctx.table))
+        return real(ctx)
+
+    monkeypatch.setattr(claims.GroupContext, "_build", counted)
+    try:
+        for (run, cid), want in zip(sweeps, fresh):
+            assert _settled_doc(run(cid, 5, 3, workers=1)) == want, cid
+            assert builds == [], cid
+    finally:
+        claims.size_tables.cache_clear()
 
 
 def test_contexts_on_direct_tables_share_nothing(monkeypatch):

@@ -155,8 +155,9 @@ def test_fiber_condition_is_every_fiber_inside_one_block(form, n):
             sizes = FORMS[form](n)
             handles = [sizes.handle(rgs) for rgs in parts]
             contexts = [
-                GroupContext(sizes, FORMS[form](m), table, REGISTRY[cid], handles)
-                for cid in sorted(claims._FIBER_CLAIMS)
+                GroupContext(sizes, FORMS[form](m), table, claim, handles)
+                for claim in REGISTRY.values()
+                if claim.fiber_hypothesis
             ]
             fibers = [{x for x in range(n) if table[x] == value} for value in range(m)]
             f = SurjMap(u, v, table)
@@ -376,7 +377,7 @@ def test_a_sweep_reads_its_per_instance_tables_as_lists(monkeypatch):
             assert type(ctx.sizes) is claims._SizeTables
             for slots in (ctx.relmaps, ctx.images):
                 assert type(slots) is list
-            for name, read in (("_approx", claim.needs_subset), ("_fiber_ok", claim.id in claims._FIBER_CLAIMS)):
+            for name, read in (("_approx", claim.needs_subset), ("_fiber_ok", claim.fiber_hypothesis)):
                 if read:
                     assert type(getattr(ctx, name)) is list and len(getattr(ctx, name)) == 52, (claim.id, name)
                 else:
