@@ -724,10 +724,10 @@ class GroupContext:
     from it and build nothing.  They are built as list operations
     (`_build`): images and contributions double once per element of U, and
     f(R) of every partition comes from one pass over the partitions' block
-    masks, the helper `relmap(h)` calls for one.  A
-    verify sweep builds every group's context on its table's canonical
-    form, so groups whose tables differ only by a relabeling of V share
-    these tables (see `search`).
+    masks, the helper `relmap(h)` calls for one.  A verify sweep builds
+    every group's context on its table's canonical form, so groups whose
+    tables differ only by a relabeling of V share these tables (see
+    `search`).
 
     A context is built for one claim, and the slots that claim reads are
     filled here, before it is evaluated, for the partition handles it will
@@ -738,11 +738,11 @@ class GroupContext:
     neither.  lo_U[x], hi_U[x] approximate a mask x of U over R; lo_V[y],
     hi_V[y] a mask y of V over f(R).  On _SizeTables the slots are exact
     lists over every handle of `sizes`; on _DirectTables dicts over the
-    handles passed.  They stay per context:
-    shared, they would keep every map's rows filled at once.  A built
-    context is never written again.  The memos a context fills belong to
-    the size tables and live as long as they do: `sizes.maps` and
-    `sizes.block_contributions` on U, `vsizes.classified` on V.
+    handles passed.  They stay per context: shared, they would keep every
+    map's rows filled at once.  A built context is never written again.
+    The memos a context fills belong to the size tables and live as long as
+    they do: `sizes.maps` and `sizes.block_contributions` on U,
+    `vsizes.classified` on V.
     """
 
     __slots__ = (

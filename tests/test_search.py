@@ -148,6 +148,13 @@ def test_worker_count_does_not_change_results_found_in_a_pool_task(cid, bounds, 
     _falsify_on_each_worker_count(cid, bounds, in_first_task=False)
 
 
+def _settled_doc(report):
+    doc = report_doc(report)
+    for key in ("wall_time_s", "workers", "tool"):
+        del doc[key]
+    return doc
+
+
 def _verify_on_each_worker_count():
     reports = [verify("T43-1", max_u=4, max_v=2, workers=w) for w in (1, 2, 8)]
     first = reports[0]
@@ -155,12 +162,7 @@ def _verify_on_each_worker_count():
         assert other.tally == first.tally
         assert other.failures == first.failures
     # 852 groups in several tasks, and 2,160 failures against a cap of 20
-    docs = []
-    for w in (1, 2):
-        doc = report_doc(verify("T31", 6, 3, workers=w))
-        for key in ("wall_time_s", "workers", "tool"):
-            del doc[key]
-        docs.append(doc)
+    docs = [_settled_doc(verify("T31", 6, 3, workers=w)) for w in (1, 2)]
     assert docs[0]["groups"] == 852 and docs[0]["tallies"]["fails"] == 2160
     assert docs[1] == docs[0]
 
@@ -310,17 +312,11 @@ def test_maps_into_two_sizes_of_v_share_no_tables(monkeypatch):
     assert set(sizes.maps) == {(m, t) for m in range(1, 4) for t in iter_canonical_tables(4, m)}
     for (m, table), (fibers, surjective, images, contributions, relmaps) in sizes.maps.items():
         fresh_sizes = claims._SizeTables(4)
-        fresh = claims.GroupContext(fresh_sizes, claims.size_tables(m), table, get_claim("T31-refl"), fresh_sizes.handles())
+        claim = get_claim("T31-refl")
+        fresh = claims.GroupContext(fresh_sizes, claims.size_tables(m), table, claim, fresh_sizes.handles())
         assert (fibers, surjective) == (fresh.fibers, fresh.surjective), (m, table)
         assert images == fresh.images and contributions == fresh.contributions, (m, table)
         assert [(rel.packed, rel.flags) for rel in relmaps] == _relations(fresh), (m, table)
-
-
-def _settled_doc(report):
-    doc = report_doc(report)
-    for key in ("wall_time_s", "workers", "tool"):
-        del doc[key]
-    return doc
 
 
 def test_claims_of_one_process_share_the_group_tables_of_their_maps(monkeypatch):
