@@ -9,6 +9,13 @@ Each instance is one call of the evaluator named by the claim's registry
 record, bound once per task; when `evaluate_raw` here has been rebound
 (perfbench/tracing.py counts evaluations that way), the loop calls the
 rebound name instead, once per instance as well.
+Holds is counted by exception.  Every evaluator returns the one object
+`claims._HOLDS` for Holds, so the loop goes on to the next instance when it
+sees that object and reads the outcome of any other verdict; only a FAILS
+outcome counts as a failure.  Holds is the instances walked less the
+failed, ill-typed and vacuous ones, where a group's instances walked is its
+closed-form size, or, when falsify stops in it, the failing instance's
+position plus one.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On one worker the
 whole sweep is one task; on more, runs of consecutive groups are packed into
@@ -55,7 +62,9 @@ DEFAULT_MAX_FAILURES = 20
 # and 5,000-50,000 run alike on two workers
 TASK_INSTANCES = 20_000
 
-_HOLDS = Outcome.HOLDS
+# every evaluator returns this one object for Holds
+_HOLDS = claims._HOLDS
+_FAILS = Outcome.FAILS
 _VACUOUS = Outcome.VACUOUS
 _ILL_TYPED = Outcome.ILL_TYPED
 
@@ -136,6 +145,12 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
     ill-typed reason); a cap of 0 keeps none and builds no witness.  In
     stop-on-fail mode the task ends at its first failure, and everything
     after it is left uncounted.
+
+    The loop counts every verdict but Holds; holds is what is left of the
+    instances walked, each group's closed-form _group_size, cut at the
+    failing instance's position in (handles, seconds, xmasks) order when
+    the task stops.  The size tables and the group size are looked up once
+    per (|U|, |V|), not per group.
     """
     claim_id, groups, stop_on_fail, max_failures = args
     claim = get_claim(claim_id)
@@ -145,31 +160,35 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
         evaluator = claim.evaluator
     else:
         evaluator = functools.partial(evaluate_raw, claim_id)
-    holds = vacuous = ill_typed = failed = 0
+    walked = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: str | None = None
     done = 0
+    shape = None
     for n, m, table in groups:
-        sizes = size_tables(n)
-        handles = sizes.handles()
+        if shape != (n, m):
+            shape = n, m
+            sizes, vsizes = size_tables(n), size_tables(m)
+            handles = sizes.handles()
+            seconds = handles if claim.partitions == 2 else (None,)
+            xmasks = range(1 << n) if claim.needs_subset else (None,)
+            size = _group_size(claim, n)
         # falsify walks canonical tables only
         t0 = table if stop_on_fail else canonical_table(table)
-        ctx = GroupContext(sizes, size_tables(m), t0, claim, handles)
+        ctx = GroupContext(sizes, vsizes, t0, claim, handles)
         done += 1
-        seconds = handles if claim.partitions == 2 else (None,)
-        xmasks = range(1 << n) if claim.needs_subset else (None,)
         for h1, h2, xmask in itertools.product(handles, seconds, xmasks):
             verdict = evaluator(ctx, h1, h2, xmask)
+            if verdict is _HOLDS:
+                continue
             outcome = verdict.outcome
-            if outcome is _HOLDS:
-                holds += 1
-            elif outcome is _VACUOUS:
+            if outcome is _VACUOUS:
                 vacuous += 1
             elif outcome is _ILL_TYPED:
                 ill_typed += 1
                 if reason is None:
                     reason = verdict.reason
-            else:
+            elif outcome is _FAILS:
                 failed += 1
                 if len(fails) < max_failures:
                     parts = (sizes.rgs(h1),) if h2 is None else (sizes.rgs(h1), sizes.rgs(h2))
@@ -178,8 +197,12 @@ def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], 
                     witness = verdict.witness if t0 == table else evaluate(claim, raw.to_instance()).witness
                     fails.append((raw, witness))
                 if stop_on_fail:
-                    return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
-    return done, Tally(holds, failed, ill_typed, vacuous), fails, reason
+                    # the group was walked up to and including this instance
+                    at = (handles.index(h1) * len(seconds) + seconds.index(h2)) * len(xmasks) + xmasks.index(xmask)
+                    walked += at + 1
+                    return done, Tally(walked - failed - ill_typed - vacuous, failed, ill_typed, vacuous), fails, reason
+        walked += size
+    return done, Tally(walked - failed - ill_typed - vacuous, failed, ill_typed, vacuous), fails, reason
 
 
 def _group_size(claim: Claim, n: int) -> int:

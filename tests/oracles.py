@@ -185,29 +185,82 @@ def integer_partitions(n, m, largest=None):
             yield (first,) + rest
 
 
-def naive_t31_tally(max_u, max_v):
-    """(holds, fails) of T31 over every surjection and partition, by map type.
+def map_types(n, m, ks):
+    """(table, weight) of each type of map from n elements into m values
+    that uses k of them, for each k in ks.
 
-    T31's verdict is kept by relabeling U and V, so each surjection onto m
-    values with fiber sizes λ = (λ1, ..., λm) stands for all of its type:
-    n!/∏λi! ways to fill fibers of those sizes in one order of the values,
-    times m!/∏ mult_j! orders of the sizes over the values (mult_j the
-    number of parts of size j).  The representative is the sorted table.
+    A claim's verdict is kept by relabeling U and V, so each map with fiber
+    sizes λ = (λ1, ..., λk) stands for all of its type: n!/∏λi! ways to
+    fill fibers of those sizes in one order of the values, times
+    m!/((m−k)! ∏ mult_j!) ways to give the k sizes distinct values of V
+    (mult_j the number of parts of size j).  The representative is the
+    sorted table, on the values 0..k−1.
     """
     from collections import Counter
     from math import factorial, prod
 
+    for k in ks:
+        for sizes in integer_partitions(n, k):
+            weight = factorial(n) // prod(factorial(s) for s in sizes)
+            weight *= factorial(m) // (factorial(m - k) * prod(factorial(c) for c in Counter(sizes).values()))
+            yield tuple(v for v, s in enumerate(sizes) for _ in range(s)), weight
+
+
+def naive_t31_tally(max_u, max_v):
+    """(holds, fails) of T31 over every surjection and partition, by map type."""
     holds = fails = 0
     for n in range(1, max_u + 1):
         partitions = list(set_partitions(n))
         for m in range(1, min(n, max_v) + 1):
-            for sizes in integer_partitions(n, m):
-                weight = factorial(n) // prod(factorial(s) for s in sizes)
-                weight *= factorial(m) // prod(factorial(c) for c in Counter(sizes).values())
-                table = tuple(v for v, s in enumerate(sizes) for _ in range(s))
+            for table, weight in map_types(n, m, [m]):
                 for blocks in partitions:
                     if all(naive_classify(naive_relmap(table, m, blocks), m)):
                         holds += weight
                     else:
                         fails += weight
     return holds, fails
+
+
+def naive_t31_refl_tally(max_u, max_v):
+    """(holds, fails) of T31-refl over every map and partition, by map type:
+    f(R) is reflexive on V exactly when f is onto V."""
+    holds = fails = 0
+    for n in range(1, max_u + 1):
+        partitions = list(set_partitions(n))
+        for m in range(1, max_v + 1):
+            for table, weight in map_types(n, m, range(1, min(n, m) + 1)):
+                surjective = len(set(table)) == m
+                for blocks in partitions:
+                    pairs = naive_relmap(table, m, blocks)
+                    if all((v, v) in pairs for v in range(m)) == surjective:
+                        holds += weight
+                    else:
+                        fails += weight
+    return holds, fails
+
+
+def naive_t42_tally(upper, max_u, max_v):
+    """(holds, fails, ill_typed) of T42-1 (f(apr_R X) = apr_f(R) f(X)), or
+    of T42-2 with upper (the upper approximations), over every bijection,
+    partition and subset, by map type: the bijections onto n values are one
+    type, λ = 1ⁿ, of weight n!.  A partition whose f(R) is no equivalence
+    is ill-typed for all its subsets."""
+    holds = fails = ill_typed = 0
+    for n in range(1, min(max_u, max_v) + 1):
+        for table, weight in map_types(n, n, [n]):
+            for blocks in set_partitions(n):
+                pairs = naive_relmap(table, n, blocks)
+                if not all(naive_classify(pairs, n)):
+                    ill_typed += weight << n
+                    continue
+                vblocks = frozenset(frozenset(w for v, w in pairs if v == u) for u in range(n))
+                for mask in range(1 << n):
+                    xs = {x for x in range(n) if mask >> x & 1}
+                    image = {table[x] for x in xs}
+                    of_u = naive_lower_upper(blocks, xs)[upper]
+                    of_v = naive_lower_upper(vblocks, image)[upper]
+                    if {table[x] for x in of_u} == of_v:
+                        holds += weight
+                    else:
+                        fails += weight
+    return holds, fails, ill_typed

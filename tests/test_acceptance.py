@@ -270,6 +270,25 @@ def test_committed_t31_tallies_match_the_oracle_by_map_type():
         assert doc["tallies"] == {"holds": holds, "fails": fails, "ill_typed": 0, "vacuous": 0}, name
 
 
+def test_committed_t31_refl_tallies_match_the_oracle_by_map_type():
+    # every map, onto V or not: a type that uses k of |V| values has
+    # |V|!/(|V|-k)! ways to place its fibers before equal sizes are identified
+    doc = committed_report("t31-refl-verify-5-5.json")
+    holds, fails = oracles.naive_t31_refl_tally(doc["bounds"]["max_u"], doc["bounds"]["max_v"])
+    assert (holds, fails) == (246035, 0)
+    assert doc["tallies"] == {"holds": holds, "fails": fails, "ill_typed": 0, "vacuous": 0}
+
+
+def test_committed_t42_tallies_match_the_oracle_by_map_type():
+    # the bijections, one map type of weight n!, with lower and upper
+    # approximations compared on U and V
+    for name, upper in (("t42-1-verify-5-5.json", False), ("t42-2-verify-5-5.json", True)):
+        doc = committed_report(name)
+        holds, fails, ill_typed = oracles.naive_t42_tally(upper, doc["bounds"]["max_u"], doc["bounds"]["max_v"])
+        assert (holds, fails, ill_typed) == (205698, 0, 0), name
+        assert doc["tallies"] == {"holds": holds, "fails": fails, "ill_typed": ill_typed, "vacuous": 0}, name
+
+
 def test_c9_committed_evidence_regenerates():
     spec = importlib.util.spec_from_file_location(
         "generate_claim_status", ROOT / "scripts" / "generate_claim_status.py"

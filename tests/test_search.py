@@ -220,6 +220,55 @@ def test_groups_walk_the_enumeration_streams(canonical):
             assert list(search._groups(claim, 6, max_v, canonical)) == expected, (constraint, max_v)
 
 
+def test_holds_built_afresh_counts_as_holds(monkeypatch):
+    # the sweep counts Holds by exception: it skips the one Holds object
+    # every evaluator returns, and counts as failed only a FAILS verdict, so
+    # a record whose evaluator builds its own Holds verdict gives the same
+    # report as the registry's
+    from roughmap import claims
+    from roughmap.claims import Verdict
+
+    def fresh_holds(fn):
+        def evaluator(ctx, h1, h2, xmask):
+            verdict = fn(ctx, h1, h2, xmask)
+            return Verdict(Outcome.HOLDS) if verdict is claims._HOLDS else verdict
+
+        return evaluator
+
+    for run, cid, max_u, max_v in [(verify, "T31", 6, 3), (verify, "T41-1", 5, 3), (falsify, "L31-2-inc", 5, 3)]:
+        want = _settled_doc(run(cid, max_u, max_v))
+        claim = claims.REGISTRY[cid]
+        with monkeypatch.context() as patch:
+            patch.setitem(claims.REGISTRY, cid, claim._replace(evaluator=fresh_holds(claim.evaluator)))
+            got = _settled_doc(run(cid, max_u, max_v))
+        assert got["tallies"]["holds"] > 0
+        assert got == want, cid
+
+
+def test_falsify_on_direct_tables_counts_up_to_its_first_failure(monkeypatch):
+    # a falsify that stops counts its last group's instances up to the
+    # failing one from the failure's position; on the direct tables the
+    # handles are a list of packed relations, not a range of indices
+    import json
+
+    from roughmap import claims
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    names = sorted(name for name in os.listdir(os.path.join(root, "reports")) if name.endswith("-falsify-5-3.json"))
+    assert len(names) == 11
+    claims.size_tables.cache_clear()
+    monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
+    try:
+        for name in names:
+            with open(os.path.join(root, "reports", name), encoding="utf-8") as f:
+                committed = json.load(f)
+            fresh = report_doc(falsify(committed["claim"], 5, 3))
+            for key in ("tallies", "groups", "first_counterexample"):
+                assert fresh.get(key) == committed.get(key), (name, key)
+    finally:
+        claims.size_tables.cache_clear()
+
+
 def test_task_with_no_room_counts_its_failures_and_keeps_none():
     groups = list(search._groups(get_claim("T41-1"), 4, 2, False))
     done, tally, fails, _ = search._run_task(("T41-1", groups, False, 0))
