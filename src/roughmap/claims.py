@@ -24,14 +24,13 @@ from enum import Enum
 from functools import lru_cache
 
 from . import kernels
-from .kernels import contribution, fiber_counts
 from .enumeration import iter_rgs
 from .errors import BadInstanceError
 from .mappings import SurjMap
 from .structures import Partition, Subset
 from .witnesses import (
     not_equivalence,
-    pairs,
+    reflexivity_mismatch,
     relation_not_equal,
     relation_not_included,
     subset_not_equal,
@@ -105,25 +104,11 @@ def _eval_t31(ctx, h1, h2, xmask):
     return _Failure(not_equivalence, rel.packed, ctx.m)
 
 
-def _reflexivity_mismatch(ctx, rel, reflexive: bool) -> dict:
-    m = ctx.m
-    # the least v whose (v, v) is missing, or that nothing maps to
-    v = kernels.broken_axioms(rel.packed, m)[0][0] if ctx.surjective else ctx.fibers.index(0)
-    return {
-        "kind": "reflexivity-mismatch",
-        "surjective": ctx.surjective,
-        "reflexive": reflexive,
-        "element": v,
-        "relation": pairs(rel.packed, m),
-    }
-
-
 def _eval_t31_refl(ctx, h1, h2, xmask):
     rel = ctx.relmaps[h1]
-    reflexive = bool(rel.flags & kernels.REFLEXIVE)
-    if reflexive == ctx.surjective:
+    if bool(rel.flags & kernels.REFLEXIVE) == ctx.surjective:
         return _HOLDS
-    return _Failure(_reflexivity_mismatch, ctx, rel, reflexive)
+    return _Failure(reflexivity_mismatch, rel.packed, ctx.m, ctx.fibers)
 
 
 def _eval_l311_fwd(ctx, h1, h2, xmask):
@@ -531,9 +516,9 @@ class _Relation:
 
     __slots__ = ("packed", "flags")
 
-    def __init__(self, kern, m: int, packed: int):
+    def __init__(self, m: int, packed: int):
         self.packed = packed
-        self.flags = kern.classify(packed, m)
+        self.flags = kernels.classify(packed, m)
 
 
 def _listed_relations(n: int) -> list:
@@ -556,31 +541,31 @@ class _DirectTables:
 
     def __init__(self, n: int):
         self.n = n
-        kern = self.kern = kernels.select(n)
         self.relations = self.index = _Computed(lambda r: r)
-        blocks = self.blocks = _Cached(lambda r: kern.relation_blocks(r, n))
+        blocks = self.blocks = _Cached(lambda r: kernels.relation_blocks(r, n))
         self.classified = {}
         self._listed = None
 
         def approx(r):
-            lub, rblocks = kern.lower_upper_masks, blocks[r]
-            return _Computed(lambda x: lub(rblocks, x)[0]), _Computed(lambda x: lub(rblocks, x)[1])
+            rblocks = blocks[r]
+            lower = _Computed(lambda x: kernels.lower_upper_masks(rblocks, x)[0])
+            return lower, _Computed(lambda x: kernels.lower_upper_masks(rblocks, x)[1])
 
         def equivalence(r):
             # R1 ∪ R2 is reflexive and symmetric, so an equivalence exactly
             # when it is its own closure, the join
-            return r if kern.closure(r, n) == r else None
+            return r if kernels.closure(r, n) == r else None
 
         self.approx = _Computed(approx)
         self.meet = _Computed(lambda r1: _Computed(r1.__and__))
-        self.join = _Computed(lambda r1: _Computed(lambda r2: kern.closure(r1 | r2, n)))
+        self.join = _Computed(lambda r1: _Computed(lambda r2: kernels.closure(r1 | r2, n)))
         self.union = _Computed(lambda r1: _Computed(lambda r2: equivalence(r1 | r2)))
 
     def handle(self, rgs):
-        return self.index[self.kern.partition_relation(rgs)]
+        return self.index[kernels.partition_relation(rgs)]
 
     def rgs(self, h) -> tuple:
-        return self.kern.relation_rgs(self.relations[h], self.n)
+        return kernels.relation_rgs(self.relations[h], self.n)
 
     def handles(self) -> list:  # in lex order
         if self._listed is None:
@@ -624,10 +609,9 @@ class _SizeTables:
 
     def __init__(self, n: int):
         self.n = n
-        self.kern = kern = kernels.select(n)
         self.relations = _listed_relations(n)
         self.index = {r: i for i, r in enumerate(self.relations)}
-        self.blocks = [kern.relation_blocks(r, n) for r in self.relations]
+        self.blocks = [kernels.relation_blocks(r, n) for r in self.relations]
         self._by_blocks = None  # partition's set of block masks -> handle, for the join rows
         self.maps = {}
         self.count_width = n.bit_length()  # bits per fiber of a block's packed counts
@@ -635,8 +619,8 @@ class _SizeTables:
         self.classified = {}
 
         def approx(i):
-            lub, blocks = kern.lower_upper_masks, self.blocks[i]
-            return tuple(zip(*[lub(blocks, x) for x in range(1 << n)]))
+            blocks = self.blocks[i]
+            return tuple(zip(*[kernels.lower_upper_masks(blocks, x) for x in range(1 << n)]))
 
         self.approx = _Cached(approx)
         self.meet = self._pair_table(lambda i: self._row(int.__and__, i))
@@ -692,7 +676,9 @@ class _SizeTables:
         width = self.count_width
         full = (1 << width) - 1
         return _Cached(
-            lambda counts: contribution(sizes, {v: c for v in range(len(sizes)) if (c := counts >> v * width & full)})
+            lambda counts: kernels.contribution(
+                sizes, {v: c for v in range(len(sizes)) if (c := counts >> v * width & full)}
+            )
         )
 
 
@@ -746,8 +732,8 @@ class GroupContext:
     """
 
     __slots__ = (
-        "n", "m", "table", "kern", "fibers", "surjective", "sizes", "vsizes", "images",
-        "contributions", "relmaps", "_relations", "_fiber_ok", "_approx",
+        "n", "m", "table", "fibers", "surjective", "sizes", "vsizes", "images",
+        "contributions", "relmaps", "_fiber_ok", "_approx",
     )
 
     def __init__(self, sizes, vsizes, table: tuple[int, ...], claim: Claim, handles):
@@ -755,8 +741,6 @@ class GroupContext:
         self.n = n = sizes.n
         self.m = m = vsizes.n
         self.table = table = tuple(table)
-        kern = self.kern = kernels.select(n, m)
-        self._relations = vsizes.classified
         if type(sizes) is _SizeTables:
             hit = sizes.maps.get((m, table))
             if hit is None:
@@ -764,12 +748,13 @@ class GroupContext:
             self.fibers, self.surjective, self.images, self.contributions, self.relmaps = hit
             handles, slots = sizes.handles(), list  # exact lists over every handle
         else:
-            fibers = self.fibers = kern.fiber_masks(table, m)
+            fibers = self.fibers = kernels.fiber_masks(table, m)
             self.surjective = all(fibers)
-            image_mask = kern.image_mask
             fiber_sizes = [f.bit_count() for f in fibers]
-            self.images = _Cached(lambda x: image_mask(table, x))
-            self.contributions = _Cached(lambda block: contribution(fiber_sizes, fiber_counts(table, block)))
+            self.images = _Cached(lambda x: kernels.image_mask(table, x))
+            self.contributions = _Cached(
+                lambda block: kernels.contribution(fiber_sizes, kernels.fiber_counts(table, block))
+            )
             self.relmaps = _Cached(self.relmap)
             slots = lambda values: dict(zip(handles, values))
         if claim.needs_subset:
@@ -781,7 +766,7 @@ class GroupContext:
             self._approx = slots(rows)
         if claim.fiber_hypothesis:
             # ker f ≤ h exactly when ker f ∧ h = ker f
-            ker = sizes.index[kern.partition_relation(table)]
+            ker = sizes.index[kernels.partition_relation(table)]
             meet = sizes.meet[ker]
             self._fiber_ok = slots([meet[h] == ker for h in handles])
 
@@ -797,7 +782,7 @@ class GroupContext:
         contributions of the fiber sizes.
         """
         table, sizes = self.table, self.sizes
-        fibers = self.kern.fiber_masks(table, self.m)
+        fibers = kernels.fiber_masks(table, self.m)
         width = sizes.count_width
         images, counts = [0], [0]
         for v in table:
@@ -811,7 +796,7 @@ class GroupContext:
     def _relmaps(self, contributions, partitions) -> list:
         """f(R) of each partition, given by its block masks: the OR of its
         blocks' contributions, classified once per relation on V."""
-        relations, kern, m = self._relations, self.kern, self.m
+        relations, m = self.vsizes.classified, self.m
         out = []
         for blocks in partitions:
             packed = 0
@@ -819,7 +804,7 @@ class GroupContext:
                 packed |= contributions[block]
             hit = relations.get(packed)
             if hit is None:
-                hit = relations[packed] = _Relation(kern, m, packed)
+                hit = relations[packed] = _Relation(m, packed)
             out.append(hit)
         return out
 

@@ -55,7 +55,7 @@ def render_subset(s: Subset) -> str:
 
 
 def render_witness(witness: dict, u: Universe, v: Universe) -> str:
-    """Human-readable account of a Fails witness, using instance labels."""
+    """Human-readable account of a Fails witness (a `witnesses` dict), using instance labels."""
     kind = witness["kind"]
     labels = (u if witness.get("space") == "domain" else v).label
     if kind in ("relation-not-included", "relation-not-equal", "subset-not-included", "subset-not-equal"):
@@ -330,17 +330,15 @@ def render_partition(p: Partition) -> str:
     return "{" + ", ".join(render_subset(b) for b in p.blocks()) + "}"
 
 
-def render_instance_text(inst: Instance, partition_names: Sequence[str] | None = None) -> list[str]:
+def render_instance_text(inst: Instance) -> list[str]:
     """Short per-line description of an instance, for report bodies."""
     u, v = inst.f.domain, inst.f.codomain
-    if partition_names is None:
-        partition_names = _partition_names(len(inst.partitions))
     lines = [
         f"U = {render_elements(range(u.size), u.label)}, "
         f"V = {render_elements(range(v.size), v.label)}",
         "f: " + ", ".join(f"{u.label(x)} -> {v.label(y)}" for x, y in enumerate(inst.f.table)),
     ]
-    for name, p in zip(partition_names, inst.partitions):
+    for name, p in zip(_partition_names(len(inst.partitions)), inst.partitions):
         lines.append(f"{name} = {render_partition(p)}")
     if inst.x is not None:
         lines.append(f"X = {render_subset(inst.x)}")

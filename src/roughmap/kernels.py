@@ -228,10 +228,10 @@ def image_mask(table, xmask):
 def select(n: int, m: int | None = None):
     """The kernel module for a universe of size n (codomain size m).
 
-    Returns this module.  The engine fetches its kernels through this call
-    (`claims.GroupContext`, `claims._SizeTables`, `claims._DirectTables`),
-    so the per-layer benchmark trace (`perfbench/tracing.py`) can wrap it to
-    count and time kernel calls; the public API calls the kernels directly.
+    Returns this module.  No engine code calls it: the engine calls each
+    kernel as `kernels.name(...)`, looked up at call time.  It stays only for
+    perfbench's setup code and tracer, which wraps it, and goes with the
+    tracer change that patches kernel names (ROADMAP item 7).
     The partition lattice has no kernel of its own: the engine names a
     partition by its packed relation, or by that relation's index, and
     computes the meet with &, the union with | and the join with closure;

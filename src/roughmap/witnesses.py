@@ -85,3 +85,17 @@ def not_equivalence(packed: int, m: int) -> dict:
         (axiom, items) for axiom, items in zip(kernels.AXIOMS, kernels.broken_axioms(packed, m)) if items
     )
     return {"kind": "not-equivalence", "condition": condition, "items": items, "relation": pairs(packed, m)}
+
+
+def reflexivity_mismatch(packed: int, m: int, fibers) -> dict:
+    # T31-refl's iff broken: the least v whose (v, v) is missing from a
+    # surjective map's f(R), or that nothing maps to when f(R) is reflexive
+    surjective = all(fibers)
+    missing = kernels.broken_axioms(packed, m)[0]
+    return {
+        "kind": "reflexivity-mismatch",
+        "surjective": surjective,
+        "reflexive": missing is None,
+        "element": missing[0] if surjective else fibers.index(0),
+        "relation": pairs(packed, m),
+    }

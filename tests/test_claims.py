@@ -17,7 +17,7 @@ from roughmap import (
     partition_from_blocks,
     relmap,
 )
-from roughmap import claims, kernels
+from roughmap import kernels
 from roughmap.claims import check_shape
 from roughmap.docio import render_witness
 from roughmap.replay import (
@@ -25,7 +25,7 @@ from roughmap.replay import (
     bijective_instance,
     monotonicity_instance,
 )
-from roughmap.witnesses import relation_not_equal
+from roughmap.witnesses import reflexivity_mismatch, relation_not_equal
 
 ALL_IDS = [
     "T31",
@@ -251,14 +251,13 @@ def test_reflexivity_mismatch_names_the_least_element_that_breaks_the_iff():
     # from a map and a relation given by hand, once for each mismatch
     v = Universe(3, ["a", "b", "c"])
 
-    def mismatch(table, pairs, reflexive):
-        ctx = claims.GroupContext(claims._DirectTables(3), claims._DirectTables(3), table, get_claim("T31-refl"), ())
-        rel = claims._Relation(kernels, 3, sum(1 << a * 3 + b for a, b in pairs))
-        witness = claims._reflexivity_mismatch(ctx, rel, reflexive)
+    def mismatch(table, pairs):
+        packed = sum(1 << a * 3 + b for a, b in pairs)
+        witness = reflexivity_mismatch(packed, 3, kernels.fiber_masks(table, 3))
         return witness, render_witness(witness, Universe(3), v)
 
     # surjective, and (b, b) and (c, c) are missing: b is named
-    witness, text = mismatch((0, 1, 2), {(0, 0), (1, 2), (2, 0)}, False)
+    witness, text = mismatch((0, 1, 2), {(0, 0), (1, 2), (2, 0)})
     assert witness == {
         "kind": "reflexivity-mismatch",
         "surjective": True,
@@ -268,7 +267,7 @@ def test_reflexivity_mismatch_names_the_least_element_that_breaks_the_iff():
     }
     assert text == "f is surjective but (b, b) is missing from f(R)\n  f(R) = {(a, a), (b, c), (c, a)}"
     # not surjective, nothing maps to b, and the relation is reflexive
-    witness, text = mismatch((0, 0, 2), {(0, 0), (1, 1), (2, 2)}, True)
+    witness, text = mismatch((0, 0, 2), {(0, 0), (1, 1), (2, 2)})
     assert witness == {
         "kind": "reflexivity-mismatch",
         "surjective": False,

@@ -194,7 +194,7 @@ def test_render_subset():
 
 
 def test_render_instance_text_sections():
-    lines = render_instance_text(monotonicity_instance(), ("R1", "R2"))
+    lines = render_instance_text(monotonicity_instance())
     text = "\n".join(lines)
     assert "U = {1, 2, 3, 4, 5, 6}" in text
     assert "V = {a, b}" in text

@@ -615,7 +615,7 @@ def test_trace_counts_one_evaluation_per_instance_and_one_context_per_group(monk
                 slices = [(n, m) for n in range(1, max_u + 1) for m in range(n if bijective else 1, min(n, max_v) + 1)]
                 assert partitions == sum(bell(n) * stirling2(n, m) for n, m in slices)
     finally:
-        # per-size tables built under the trace hold its kernel wrappers
+        # the size tables live for the process: later tests get fresh ones
         claims.size_tables.cache_clear()
 
 
@@ -678,7 +678,60 @@ def test_sweep_calls_the_evaluator_or_the_traced_name_once_per_instance(monkeypa
             assert traced.failures == plain.failures
             assert traced.first_counterexample == plain.first_counterexample
     finally:
-        # per-size tables built under the trace hold its kernel wrappers
+        # the size tables live for the process: later tests get fresh ones
+        claims.size_tables.cache_clear()
+
+
+def test_tables_built_under_the_trace_record_nothing_after_it(monkeypatch):
+    # the engine calls every kernel by its name in `kernels`, looked up at
+    # call time, so the size tables, which live for the process, keep no
+    # handle on the tracer's kernel wrappers: a sweep after the trace, on
+    # the tables built under it, records no call into the finished tracer
+    from roughmap import claims
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from tracing import Tracer, installed
+
+    claims.size_tables.cache_clear()
+    try:
+        tracer = Tracer()
+        with installed(tracer):
+            traced = verify("T41-1", 5, 3, workers=1)
+        calls = dict(tracer.calls)
+        again = verify("T41-1", 5, 3, workers=1)
+        assert dict(tracer.calls) == calls
+        assert again.tally == traced.tally
+    finally:
+        claims.size_tables.cache_clear()
+
+
+def test_a_patched_kernel_name_reaches_both_table_forms(monkeypatch):
+    # a fresh context computes each block contribution through
+    # kernels.contribution as the module holds it when called, on the
+    # stored and on the direct tables
+    from roughmap import claims, kernels
+
+    calls = []
+    real = kernels.contribution
+
+    def counted(sizes, counts):
+        calls.append(counts)
+        return real(sizes, counts)
+
+    monkeypatch.setattr(kernels, "contribution", counted)
+    claim, table = get_claim("T31"), (0, 0, 1, 1)
+    claims.size_tables.cache_clear()
+    try:
+        stored = claims.GroupContext(claims.size_tables(4), claims.size_tables(2), table, claim, ())
+        assert calls
+        calls.clear()
+        direct_u = claims._DirectTables(4)
+        direct = claims.GroupContext(direct_u, claims._DirectTables(2), table, claim, ())
+        relmaps = [direct.relmaps[h].packed for h in direct_u.handles()]
+        assert calls
+        assert relmaps == [rel.packed for rel in stored.relmaps]
+    finally:
         claims.size_tables.cache_clear()
 
 
