@@ -6,7 +6,10 @@ never typed in by hand. Rerun after any change to the engine:
     python3 scripts/generate_claim_status.py
 
 It imports roughmap from the checkout's `src/`, so it needs no install.
-Takes about 2-3 seconds (2-vCPU Xeon, Python 3.11).
+A report whose new document differs from the file only in the fields that
+change between runs of one engine is left untouched, so `git diff reports`
+shows only evidence that moved.
+Takes under a second (0.6 s on a 2-vCPU Xeon, Python 3.11).
 """
 
 import json
@@ -22,6 +25,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from roughmap.claims import REGISTRY
 from roughmap.docio import report_doc, write_json
 from roughmap.search import falsify, verify
+
+# report fields that differ between runs of the same sweep
+VOLATILE_FIELDS = ("wall_time_s", "workers", "tool")
 
 # (claim, mode, max_u, max_v); bounds chosen so refuted claims show a
 # witness, proved claims sweep a space large enough to mean something,
@@ -53,6 +59,24 @@ def report_name(claim, mode, max_u, max_v):
     return f"{claim.lower()}-{mode}-{max_u}-{v}.json"
 
 
+def settled(doc):
+    """A report document as JSON data, without its volatile fields."""
+    doc = json.loads(json.dumps(doc))
+    for key in VOLATILE_FIELDS:
+        doc.pop(key, None)
+    return doc
+
+
+def write_report(path, doc):
+    """Write doc to path unless the file holds it already, volatile fields aside."""
+    try:
+        old = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        old = None
+    if old is None or settled(old) != settled(doc):
+        write_json(path, doc)
+
+
 def run_all():
     docs = {}
     for claim, mode, max_u, max_v in RUNS:
@@ -60,7 +84,7 @@ def run_all():
         report = fn(claim, max_u=max_u, max_v=max_v)
         doc = report_doc(report)
         path = REPORTS / report_name(claim, mode, max_u, max_v)
-        write_json(path, doc)
+        write_report(path, doc)
         docs.setdefault(claim, []).append(doc)
         tallies, b = doc["tallies"], doc["bounds"]
         print(

@@ -18,12 +18,13 @@ closed-form size, or, when falsify stops in it, the failing instance's
 position plus one.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On one worker the
-whole sweep is one task; on more, runs of consecutive groups are packed into
-tasks of about TASK_INSTANCES instances.  The first task runs in the calling
-process, so a falsify that stops inside it never waits on the pool and a
-sweep of one task never starts one; the rest are handed to one process pool
-that lives as long as this process and serves every call with the same
-worker count.
+whole sweep is one task; on more, runs of consecutive groups of about
+TASK_INSTANCES instances are the tasks.  The first runs in the calling
+process and pulls its groups as it walks them, so a falsify that stops inside
+it sizes only the groups it evaluated and never waits on the pool, and a
+sweep of one task never starts one; the rest are packed into lists for one
+process pool that lives as long as this process and serves every call with
+the same worker count.
 Task results are merged in submission order, the caller's first, so the
 first counterexample, the failure list and every tally are independent of
 the worker count.
@@ -214,17 +215,23 @@ def _group_size(claim: Claim, n: int) -> int:
     return bell(n)
 
 
+def _take(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]], budget: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The stream's next groups, pulled as they are walked, up to the one that
+    brings their closed-form instance count to budget; sized once per |U|."""
+    instances = n = 0
+    for group in groups:
+        yield group
+        if group[0] != n:
+            n = group[0]
+            size = _group_size(claim, n)
+        instances += size
+        if instances >= budget:
+            return
+
+
 def _tasks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]]) -> Iterator[list[tuple[int, int, tuple[int, ...]]]]:
     """Consecutive groups packed until their instance count reaches TASK_INSTANCES."""
-    batch: list[tuple[int, int, tuple[int, ...]]] = []
-    instances = 0
-    for group in groups:
-        batch.append(group)
-        instances += _group_size(claim, group[0])
-        if instances >= TASK_INSTANCES:
-            yield batch
-            batch, instances = [], 0
-    if batch:
+    while batch := list(_take(claim, groups, TASK_INSTANCES)):
         yield batch
 
 
@@ -308,10 +315,13 @@ def _run(
         return False
 
     # the first task runs in this process, merged as a pool task would be:
-    # on one worker it is the whole sweep, a falsify that stops inside it
-    # never waits on the pool, and a sweep of one task never starts one
-    tasks = _tasks(claim, groups) if workers > 1 else iter([groups])
-    stopped = merge(*_run_task((claim.id, next(tasks, []), stop_on_fail, max_failures)))
+    # on one worker it is the whole sweep; on more it pulls its groups as it
+    # walks them, so a falsify that stops inside it sizes no group it did not
+    # evaluate and never waits on the pool, and a sweep of one task never
+    # starts one
+    first = _take(claim, groups, TASK_INSTANCES) if workers > 1 else groups
+    stopped = merge(*_run_task((claim.id, first, stop_on_fail, max_failures)))
+    tasks = _tasks(claim, groups)
     second = None if stopped else next(tasks, None)
     if second is not None:
         from collections import deque

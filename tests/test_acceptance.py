@@ -289,12 +289,17 @@ def test_committed_t42_tallies_match_the_oracle_by_map_type():
         assert doc["tallies"] == {"holds": holds, "fails": fails, "ill_typed": ill_typed, "vacuous": 0}, name
 
 
-def test_c9_committed_evidence_regenerates():
+def _evidence_script():
     spec = importlib.util.spec_from_file_location(
         "generate_claim_status", ROOT / "scripts" / "generate_claim_status.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_c9_committed_evidence_regenerates():
+    script = _evidence_script()
     docs = {}
     for claim, mode, max_u, max_v in script.RUNS:
         name = script.report_name(claim, mode, max_u, max_v)
@@ -307,6 +312,22 @@ def test_c9_committed_evidence_regenerates():
         assert settled(fresh) == settled(committed), name
     status = (ROOT / "CLAIM_STATUS.md").read_text(encoding="utf-8")
     assert script.status_markdown(docs) == status
+
+
+def test_c9_regeneration_rewrites_only_reports_that_moved(tmp_path):
+    # a rerun on an unchanged engine leaves every report's bytes alone, so
+    # a plain diff of reports/ shows only evidence that moved
+    script = _evidence_script()
+    path = tmp_path / "report.json"
+    doc = report_doc(falsify("L31-1-bwd", max_u=3, max_v=2))
+    script.write_report(path, doc)
+    written = path.read_bytes()
+    rerun = dict(doc, wall_time_s=doc["wall_time_s"] + 1.5, workers=2, tool="roughmap 0.0")
+    script.write_report(path, rerun)
+    assert path.read_bytes() == written
+    moved = dict(doc, tallies=dict(doc["tallies"], holds=doc["tallies"]["holds"] + 1))
+    script.write_report(path, moved)
+    assert settled(json.loads(path.read_text(encoding="utf-8"))) == settled(moved)
 
 
 def test_c10_readme_quick_start_runs_as_documented():

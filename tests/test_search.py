@@ -148,6 +148,46 @@ def test_worker_count_does_not_change_results_found_in_a_pool_task(cid, bounds, 
     _falsify_on_each_worker_count(cid, bounds, in_first_task=False)
 
 
+def test_caller_pulls_only_the_groups_it_walks(monkeypatch):
+    # on two workers the caller's first task pulls each group from the
+    # stream as it walks it, so a falsify that stops in it has enumerated
+    # only the groups it counts, not the whole first task (29 and 32 groups)
+    groups = search._groups
+    pulled = []
+
+    def counted(*args):
+        for group in groups(*args):
+            pulled.append(group)
+            yield group
+
+    monkeypatch.setattr(search, "_groups", counted)
+    for cid, want in (("L31-1-bwd", 2), ("T41-1", 12)):
+        pulled.clear()
+        report = falsify(cid, 5, 3, workers=2)
+        assert report.found
+        assert len(pulled) == report.groups == want, cid
+
+
+@pytest.mark.parametrize("budget", [1, 100, search.TASK_INSTANCES])
+@pytest.mark.parametrize(
+    "cid, bounds, canonical",
+    [("T31", (6, 3), False), ("L31-2-eq", (5, 3), True), ("T41-1", (5, 3), False)],
+    ids=["T31-verify", "L31-2-eq-falsify", "T41-1-verify"],
+)
+def test_caller_slice_and_pool_tasks_pack_the_stream_in_order(cid, bounds, canonical, budget, monkeypatch):
+    # the caller's slice, then the pool's batches: each reaches the budget
+    # with its last group and not before, and together they are the stream
+    monkeypatch.setattr(search, "TASK_INSTANCES", budget)
+    claim = get_claim(cid)
+    stream = search._groups(claim, *bounds, canonical)
+    batches = [list(search._take(claim, stream, budget)), *search._tasks(claim, stream)]
+    assert [group for batch in batches for group in batch] == list(search._groups(claim, *bounds, canonical))
+    for i, batch in enumerate(batches):
+        sizes = [search._group_size(claim, n) for n, _, _ in batch]
+        assert sizes and sum(sizes[:-1]) < budget
+        assert sum(sizes) >= budget or i == len(batches) - 1
+
+
 def _settled_doc(report):
     doc = report_doc(report)
     for key in ("wall_time_s", "workers", "tool"):
