@@ -23,11 +23,8 @@ REPORTS = ROOT / "reports"
 sys.path.insert(0, str(ROOT / "src"))
 
 from roughmap.claims import REGISTRY
-from roughmap.docio import report_doc, write_json
+from roughmap.docio import report_doc, settled, write_json
 from roughmap.search import falsify, verify
-
-# report fields that differ between runs of the same sweep
-VOLATILE_FIELDS = ("wall_time_s", "workers", "tool")
 
 # (claim, mode, max_u, max_v); bounds chosen so refuted claims show a
 # witness, proved claims sweep a space large enough to mean something,
@@ -57,14 +54,6 @@ def report_name(claim, mode, max_u, max_v):
     """File name under reports/ of one RUNS entry (max_v None means max_u)."""
     v = max_v if max_v is not None else max_u
     return f"{claim.lower()}-{mode}-{max_u}-{v}.json"
-
-
-def settled(doc):
-    """A report document as JSON data, without its volatile fields."""
-    doc = json.loads(json.dumps(doc))
-    for key in VOLATILE_FIELDS:
-        doc.pop(key, None)
-    return doc
 
 
 def write_report(path, doc):

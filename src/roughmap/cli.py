@@ -400,10 +400,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("roughmap: interrupted", file=sys.stderr)
         return 130
     finally:
-        # shut the search pool down here, not at exit: there the executor's
-        # own exit hook races with its manager thread, which stale task
-        # results may have woken, and can print a traceback
-        search._drop_pool()
+        # the command's sweep is over: stop the search workers it started
+        search._drop_workers()
 
 
 if __name__ == "__main__":

@@ -390,6 +390,20 @@ def report_doc(report: SearchReport) -> dict:
     return doc
 
 
+# report fields that differ between runs of the same sweep
+VOLATILE_FIELDS = ("wall_time_s", "workers", "tool")
+
+
+def settled(doc: dict) -> dict:
+    """A report document as JSON data, without its volatile fields."""
+    import json
+
+    doc = json.loads(json.dumps(doc))
+    for key in VOLATILE_FIELDS:
+        doc.pop(key, None)
+    return doc
+
+
 def write_json(path: str, doc: dict) -> None:
     import json
 

@@ -62,4 +62,4 @@ class IoError(RoughmapError):
 
 
 class WorkerCrashError(RoughmapError):
-    """A search worker process died before returning its task's results."""
+    """A search worker process died, or its pipe broke, before it sent its chunks' results."""

@@ -6,7 +6,7 @@ Within a group a partition is a `claims` handle: up to 7 elements the lex
 index of its relation, above that the packed relation itself; only the
 failures kept are turned back into rgs.
 Each instance is one call of the evaluator named by the claim's registry
-record, bound once per task; when `evaluate_raw` here has been rebound
+record, bound once per run; when `evaluate_raw` here has been rebound
 (perfbench/tracing.py counts evaluations that way), the loop calls the
 rebound name instead, once per instance as well.
 Holds is counted by exception.  Every evaluator returns the one object
@@ -18,16 +18,21 @@ closed-form size, or, when falsify stops in it, the failing instance's
 position plus one.
 `falsify` stops at the first failing instance; `verify` sweeps the whole
 space.  Work is sharded by (claim, |U|, |V|, map) groups.  On one worker the
-whole sweep is one task; on more, runs of consecutive groups of about
-TASK_INSTANCES instances are the tasks.  The first runs in the calling
-process and pulls its groups as it walks them, so a falsify that stops inside
-it sizes only the groups it evaluated and never waits on the pool, and a
-sweep of one task never starts one; the rest are packed into lists for one
-process pool that lives as long as this process and serves every call with
-the same worker count.
-Task results are merged in submission order, the caller's first, so the
-first counterexample, the failure list and every tally are independent of
-the worker count.
+whole sweep is one run in the calling process.  On K > 1, every process
+walks the group stream itself, cut into chunks of consecutive groups of about
+TASK_INSTANCES instances, and evaluates chunk j when j % K is its index: the
+caller is process 0, and K - 1 forked workers, kept for this process and
+each on one pipe, are the others.  The caller walks chunk 0 pulling its
+groups as it evaluates them, so a falsify that stops there sizes only the
+groups it evaluated and a sweep of one chunk starts no worker.  Past chunk
+0 it sends each worker one job naming the sweep, evaluates its own chunks,
+and after each merges the workers' earlier chunks, read from their pipes.
+Results are merged in chunk order, so the first counterexample, the failure
+list and every tally are independent of the worker count.  On an early stop
+the caller tells the workers to stop; every job ends with a done marker that
+the caller reads, so no result of one sweep reaches the next.  The workers
+serve one sweep at a time: threads of one process that sweep at once must
+each run on one worker.
 
 falsify enumerates one map per codomain-relabeling orbit (relabeling V
 commutes with every claim); verify enumerates all maps.  Relabeling V
@@ -37,7 +42,7 @@ the first-appearance relabeling that falsify walks (its own tables are
 canonical already), and GroupContext builds the tables of each t0 once
 (see its docstring).  Witnesses, unlike verdicts, name V's labels, so a kept
 failure whose table is not its own t0 takes its witness from the reference
-`claims.evaluate`: at most max_failures of them per task.
+`claims.evaluate`: at most max_failures of them per process.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import functools
 import itertools
 import os
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterator
 
 from . import claims
@@ -59,9 +64,9 @@ from .mappings import SurjMap
 from .structures import Partition, Subset, Universe
 
 DEFAULT_MAX_FAILURES = 20
-# closed-form instances per pool task: pickling and IPC are paid per task,
-# and 5,000-50,000 run alike on two workers
-TASK_INSTANCES = 20_000
+# closed-form instances per chunk: a result crosses a pipe per chunk, and
+# smaller chunks keep the caller and the workers level at the sweep's end
+TASK_INSTANCES = 5_000
 
 # every evaluator returns this one object for Holds
 _HOLDS = claims._HOLDS
@@ -137,30 +142,29 @@ def _groups(claim: Claim, max_u: int, max_v: int, canonical: bool) -> Iterator[t
                 yield n, m, table
 
 
-def _run_task(args: tuple) -> tuple[int, Tally, list[tuple[RawInstance, dict]], str | None]:
+def _run_task(
+    claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]], stop_on_fail: bool, max_failures: int
+) -> tuple[int, Tally, list[tuple[RawInstance, dict]], str | None]:
     """Evaluate every instance of a run of consecutive (n, m, table) groups
-    of one claim, in order: the caller's first task, on one worker the
-    whole sweep, or a pool task.
+    of one claim, in order: one chunk, or on one worker the whole sweep.
 
     Returns (groups done, tally, failures capped at max_failures, first
     ill-typed reason); a cap of 0 keeps none and builds no witness.  In
-    stop-on-fail mode the task ends at its first failure, and everything
+    stop-on-fail mode the run ends at its first failure, and everything
     after it is left uncounted.
 
     The loop counts every verdict but Holds; holds is what is left of the
     instances walked, each group's closed-form _group_size, cut at the
     failing instance's position in (handles, seconds, xmasks) order when
-    the task stops.  The size tables and the group size are looked up once
+    the run stops.  The size tables and the group size are looked up once
     per (|U|, |V|), not per group.
     """
-    claim_id, groups, stop_on_fail, max_failures = args
-    claim = get_claim(claim_id)
     # one call per instance: the claim's evaluator, or, when evaluate_raw
     # here has been rebound (the tracer's count), the rebound name
     if evaluate_raw is claims.evaluate_raw:
         evaluator = claim.evaluator
     else:
-        evaluator = functools.partial(evaluate_raw, claim_id)
+        evaluator = functools.partial(evaluate_raw, claim.id)
     walked = vacuous = ill_typed = failed = 0
     fails: list[tuple[RawInstance, dict]] = []
     reason: str | None = None
@@ -229,49 +233,113 @@ def _take(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]], budg
             return
 
 
-def _tasks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]]) -> Iterator[list[tuple[int, int, tuple[int, ...]]]]:
-    """Consecutive groups packed until their instance count reaches TASK_INSTANCES."""
-    while batch := list(_take(claim, groups, TASK_INSTANCES)):
-        yield batch
+def _chunks(claim: Claim, groups: Iterator[tuple[int, int, tuple[int, ...]]], budget: int) -> Iterator[Iterator[tuple[int, int, tuple[int, ...]]]]:
+    """The stream cut into chunks, each the next _take(claim, groups, budget)
+    run; a chunk is walked, or skipped, to its end before the next is drawn."""
+    for group in groups:
+        yield _take(claim, itertools.chain((group,), groups), budget)
 
 
-# this process's search pool as (workers, pid, executor, exit hook); a
-# forked child sees its parent's entry under another pid and starts its own
-_pool: tuple | None = None
+def _serve(conn, callers: list, index: int, workers: int) -> None:
+    """Worker index of workers: for each job, (claim id, max_u, max_v,
+    stop_on_fail, room, budget), walk the group stream and evaluate the
+    chunks j with j % workers == index, sending each chunk's result, then
+    None.  callers are the caller's ends of the pipes, inherited by the fork.
 
-
-def _start_worker() -> None:
+    The failures kept over the job's chunks stay within room.  Before each
+    chunk it owns the worker looks for the caller's stop, None, which ends
+    the job; a stop that arrives after the job has ended is read and
+    dropped here.  In stop-on-fail mode a chunk that fails ends the job:
+    the caller stops there.
+    """
     import signal
-    # workers ignore Ctrl-C: the parent stops the sweep and drops the pool,
-    # and an idle pool must outlive a Ctrl-C at an interactive prompt
+
+    # workers ignore Ctrl-C: the caller stops the sweep and drops them, and
+    # idle workers must outlive a Ctrl-C at an interactive prompt
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # with no copy of the caller's end here, the caller's exit reads as EOF
+    for end in callers:
+        end.close()
+    try:
+        while True:
+            job = conn.recv()
+            if job is None:
+                continue
+            claim_id, max_u, max_v, stop_on_fail, room, budget = job
+            claim = get_claim(claim_id)
+            # falsify walks the canonical maps
+            for j, chunk in enumerate(_chunks(claim, _groups(claim, max_u, max_v, stop_on_fail), budget)):
+                if j % workers != index:
+                    deque(chunk, 0)
+                    continue
+                if conn.poll():
+                    conn.recv()
+                    break
+                result = _run_task(claim, chunk, stop_on_fail, room)
+                conn.send(result)
+                room -= len(result[2])
+                if stop_on_fail and result[1].fails:
+                    break
+            conn.send(None)
+    except (EOFError, OSError):
+        # the caller closed its end or is gone
+        return
 
 
-def _get_pool(workers: int):
-    global _pool
-    if _pool is not None and _pool[:2] == (workers, os.getpid()):
-        return _pool[2]
-    _drop_pool()
-    from concurrent.futures import ProcessPoolExecutor
+# this process's workers as (workers, pid, processes, connections, exit
+# hook); a forked child sees its parent's entry under another pid and starts
+# its own
+_workers: tuple | None = None
+
+
+def _get_workers(workers: int) -> list:
+    """Connections to workers 1 .. workers - 1 of this process, started on
+    first use and kept for later sweeps on the same count."""
+    global _workers
+    if _workers is not None and _workers[:2] == (workers, os.getpid()):
+        return _workers[3]
+    _drop_workers()
+    import multiprocessing
     from multiprocessing.util import Finalize
 
-    executor = ProcessPoolExecutor(workers, initializer=_start_worker)
-    # shut the pool down at exit while the interpreter is whole: from
-    # atexit in the main process, and at the end of a multiprocessing child,
-    # which would otherwise wait forever on the pool's workers; priority 20
-    # runs before the pool's own queues close theirs (priority 10)
-    hook = Finalize(None, _drop_pool, exitpriority=20)
-    _pool = (workers, os.getpid(), executor, hook)
-    return executor
+    # fork, as the pool had on Linux: a worker needs no import of its own,
+    # and the search starts no thread that a fork could catch holding a lock
+    ctx = multiprocessing.get_context("fork")
+    processes: list = []
+    conns: list = []
+    # stop the workers at exit while the interpreter is whole: from atexit in
+    # the main process, and at the end of a multiprocessing child
+    hook = Finalize(None, _drop_workers, exitpriority=20)
+    _workers = (workers, os.getpid(), processes, conns, hook)
+    try:
+        for index in range(1, workers):
+            conn, end = ctx.Pipe()
+            process = ctx.Process(target=_serve, args=(end, [*conns, conn], index, workers))
+            process.start()
+            # the worker holds the only other copy of its end, so its death
+            # reads as EOF here
+            end.close()
+            processes.append(process)
+            conns.append(conn)
+    except BaseException:
+        _drop_workers()
+        raise
+    return conns
 
 
-def _drop_pool() -> None:
-    """Shut down this process's search pool, if it has one."""
-    global _pool
-    held, _pool = _pool, None
+def _drop_workers() -> None:
+    """Stop this process's workers, if it has any."""
+    global _workers
+    held, _workers = _workers, None
     if held is not None and held[1] == os.getpid():
-        held[3].cancel()
-        held[2].shutdown(wait=True, cancel_futures=True)
+        held[4].cancel()
+        for process in held[2]:
+            process.terminate()
+        for process in held[2]:
+            process.join()
+            process.close()
+        for conn in held[3]:
+            conn.close()
 
 
 def _run(
@@ -293,8 +361,7 @@ def _run(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     start = time.perf_counter()
-    # a process pool forks all its workers at once; more than one per CPU
-    # only adds processes
+    # more than one process per CPU only adds processes
     workers = min(workers, os.cpu_count() or 1)
     stop_on_fail = mode == "falsify"
     canonical = mode == "falsify"
@@ -314,45 +381,49 @@ def _run(
                 return True
         return False
 
-    # the first task runs in this process, merged as a pool task would be:
-    # on one worker it is the whole sweep; on more it pulls its groups as it
-    # walks them, so a falsify that stops inside it sizes no group it did not
-    # evaluate and never waits on the pool, and a sweep of one task never
-    # starts one
-    first = _take(claim, groups, TASK_INSTANCES) if workers > 1 else groups
-    stopped = merge(*_run_task((claim.id, first, stop_on_fail, max_failures)))
-    tasks = _tasks(claim, groups)
-    second = None if stopped else next(tasks, None)
+    # on one worker the whole stream is the one chunk; on more, chunk j
+    # belongs to process j % workers, this one being 0.  Chunk 0 pulls its
+    # groups as it walks them, so a falsify that stops inside it sizes no
+    # group it did not evaluate, and a sweep of one chunk starts no worker
+    chunks = _chunks(claim, groups, TASK_INSTANCES) if workers > 1 else iter((groups,))
+    stopped = merge(*_run_task(claim, next(chunks), stop_on_fail, max_failures))
+    second = None if stopped else next(chunks, None)
     if second is not None:
-        from collections import deque
-        from concurrent.futures.process import BrokenProcessPool
+        conns = _get_workers(workers)
+        # a worker keeps at most the failures the report has room for now
+        job = (claim.id, max_u, max_v, stop_on_fail, max_failures - len(report.failures), TASK_INSTANCES)
 
-        # the rest goes to the pool: a bounded window of in-flight tasks,
-        # merged strictly in submission order; on early stop the unstarted
-        # tail is cancelled and the running tasks' results are never read
-        pool = _get_pool(workers)
-        tasks = itertools.chain([second], tasks)
-        pending: deque = deque()
+        def merged(first: int, end: int) -> bool:
+            """Read and merge the workers' chunks first .. end - 1, in order;
+            True when the sweep stops in one of them."""
+            return any(merge(*conns[j % workers - 1].recv()) for j in range(first, end))
+
         try:
-            while True:
-                while len(pending) < workers * 2:
-                    batch = next(tasks, None)
-                    if batch is None:
-                        break
-                    # a task keeps at most the failures the report still has room for
-                    room = max_failures - len(report.failures)
-                    pending.append(pool.submit(_run_task, (claim.id, batch, stop_on_fail, room)))
-                if not pending:
+            for conn in conns:
+                conn.send(job)
+            for j, chunk in enumerate(itertools.chain((second,), chunks), 1):
+                if j % workers:
+                    deque(chunk, 0)
+                    continue
+                own = _run_task(claim, chunk, stop_on_fail, max_failures - len(report.failures))
+                stopped = merged(j - workers + 1, j) or merge(*own)
+                if stopped:
                     break
-                if merge(*pending.popleft().result()):
-                    for fut in pending:
-                        fut.cancel()
-                    break
-        except BrokenProcessPool:
-            _drop_pool()
+            else:
+                stopped = merged(j - j % workers + 1, j + 1)
+            if stopped:
+                for conn in conns:
+                    conn.send(None)
+            # every job ends with None, so a result the sweep did not read,
+            # after a stop, never reaches the next sweep
+            for conn in conns:
+                while conn.recv() is not None:
+                    pass
+        except (EOFError, OSError):
+            _drop_workers()
             raise WorkerCrashError("a search worker process died") from None
         except BaseException:
-            _drop_pool()
+            _drop_workers()
             raise
 
     report.elapsed_s = time.perf_counter() - start

@@ -28,7 +28,7 @@ from roughmap import (
     search,
     verify,
 )
-from roughmap.docio import emit_instance_doc, raw_to_instance, report_doc
+from roughmap.docio import emit_instance_doc, raw_to_instance, report_doc, settled
 from roughmap.enumeration import (
     bell,
     iter_rgs,
@@ -42,18 +42,6 @@ from roughmap.replay import approximation_instance, monotonicity_instance, repla
 import oracles
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-# report fields that differ between runs of the same sweep
-VOLATILE_FIELDS = ("wall_time_s", "workers", "tool")
-
-
-def settled(doc):
-    """A report document as JSON data, without its volatile fields."""
-    doc = json.loads(json.dumps(doc))
-    for key in VOLATILE_FIELDS:
-        del doc[key]
-    return doc
-
 
 def committed_report(name):
     return json.loads((ROOT / "reports" / name).read_text(encoding="utf-8"))

@@ -360,50 +360,50 @@ _CALLER = os.getpid()
 _real_run_task = search._run_task
 
 
-def _die_in_worker(args):
-    # the first task of a sweep runs in the caller, the rest in pool workers
+def _die_in_worker(*args):
+    # chunk 0 of a sweep runs in the caller, and the worker dies in its first
     if os.getpid() != _CALLER:
         os._exit(1)
-    return _real_run_task(args)
+    return _real_run_task(*args)
 
 
-def _pools_started(monkeypatch) -> list:
-    """The worker count of every pool a sweep asks for from now on."""
+def _workers_started(monkeypatch) -> list:
+    """The worker count of every sweep that asks for workers from now on."""
     started = []
-    get_pool = search._get_pool
-    monkeypatch.setattr(search, "_get_pool", lambda workers: started.append(workers) or get_pool(workers))
+    get_workers = search._get_workers
+    monkeypatch.setattr(search, "_get_workers", lambda workers: started.append(workers) or get_workers(workers))
     return started
 
 
-# T31 at (6, 3) outgrows the first task, so it reaches the pool; T31 is
-# open, so its failures exit 1
+# T31 at (6, 3) outgrows chunk 0, so it reaches the worker; T31 is open, so
+# its failures exit 1
 POOL_SWEEP = ("verify", "T31", "--max-u", "6", "--max-v", "3", "--workers", "2")
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
 def test_worker_crash_exits_4_without_traceback(capsys, monkeypatch):
-    # pool workers see the module as it was when their pool started, so a
-    # pool left by an earlier test must go before the patch
-    search._drop_pool()
+    # workers see the module as it was when they started, so workers left by
+    # an earlier test must go before the patch
+    search._drop_workers()
     monkeypatch.setattr(search, "_run_task", _die_in_worker)
     code, out, err = run(capsys, *POOL_SWEEP)
     assert code == 4
     assert err == "roughmap: a search worker process died\n"
     assert "Traceback" not in out + err
-    # the crashed pool was dropped: the next sweep gets a new one
+    # the crashed workers were dropped: the next sweep starts new ones
     monkeypatch.undo()
-    started = _pools_started(monkeypatch)
+    started = _workers_started(monkeypatch)
     code, out, err = run(capsys, *POOL_SWEEP)
     assert code == 1
     assert err == ""
     assert started == [2]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
 def test_main_shuts_down_the_pool_it_used(capsys, monkeypatch):
-    # a pool left to the exit hooks can race its own manager thread there
-    # and print a traceback after the command's output
-    started = _pools_started(monkeypatch)
+    # the command stops the workers it started before it returns, and
+    # leaves no process behind for the exit hooks
+    started = _workers_started(monkeypatch)
     code, _, err = run(capsys, *POOL_SWEEP)
     assert (code, err, started) == (1, "", [2])
-    assert search._pool is None
+    assert search._workers is None

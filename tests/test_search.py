@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from roughmap import Outcome, REGISTRY, evaluate, falsify, get_claim, search, verify
-from roughmap.docio import report_doc
+from roughmap.docio import report_doc, settled
 from roughmap.enumeration import (
     bell,
     canonical_table,
@@ -97,37 +97,40 @@ def test_verify_clean_claim_has_zero_failures():
     assert report.tally.holds == report.instances
 
 
-# T31 at (6, 3) packs into two tasks, and its first failing group sits in
-# the middle of the first one
+# T31 at (6, 3) is cut into six chunks, and its first failing group sits in
+# chunk 2, which the caller evaluates on two workers
 FALSIFY_BOUNDS = {"T31": (6, 3)}
 WORKER_COUNT_CLAIMS = ["T41-1", "L31-2-inc", "T31-refl", "T31"]
 WORKER_COUNT_CASES = [pytest.param(cid, FALSIFY_BOUNDS.get(cid, (5, 3)), id=cid) for cid in WORKER_COUNT_CLAIMS]
-# every claim whose falsify finds a counterexample: at any bounds it stops
-# inside the first task (T31, the deepest, after 12,580 instances and 123
-# groups), so no early stop lands in a pool task at the default task size
+# every claim whose falsify finds a counterexample: at any bounds each stops
+# in chunk 0, which the caller walks, except T31, the deepest, which stops
+# in chunk 2 (at instance 11,993 at (6, 3) and 12,580 at (7, 7))
 FAILING_CLAIMS = [
     "T31", "L31-1-fwd", "L31-1-bwd", "L31-2-inc", "L31-3-inc",
     "L31-3-join", "T41-1", "T41-2", "T43-1", "T43-2",
 ]
-FIRST_TASK_CASES = WORKER_COUNT_CASES + [pytest.param(cid, (7, 7), id=f"{cid}-7-7") for cid in FAILING_CLAIMS]
-# on more than one worker the first task of a sweep runs in the caller and
-# the rest on the pool; with tasks this small every failing sweep above
-# stops in a pool task
+FALSIFY_CASES = WORKER_COUNT_CASES + [pytest.param(cid, (7, 7), id=f"{cid}-7-7") for cid in FAILING_CLAIMS]
+# with chunks this small every failing sweep above stops past chunk 0
 SMALL_TASK = 100
 
 
-def _falsify_on_each_worker_count(cid, bounds, in_first_task):
+def _chunk_groups(cid, bounds, canonical, budget):
+    """The number of groups in each chunk of a sweep's stream."""
+    claim = get_claim(cid)
+    return [len(list(chunk)) for chunk in search._chunks(claim, search._groups(claim, *bounds, canonical), budget)]
+
+
+def _falsify_on_each_worker_count(cid, bounds, in_first_chunk):
     max_u, max_v = bounds
     reports = [falsify(cid, max_u, max_v, workers=w) for w in (1, 2, 8)]
     first = reports[0]
     if first.found:
-        claim = get_claim(cid)
-        first_task = len(next(search._tasks(claim, search._groups(claim, max_u, max_v, True))))
-        if in_first_task:
-            # the groups after the failing one in its task must go uncounted
-            assert first.groups < first_task
+        first_chunk = _chunk_groups(cid, bounds, True, search.TASK_INSTANCES)[0]
+        if in_first_chunk:
+            # the groups after the failing one in its chunk must go uncounted
+            assert first.groups < first_chunk
         else:
-            assert first.groups > first_task
+            assert first.groups > first_chunk
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.first_counterexample == first.first_counterexample
@@ -136,22 +139,24 @@ def _falsify_on_each_worker_count(cid, bounds, in_first_task):
     return first
 
 
-@pytest.mark.parametrize("cid, bounds", FIRST_TASK_CASES)
+@pytest.mark.parametrize("cid, bounds", FALSIFY_CASES)
 def test_worker_count_does_not_change_results(cid, bounds):
-    report = _falsify_on_each_worker_count(cid, bounds, in_first_task=True)
+    report = _falsify_on_each_worker_count(cid, bounds, in_first_chunk=cid != "T31")
     assert report.found == (cid in FAILING_CLAIMS)
 
 
 @pytest.mark.parametrize("cid, bounds", WORKER_COUNT_CASES)
 def test_worker_count_does_not_change_results_found_in_a_pool_task(cid, bounds, monkeypatch):
+    # chunks of 100 instances: on two workers L31-2-inc and T41-1 stop in
+    # the caller's chunk 4, and T31 in the worker's chunk 69
     monkeypatch.setattr(search, "TASK_INSTANCES", SMALL_TASK)
-    _falsify_on_each_worker_count(cid, bounds, in_first_task=False)
+    _falsify_on_each_worker_count(cid, bounds, in_first_chunk=False)
 
 
 def test_caller_pulls_only_the_groups_it_walks(monkeypatch):
-    # on two workers the caller's first task pulls each group from the
-    # stream as it walks it, so a falsify that stops in it has enumerated
-    # only the groups it counts, not the whole first task (29 and 32 groups)
+    # on two workers the caller pulls each group of chunk 0 from the stream
+    # as it walks it, so a falsify that stops in it has enumerated only the
+    # groups it counts, not the whole chunk
     groups = search._groups
     pulled = []
 
@@ -174,13 +179,12 @@ def test_caller_pulls_only_the_groups_it_walks(monkeypatch):
     [("T31", (6, 3), False), ("L31-2-eq", (5, 3), True), ("T41-1", (5, 3), False)],
     ids=["T31-verify", "L31-2-eq-falsify", "T41-1-verify"],
 )
-def test_caller_slice_and_pool_tasks_pack_the_stream_in_order(cid, bounds, canonical, budget, monkeypatch):
-    # the caller's slice, then the pool's batches: each reaches the budget
+def test_caller_slice_and_pool_tasks_pack_the_stream_in_order(cid, bounds, canonical, budget):
+    # the chunks every process cuts the stream into: each reaches the budget
     # with its last group and not before, and together they are the stream
-    monkeypatch.setattr(search, "TASK_INSTANCES", budget)
     claim = get_claim(cid)
     stream = search._groups(claim, *bounds, canonical)
-    batches = [list(search._take(claim, stream, budget)), *search._tasks(claim, stream)]
+    batches = [list(chunk) for chunk in search._chunks(claim, stream, budget)]
     assert [group for batch in batches for group in batch] == list(search._groups(claim, *bounds, canonical))
     for i, batch in enumerate(batches):
         sizes = [search._group_size(claim, n) for n, _, _ in batch]
@@ -189,10 +193,7 @@ def test_caller_slice_and_pool_tasks_pack_the_stream_in_order(cid, bounds, canon
 
 
 def _settled_doc(report):
-    doc = report_doc(report)
-    for key in ("wall_time_s", "workers", "tool"):
-        del doc[key]
-    return doc
+    return settled(report_doc(report))
 
 
 def _verify_on_each_worker_count():
@@ -201,7 +202,7 @@ def _verify_on_each_worker_count():
     for other in reports[1:]:
         assert other.tally == first.tally
         assert other.failures == first.failures
-    # 852 groups in several tasks, and 2,160 failures against a cap of 20
+    # 852 groups in 27 chunks, and 2,160 failures against a cap of 20
     docs = [_settled_doc(verify("T31", 6, 3, workers=w)) for w in (1, 2)]
     assert docs[0]["groups"] == 852 and docs[0]["tallies"]["fails"] == 2160
     assert docs[1] == docs[0]
@@ -216,25 +217,108 @@ def test_verify_worker_count_does_not_change_failures_in_small_tasks(monkeypatch
     _verify_on_each_worker_count()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
-def test_pool_tasks_keep_only_the_failures_the_report_has_room_for(monkeypatch):
-    # each pool task is handed the room left in the report when it is
-    # submitted, so once 20 failures are kept the later tasks build no witness
-    caps = []
-    get_pool = search._get_pool
+def _logging(real, log, line):
+    """real, appending line(result, *args) to the file log at each call, in
+    whichever process calls it."""
 
-    class Recording:
-        def __init__(self, pool):
-            self.pool = pool
+    def logged(*args):
+        result = real(*args)
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(line(result, *args) + "\n")
+        return result
 
-        def submit(self, fn, args):
-            caps.append(args[3])
-            return self.pool.submit(fn, args)
+    return logged
 
-    monkeypatch.setattr(search, "_get_pool", lambda workers: Recording(get_pool(workers)))
-    report = verify("T31", 6, 3, workers=2)
-    assert report.failures == verify("T31", 6, 3, workers=1).failures
-    assert caps == sorted(caps, reverse=True) and caps[0] <= 20 and caps[-1] == 0
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
+def test_pool_tasks_keep_only_the_failures_the_report_has_room_for(monkeypatch, tmp_path):
+    # the caller hands each of its chunks the room left in the report, and a
+    # worker its job's room less what it has kept, so once a process has
+    # used up its room its later chunks build no witness
+    log = tmp_path / "runs"
+    want = verify("T31", 6, 3, workers=1).failures
+    # workers see the module as it was when they started
+    search._drop_workers()
+
+    def caps(result, claim, groups, stop_on_fail, cap):
+        return f"{os.getpid()} {cap} {len(result[2])}"
+
+    monkeypatch.setattr(search, "_run_task", _logging(search._run_task, log, caps))
+    try:
+        report = verify("T31", 6, 3, workers=2)
+    finally:
+        search._drop_workers()
+    assert report.failures == want
+    runs = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, cap, kept = map(int, line.split())
+        runs.setdefault(pid, []).append((cap, kept))
+    assert len(runs) == 2
+    for chunks in runs.values():
+        assert chunks[0][0] <= 20 and chunks[-1][0] == 0
+        for (cap, kept), (later, _) in zip(chunks, chunks[1:]):
+            assert kept <= cap and later <= cap - kept
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
+def test_two_worker_verify_builds_at_most_two_caps_of_witnesses(monkeypatch, tmp_path):
+    # each process keeps at most max_failures failures, and a witness is
+    # built only for a kept failure: 20 on one worker, at most 40 on two
+    from roughmap import claims
+
+    log = tmp_path / "witnesses"
+    search._drop_workers()
+    built = _logging(claims._Failure.witness.fget, log, lambda result, failure: "built")
+    monkeypatch.setattr(claims._Failure, "witness", property(built))
+    try:
+        counts = []
+        for workers in (1, 2):
+            log.write_text("", encoding="utf-8")
+            report = verify("T31", 6, 3, workers=workers)
+            assert len(report.failures) == 20
+            counts.append(len(log.read_text(encoding="utf-8").splitlines()))
+    finally:
+        search._drop_workers()
+    assert counts[0] == 20 and 20 <= counts[1] <= 40
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
+def test_stop_in_the_callers_chunk_leaves_no_result_for_the_next_sweep():
+    # on two workers T31 at (6, 4) stops in chunk 2, the caller's, while the
+    # worker holds chunk 3: the worker's results past the stop are read and
+    # dropped, so the next sweep on the same worker reports what one worker does
+    chunks = _chunk_groups("T31", (6, 4), True, search.TASK_INSTANCES)
+    report = falsify("T31", 6, 4, workers=2)
+    assert len(chunks) > 3 and sum(chunks[:2]) < report.groups <= sum(chunks[:3])
+    assert _settled_doc(report) == _settled_doc(falsify("T31", 6, 4, workers=1))
+    assert _settled_doc(falsify("L31-2-eq", 5, 3, workers=2)) == _settled_doc(falsify("L31-2-eq", 5, 3, workers=1))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
+def test_interrupt_mid_sweep_drops_the_workers(monkeypatch):
+    # Ctrl-C in the caller while the worker evaluates its chunks ends the
+    # sweep and stops the worker; the next sweep starts a new one
+    search._get_workers(2)
+    pids = [process.pid for process in search._workers[2]]
+    real = search._run_task
+    calls = []
+
+    def interrupted(*args):
+        # the caller's second chunk, chunk 2
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(search, "_run_task", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        verify("T31", 6, 3, workers=2)
+    assert search._workers is None
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    monkeypatch.undo()
+    assert _settled_doc(falsify("L31-2-eq", 5, 3, workers=2)) == _settled_doc(falsify("L31-2-eq", 5, 3, workers=1))
 
 
 @pytest.mark.parametrize("canonical", [False, True])
@@ -311,7 +395,7 @@ def test_falsify_on_direct_tables_counts_up_to_its_first_failure(monkeypatch):
 
 def test_task_with_no_room_counts_its_failures_and_keeps_none():
     groups = list(search._groups(get_claim("T41-1"), 4, 2, False))
-    done, tally, fails, _ = search._run_task(("T41-1", groups, False, 0))
+    done, tally, fails, _ = search._run_task(get_claim("T41-1"), groups, False, 0)
     assert (done, fails) == (len(groups), [])
     assert tally == verify("T41-1", 4, 2).tally
 
@@ -324,8 +408,8 @@ ORBIT_BOUNDS = {"T31": (6, 3)}
 
 @pytest.mark.parametrize("cid", FAILING_CLAIMS)
 def test_failures_in_relabeled_tables_carry_the_witness_evaluate_gives(cid, monkeypatch):
-    # with no cap every failure is kept, and on 2 workers tiny tasks start
-    # inside an orbit, so a task's first group of an orbit is not canonical
+    # with no cap every failure is kept, and on 2 workers tiny chunks start
+    # inside an orbit, so a chunk's first group of an orbit is not canonical
     max_u, max_v = ORBIT_BOUNDS.get(cid, (4, 2))
     monkeypatch.setattr(search, "TASK_INSTANCES", SMALL_TASK)
     reports = [verify(cid, max_u, max_v, workers=w, max_failures=10**9) for w in (1, 2)]
@@ -499,8 +583,8 @@ def test_failure_cap_below_one_is_rejected(run):
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
-    # a pool forks every worker on its first submit, so the count is
-    # lowered before the pool is made
+    # more processes than CPUs would only take turns; the report gives the
+    # count that ran
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     report = verify("T31", max_u=3, workers=3)
     assert report.workers == 1
@@ -508,27 +592,27 @@ def test_workers_capped_at_cpu_count(monkeypatch):
 
 def _verify_in_child(conn):
     report = verify("T31", 6, 3, workers=2)
-    pool = search._pool
-    conn.send((report.tally, report.groups, report.failures, pool is not None and pool[1] == os.getpid()))
+    held = search._workers
+    conn.send((report.tally, report.groups, report.failures, held is not None and held[1] == os.getpid()))
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
 def test_forked_child_starts_its_own_pool():
     import multiprocessing
 
-    # T31 at (6, 3) outgrows the first task, which runs in the caller
+    # T31 at (6, 3) outgrows chunk 0, which runs in the caller
     expected = verify("T31", 6, 3, workers=1)
     verify("T31", 6, 3, workers=2)
-    assert search._pool is not None and search._pool[1] == os.getpid()
+    assert search._workers is not None and search._workers[1] == os.getpid()
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_verify_in_child, args=(sender,))
     child.start()
     try:
-        # on the parent's executor the child would wait forever
+        # on its parent's pipes the child would read results meant for the parent
         assert receiver.poll(60)
         got = receiver.recv()
-        # the child shuts its own pool down on exit
+        # the child stops its own workers on exit
         child.join(60)
         assert child.exitcode == 0
     finally:
@@ -538,7 +622,7 @@ def test_forked_child_starts_its_own_pool():
 
 
 def test_import_leaves_pool_modules_unloaded():
-    # the pool's modules cost more to import than roughmap itself
+    # the workers' modules cost more to import than roughmap itself
     src = os.path.dirname(os.path.dirname(search.__file__))
     code = (
         "import roughmap, sys; "
@@ -550,27 +634,28 @@ def test_import_leaves_pool_modules_unloaded():
 
 
 def test_sweep_that_ends_in_its_first_task_starts_no_pool():
-    # a falsify that stops in its first task, and a verify of one task
+    # a falsify that stops in chunk 0, and a verify of one chunk
     src = os.path.dirname(os.path.dirname(search.__file__))
     code = (
         "import sys; from roughmap import falsify, search, verify; "
         "report = falsify('T41-1', 5, 3, workers=2); verify('T31', 4, workers=2); "
-        "print(report.found, search._pool, 'concurrent.futures.process' in sys.modules)"
+        "print(report.found, search._workers, 'multiprocessing' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True", "None", "False"]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="workers need two CPUs")
 def test_pool_shares_no_memory_with_its_workers():
-    # a task tuple carries everything its worker reads: a sweep that
-    # reaches the pool makes no shared value, so it imports no ctypes
+    # a job tuple names everything a worker reads, and results come back on
+    # its pipe: a sweep that reaches the workers makes no shared value, so
+    # it imports no ctypes
     src = os.path.dirname(os.path.dirname(search.__file__))
     code = (
         "import sys; from roughmap import search, verify; "
         "verify('T31', 6, 3, workers=2); "
-        "print(search._pool is not None, "
+        "print(search._workers is not None, "
         "[m for m in ('ctypes', 'multiprocessing.sharedctypes') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=src)

@@ -231,7 +231,7 @@ def _group_instances(claim, n):
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_cached_group_equals_evaluation_from_scratch(cid):
     groups = _groups(cid)
-    done, tally, fails, reason = _run_task((cid, groups, False, 10**9))
+    done, tally, fails, reason = _run_task(REGISTRY[cid], groups, False, 10**9)
     assert done == len(groups)
 
     claims.size_tables.cache_clear()  # fresh per-size tables as well
@@ -365,7 +365,7 @@ def test_a_sweep_reads_its_per_instance_tables_as_lists(monkeypatch):
     claims.size_tables.cache_clear()
     try:
         for cid in sorted(REGISTRY):
-            _run_task((cid, _groups_of(cid, 5), False, 0))
+            _run_task(REGISTRY[cid], _groups_of(cid, 5), False, 0)
         tables = claims.size_tables(5)
         for name in ("meet", "join", "union"):
             table = getattr(tables, name)
@@ -485,10 +485,10 @@ def test_subset_claims_are_ill_typed_where_the_image_relation_is_not_an_equivale
     if form == "direct":
         monkeypatch.setattr(claims, "_TABLE_MAX_N", 0)
     try:
-        _, t31, _, _ = _run_task(("T31", group, False, 0))
+        _, t31, _, _ = _run_task(REGISTRY["T31"], group, False, 0)
         assert t31.fails == 24
         for cid in ("T41-1", "T41-2", "T43-1", "T43-2"):
-            done, tally, _, reason = _run_task((cid, group, False, 0))
+            done, tally, _, reason = _run_task(REGISTRY[cid], group, False, 0)
             assert done == 1
             assert tally.total == 203 << 6
             assert tally.ill_typed == t31.fails << 6 == 1_536, cid
